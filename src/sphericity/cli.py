@@ -42,6 +42,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: Exception) -> str:
+    """The exception message followed by its diagnostics that are set."""
+    parts = [str(exc)]
+    for name in ("residual", "where"):
+        value = getattr(exc, name, None)
+        if value is not None:
+            parts.append(f"{name}={value:.6g}")
+    return " ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -68,11 +78,8 @@ def main(argv=None) -> int:
 
     try:
         result = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GeometryError, NonClosureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, GeometryError, NonClosureError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
 
     if args.out is not None:

@@ -487,70 +487,142 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
 # Frame-ODE curves (prescribed curvature profile)
 # ---------------------------------------------------------------------------
 
-def _frame_rhs(space, p, t_vec, kap):
-    """Right-hand side of the unit-speed frame equations."""
+_PERIOD_STEPS = 512     # Magnus steps per period in the closure solve
+_ROOT_MAXITER = 50
+_SQRT3 = math.sqrt(3.0)
+
+
+def _frame_matrix(space, p, t_vec):
+    """Oriented isometry frame F = [P | T | J] at (p, T) as an ambient matrix.
+
+    P is k1 p on the curved planes and the homogeneous point (p, 1) on the
+    flat plane, where T and J get a zero third coordinate; either way
+    F1 F0^-1 is the ambient matrix of the isometry taking frame 0 to frame 1.
+    """
     j = space.rotate90(p, t_vec)
     if space.kind is Kind.FLAT:
-        return t_vec, kap * j
-    k2 = space.k1 ** 2
-    if space.kind is Kind.SPHERE:
-        return t_vec, kap * j - k2 * p
-    return t_vec, kap * j + k2 * p
+        return np.array([[p[0], t_vec[0], j[0]],
+                         [p[1], t_vec[1], j[1]],
+                         [1.0, 0.0, 0.0]])
+    return np.stack([space.k1 * p, t_vec, j], axis=1)
+
+
+def _frame_generators(space):
+    """(G0, G1) with unit-speed frame equations F' = F (G0 + kappa G1)."""
+    g0 = np.zeros((3, 3))
+    g1 = np.zeros((3, 3))
+    g1[2, 1], g1[1, 2] = 1.0, -1.0          # T' = kappa J, J' = -kappa T
+    if space.kind is Kind.FLAT:
+        g0[1, 0] = 1.0                      # p' = T
+    else:                                   # P' = k1 T, T' = -/+ k1 P
+        g0[1, 0] = space.k1
+        g0[0, 1] = -space.k1 if space.kind is Kind.SPHERE else space.k1
+    return g0, g1
+
+
+def _sinc_q(q):
+    """sin(sqrt(-q))/sqrt(-q) for q < 0, sinh(sqrt(q))/sqrt(q) for q >= 0."""
+    r = np.sqrt(np.abs(q))
+    tiny = r < 1e-4
+    r = np.where(tiny, 1.0, r)
+    out = np.where(q < 0.0, np.sin(r), np.sinh(r)) / r
+    return np.where(tiny, 1.0 + q / 6.0 + q * q / 120.0, out)
+
+
+def _expm1_traceless3(omega):
+    """exp(W) - I for a stack of 3x3 matrices W with zero trace and det.
+
+    By Cayley-Hamilton such a matrix satisfies W^3 = q W with
+    q = tr(W^2)/2, so exp W = I + f1(q) W + f2(q) W^2 with
+    f1 = sinh(sqrt q)/sqrt q and f2 = (cosh(sqrt q) - 1)/q (their circular
+    forms for q < 0); f2 is evaluated as f1(q/4)^2 / 2, free of cancellation.
+    The identity is left out so that products of near-identity factors keep
+    their small parts exact (see ``_compose``).
+    """
+    omega2 = omega @ omega
+    q = 0.5 * np.trace(omega2, axis1=-2, axis2=-1)[..., None, None]
+    return _sinc_q(q) * omega + 0.5 * _sinc_q(0.25 * q) ** 2 * omega2
+
+
+def _compose(a, b):
+    """(I + a)(I + b) - I."""
+    return a + b + a @ b
+
+
+def _chain_product(incs):
+    """(I + D_0) ... (I + D_{N-1}) - I along axis 1, by pairwise halving."""
+    while incs.shape[1] > 1:
+        if incs.shape[1] % 2:
+            incs = np.concatenate(
+                [incs[:, :-2], _compose(incs[:, -2:-1], incs[:, -1:])], axis=1)
+        else:
+            incs = _compose(incs[:, 0::2], incs[:, 1::2])
+    return incs[:, 0]
+
+
+def _prefix_products(incs):
+    """Inclusive prefix products of a (S, ...) stack of increments."""
+    out = np.array(incs)
+    d = 1
+    while d < len(out):
+        out[d:] = _compose(out[:-d], out[d:])
+        d *= 2
+    return out
 
 
 def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
                      store_every=None):
-    """Fixed-step RK4 integration of the frame equations, batched in length.
+    """Fourth-order Magnus integration of the frame equations.
 
-    The integration runs in the normalized parameter u = s / L over
-    [0, u_end], so a whole batch of candidate total lengths shares one
-    curvature evaluation per stage: dp/du = L T, dT/du = L (kappa J T ...).
-    ``lengths`` is scalar or (B,); returns final (p, T) of shape like the
-    broadcast state and, when ``store_every`` is given, the samples stored
-    every that many steps.
+    The frame F = [P | T | J] (see ``_frame_matrix``) solves F' = F A with
+    A = G0 + kappa G1 in so(3), so(2,1) or se(2).  In the normalized
+    parameter u = s / L the generator is L A, so a whole batch of candidate
+    total lengths shares one vectorized evaluation of the profile at the two
+    Gauss points of every step.  Each step multiplies F on the right by
+    exp(Omega), Omega = (h L / 2)(A1 + A2) + (sqrt 3 / 12) h^2 L^2 [A1, A2],
+    taken in closed form (``_expm1_traceless3``); the step factors are
+    composed by pairwise matrix products.  Every factor lies in the
+    isometry group, so no projection back onto the model is needed.
+
+    ``lengths`` is scalar or (B,); returns final (p, T) of shape (B, dim)
+    and, when ``store_every`` is given, the (steps // store_every, B, dim)
+    samples taken every that many steps, starting with (p0, T0).
     """
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    batch = lengths[:, None]
-    p = np.broadcast_to(np.asarray(p0, dtype=float),
-                        (len(lengths), len(p0))).copy()
-    t_vec = np.broadcast_to(np.asarray(t0, dtype=float), p.shape).copy()
     h = u_end / steps
-    stored_p, stored_t = [], []
+    gauss = 0.5 + np.array([-1.0, 1.0]) * _SQRT3 / 6.0
+    u = (h * (np.arange(steps)[:, None] + gauss)).ravel()
+    kap = np.broadcast_to(np.asarray(profile(u), dtype=float),
+                          u.shape).reshape(steps, 2)
+    g0, g1 = _frame_generators(space)
+    hl = (h * lengths)[:, None, None, None]
+    mean_kap = (0.5 * (kap[:, 0] + kap[:, 1]))[None, :, None, None]
+    dkap = (kap[:, 1] - kap[:, 0])[None, :, None, None]
+    omega = (hl * (g0 + mean_kap * g1)
+             + (_SQRT3 / 12.0) * hl ** 2 * dkap * (g0 @ g1 - g1 @ g0))
+    incs = _expm1_traceless3(omega)
 
-    def rhs(u, p, t_vec):
-        kap = float(profile(u % 1.0))
-        dp, dt = _frame_rhs(space, p, t_vec, kap)
-        return batch * dp, batch * dt
+    f0 = _frame_matrix(space, np.asarray(p0, dtype=float),
+                       np.asarray(t0, dtype=float))
+    dim = space.dim
+    scale = 1.0 if space.kind is Kind.FLAT else space.k1
 
-    for i in range(steps):
-        if store_every is not None and i % store_every == 0:
-            stored_p.append(p.copy())
-            stored_t.append(t_vec.copy())
-        u = i * h
-        k1p, k1t = rhs(u, p, t_vec)
-        k2p, k2t = rhs(u + 0.5 * h, p + 0.5 * h * k1p, t_vec + 0.5 * h * k1t)
-        k3p, k3t = rhs(u + 0.5 * h, p + 0.5 * h * k2p, t_vec + 0.5 * h * k2t)
-        k4p, k4t = rhs(u + h, p + h * k3p, t_vec + h * k3t)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        t_vec = t_vec + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-        p = space.project(p)
-        t_vec = space.project_tangent(p, t_vec)
-        t_vec = t_vec / space.norm(p, t_vec)[..., None]
+    def point_tangent(incs):
+        frames = f0 + f0 @ incs
+        return frames[..., :dim, 0] / scale, frames[..., :dim, 1]
+
     if store_every is None:
+        p, t_vec = point_tangent(_chain_product(incs))
         return p, t_vec, None, None
-    return p, t_vec, np.array(stored_p), np.array(stored_t)
-
-
-def _frame_matrix(space, p, t_vec):
-    """Oriented isometry frame at (p, T) as an ambient matrix."""
-    j = space.rotate90(p, t_vec)
-    if space.kind is Kind.FLAT:
-        b = np.eye(3)
-        b[:2, 0] = t_vec
-        b[:2, 1] = j
-        b[:2, 2] = p
-        return b
-    return np.stack([space.k1 * p, t_vec, j], axis=1)
+    n_store = steps // store_every
+    blocks = _chain_product(incs.reshape(
+        len(lengths) * n_store, store_every, 3, 3))
+    prefix = _prefix_products(blocks.reshape(len(lengths), n_store, 3, 3)
+                              .transpose(1, 0, 2, 3))
+    p, t_vec = point_tangent(prefix[-1])
+    stored_p, stored_t = point_tangent(
+        np.concatenate([np.zeros_like(prefix[:1]), prefix[:-1]]))
+    return p, t_vec, stored_p, stored_t
 
 
 def _monodromy(space, p0, t0, p1, t1):
@@ -558,11 +630,7 @@ def _monodromy(space, p0, t0, p1, t1):
     b0 = _frame_matrix(space, p0, t0)
     b1 = _frame_matrix(space, p1, t1)
     if space.kind is Kind.FLAT:
-        b0_inv = np.eye(3)
-        rot_t = b0[:2, :2].T
-        b0_inv[:2, :2] = rot_t
-        b0_inv[:2, 2] = -rot_t @ b0[:2, 2]
-        return b1 @ b0_inv
+        return b1 @ np.linalg.inv(b0)
     if space.kind is Kind.SPHERE:
         return b1 @ b0.T
     eta = np.diag([-1.0, 1.0, 1.0])
@@ -589,7 +657,12 @@ def _rotation_cos(space, mat) -> float:
 
 
 def _fixed_point(space, mat, near):
-    """Fixed point of an elliptic isometry, on the same side as ``near``."""
+    """Fixed point of an elliptic isometry, the one a curve winds around.
+
+    On the sphere the two antipodal fixed points rotate with opposite signs;
+    the curve winds around the one nearer to ``near``.  Raises
+    np.linalg.LinAlgError or GeometryError when there is no fixed point.
+    """
     if space.kind is Kind.FLAT:
         rot = mat[:2, :2]
         return np.linalg.solve(np.eye(2) - rot, mat[:2, 2])
@@ -598,8 +671,6 @@ def _fixed_point(space, mat, near):
     axis = np.real(vecs[:, idx])
     if space.kind is Kind.SPHERE:
         axis = axis / (np.linalg.norm(axis) * space.k1)
-        # the two antipodal fixed points rotate with opposite signs; take
-        # the one the curve actually winds around (the nearer one)
         if float(space.distance(axis, near)) > np.pi / (2.0 * space.k1):
             axis = -axis
         return axis
@@ -633,8 +704,6 @@ def _rotation_defect(space, mat, probe, target_angle: float):
         e1, _ = space.frame(center)
         x = space.exp_map(center, 0.1 * e1)
     image = _apply_isometry(space, mat, x[None, :])[0]
-    if space.kind is not Kind.FLAT:
-        image = space.project(image)
     try:
         u = space.log_map(center, x)
         v = space.log_map(center, image)
@@ -649,21 +718,27 @@ def _rotation_defect(space, mat, probe, target_angle: float):
     return s_part * ct - c_part * st, c_part * ct + s_part * st
 
 
-def _detect_symmetry_order(profile, max_order: int = 64) -> int:
-    """Largest m >= 2 such that profile(u + 1/m) == profile(u)."""
+def _detect_symmetry_order(profile, max_order: int = 64):
+    """(m, mismatch): largest m >= 2 with profile(u + 1/m) == profile(u).
+
+    ``mismatch`` is the relative max |profile(u + 1/m) - profile(u)| of the
+    returned m, or, when no order qualifies (m = 0), the smallest one seen.
+    """
     u = np.linspace(0.0, 1.0, 257, endpoint=False)
     base = np.asarray(profile(u), dtype=float)
     scale = max(1.0, float(np.max(np.abs(base))))
+    best = math.inf
     for m in range(max_order, 1, -1):
         shifted = np.asarray(profile((u + 1.0 / m) % 1.0), dtype=float)
-        if np.max(np.abs(shifted - base)) <= 1e-10 * scale:
-            return m
-    return 0
+        mismatch = float(np.max(np.abs(shifted - base))) / scale
+        if mismatch <= 1e-10:
+            return m, mismatch
+        best = min(best, mismatch)
+    return 0, best
 
 
 def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
-                         n: int = DEFAULT_SAMPLES, solver_steps: int = 512,
-                         max_root_iter: int = 50) -> ClosedCurve:
+                         n: int = DEFAULT_SAMPLES) -> ClosedCurve:
     """Closed curve with prescribed geodesic curvature profile.
 
     ``kappa_profile(u)`` gives the curvature at arc-length fraction
@@ -678,13 +753,14 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
 
     Raises NonClosureError when the profile lacks the required symmetry or
     the root search does not converge; the exception carries the best
-    closure residual seen.
+    closure residual seen (for a profile without symmetry, its smallest
+    relative mismatch under a shift by 1/m).
     """
-    m = _detect_symmetry_order(kappa_profile)
+    m, mismatch = _detect_symmetry_order(kappa_profile)
     if m < 2:
         raise NonClosureError(
             "curvature profile must repeat with period 1/m for some m >= 2",
-            residual=None)
+            residual=mismatch)
 
     u_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
     prof_vals = np.asarray(kappa_profile(u_grid), dtype=float)
@@ -711,11 +787,10 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
     p0 = space.origin()
     e1, _ = space.frame(p0)
     target_angle = 2.0 * math.pi / m
-    period_steps = max(256, solver_steps)
 
     def rotation_defects(lengths):
         p1, t1, _, _ = _integrate_frame(space, p0, e1, kappa_profile,
-                                        lengths, 1.0 / m, period_steps)
+                                        lengths, 1.0 / m, _PERIOD_STEPS)
         out = []
         for row_p, row_t in zip(p1, t1):
             mat = _monodromy(space, p0, e1, row_p, row_t)
@@ -757,7 +832,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
     else:
         length = float(brentq(defect_sin, bracket[0], bracket[1],
                               xtol=1e-13 * length_guess, rtol=1e-15,
-                              maxiter=max_root_iter))
+                              maxiter=_ROOT_MAXITER))
 
     # final pass: integrate one period finely and replicate by the isometry
     samples_per_period = n // m
@@ -775,15 +850,13 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
     blocks_t = [tan_period]
     acc = np.array(mat)
     for _ in range(1, m):
-        blocks_p.append(space.project(_apply_isometry(space, acc, pts_period)))
+        blocks_p.append(_apply_isometry(space, acc, pts_period))
         blocks_t.append(_apply_isometry_linear(space, acc, tan_period))
         acc = acc @ mat
     points = np.concatenate(blocks_p, axis=0)
     tangents = np.concatenate(blocks_t, axis=0)
-    tangents = space.project_tangent(points, tangents)
-    tangents = tangents / space.norm(points, tangents)[:, None]
 
-    p_back = space.project(_apply_isometry(space, acc, p0[None, :]))[0]
+    p_back = _apply_isometry(space, acc, p0[None, :])[0]
     gap = float(space.distance(p_back, p0))
     if gap > 1e-8:
         raise NonClosureError(
@@ -795,46 +868,19 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
     corner = np.zeros(n_eff, dtype=bool)
     kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
                                            normals, corner, length)
-    center = _elliptic_center(space, mat, points)
+    try:
+        center = _fixed_point(space, mat, p0)
+        winds = winding_number(space, points, center) == 1
+    except (np.linalg.LinAlgError, GeometryError):
+        winds = False
+    if not winds:
+        center = karcher_mean(space, points)
     return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
                        normals_out=normals, kappa=kappa, corner=corner,
                        total_length=float(length), kmin=kmin,
                        provenance="frame_ode",
                        k0_declared=k_min_profile, closure_gap=gap,
                        hint_center=center)
-
-
-def _elliptic_center(space, mat, points):
-    """Fixed point of the period isometry (the curve's symmetry center)."""
-    if space.kind is Kind.FLAT:
-        rot = mat[:2, :2]
-        trans = mat[:2, 2]
-        try:
-            return np.linalg.solve(np.eye(2) - rot, trans)
-        except np.linalg.LinAlgError:
-            return np.mean(points, axis=0)
-    w, vecs = np.linalg.eig(mat)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    axis = np.real(vecs[:, idx])
-    if space.kind is Kind.SPHERE:
-        axis = axis / (np.linalg.norm(axis) * space.k1)
-        cands = [axis, -axis]
-    else:
-        q = axis[0] ** 2 - axis[1] ** 2 - axis[2] ** 2
-        if q <= 0:
-            return karcher_mean(space, points)
-        axis = axis / (space.k1 * math.sqrt(q))
-        if axis[0] < 0:
-            axis = -axis
-        cands = [axis]
-    for c in cands:
-        c = space.project(c)
-        try:
-            if winding_number(space, points, c) == 1:
-                return c
-        except Exception:
-            continue
-    return karcher_mean(space, points)
 
 
 # ---------------------------------------------------------------------------

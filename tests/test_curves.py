@@ -11,6 +11,7 @@ from sphericity import (CornerWindowError, CurveGenerationError, NonClosureError
                         make_support_curve, measure_curvature, measure_radial,
                         min_distance_to_curve, spindle_optimum, spindle_rho,
                         validate_curve, winding_number)
+from sphericity.curves import _frame_matrix, _integrate_frame
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -145,6 +146,7 @@ class TestFrameOde:
     @pytest.mark.parametrize("space,profile,kmin_floor", [
         (HYP, lambda u: 2.0 + 0.2 * np.cos(2 * 2 * np.pi * np.asarray(u)), 1.8),
         (SPH, lambda u: 1.0 + 0.1 * np.sin(3 * 2 * np.pi * np.asarray(u)), 0.9),
+        (FLAT, lambda u: 1.0 + 0.2 * np.cos(3 * 2 * np.pi * np.asarray(u)), 0.8),
     ])
     def test_profile_curves_close_and_match(self, space, profile, kmin_floor):
         curve = make_frame_ode_curve(space, profile, n=4096)
@@ -159,6 +161,48 @@ class TestFrameOde:
         with pytest.raises(NonClosureError):
             make_frame_ode_curve(
                 HYP, lambda u: 2.0 + 0.1 * np.cos(2 * np.pi * np.asarray(u)))
+
+    @staticmethod
+    def _two_harmonic_run(space, lengths_factor, steps):
+        k0 = 2.0 if space is HYP else 1.0
+
+        def profile(u):
+            w = 2 * np.pi * np.asarray(u)
+            return k0 + 0.3 * np.cos(2 * w) + 0.2 * np.sin(5 * w)
+
+        p0 = space.origin()
+        e1, _ = space.frame(p0)
+        radius = space.circle_radius_of_curvature(k0)
+        length = float(space.circumference(radius))
+        lengths = length * np.asarray(lengths_factor, dtype=float)
+        return _integrate_frame(space, p0, e1, profile, lengths, 1.0, steps)
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_integrator_fourth_order(self, space):
+        ref, coarse, fine = (self._two_harmonic_run(space, 1.0, steps)[0][0]
+                             for steps in (16384, 256, 512))
+        err_coarse = float(np.max(np.abs(coarse - ref)))
+        err_fine = float(np.max(np.abs(fine - ref)))
+        # order 4 gives a ratio of 16; a reversed commutator term gives 4
+        assert err_coarse >= 12.0 * err_fine
+        assert err_fine < 5e-10
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_end_frame_is_isometry(self, space):
+        p_end, t_end, _, _ = self._two_harmonic_run(space, [1.0, 7.3], 4096)
+        for p, t in zip(p_end, t_end):
+            frame = _frame_matrix(space, p, t)
+            if space is FLAT:
+                rot = frame[:2, 1:]
+                defect = rot.T @ rot - np.eye(2)
+            elif space is SPH:
+                defect = frame.T @ frame - np.eye(3)
+            else:
+                eta = np.diag([-1.0, 1.0, 1.0])
+                defect = frame.T @ eta @ frame - eta
+            assert float(np.max(np.abs(defect))) < 1e-12
 
 
 class TestDiscIntersection:

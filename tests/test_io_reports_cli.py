@@ -223,6 +223,17 @@ class TestCli:
         a["metadata"]["timestamp"] = b["metadata"]["timestamp"] = None
         assert a == b
 
+    def test_generator_error_line_keeps_diagnostics(self, tmp_path, capsys):
+        cfg = {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
+               "generator": {"provenance": "frame_ode", "k0": 2.0, "n": 512,
+                             "terms": [[1, 0.1, 0.0]]}}
+        rc = main(["verify-angle", "--config", self._write(tmp_path, cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "residual=" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_usage_error(self):
         assert main(["frobnicate"]) == 1
 
