@@ -10,20 +10,18 @@ oracles and verifiers that certify measured curves against the bounds.
 
 from .spaceforms import Kind, SpaceForm, karcher_mean
 from .errors import (AntipodalPointsError, ConstraintViolation,
-                     CornerWindowError, CurveGenerationError, GeometryError,
-                     HypothesisViolation, NonClosureError)
-from .curves import (ClosedCurve, RadialMeasurement, contains_point,
-                     make_circle, make_disc_intersection, make_frame_ode_curve,
-                     make_lune, make_support_curve, max_distance_to_curve,
-                     measure_curvature, measure_radial, min_distance_to_curve,
-                     validate_curve, winding_number)
-from .spindles import (SpindleOptimum, SpindleParams, numeric_spindle_optimum,
-                       spindle_max_width_alt, spindle_optimum, spindle_params,
-                       spindle_rho, spindle_table_rows, spindle_width)
-from .bounds import (AngleBound, AngleReport, circle_exact_angle,
-                     cos_phi_lower_bound, cos_phi_weak_bound,
-                     mu0_decay_solution, radial_ode_residuals,
-                     verify_angle_bound)
+                     CurveGenerationError, GeometryError, HypothesisViolation,
+                     NonClosureError)
+from .curves import (ClosedCurve, RadialMeasurement, make_circle,
+                     make_disc_intersection, make_frame_ode_curve, make_lune,
+                     make_support_curve, max_distance_to_curve, measure_radial,
+                     min_distance_to_curve, validate_curve, winding_number)
+from .spindles import (SpindleOptimum, numeric_spindle_optimum,
+                       spindle_max_width_alt, spindle_optimum, spindle_rho,
+                       spindle_table_rows, spindle_width)
+from .bounds import (AngleReport, circle_exact_angle, cos_phi_lower_bound,
+                     cos_phi_weak_bound, mu0_decay_solution,
+                     radial_ode_residuals, verify_angle_bound)
 from .layers import (LayerReport, incenter, layer_width, min_width_layer,
                      smaller_arcs_inside)
 from .warped import (MuComparisonReport, WarpedCurve, WarpedMetric,
@@ -35,21 +33,21 @@ from .io import load_curve, save_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleBound", "AngleReport", "AntipodalPointsError", "ClosedCurve",
-    "ConstraintViolation", "CornerWindowError", "CurveGenerationError",
+    "AngleReport", "AntipodalPointsError", "ClosedCurve",
+    "ConstraintViolation", "CurveGenerationError",
     "GeometryError", "HypothesisViolation", "Kind", "LayerReport",
     "MuComparisonReport", "NonClosureError", "RadialMeasurement",
-    "SpaceForm", "SpindleOptimum", "SpindleParams", "WarpedCurve",
+    "SpaceForm", "SpindleOptimum", "WarpedCurve",
     "WarpedMetric", "WarpedVerification", "circle_exact_angle",
-    "circle_normal_curvature", "contains_point", "cos_phi_lower_bound",
+    "circle_normal_curvature", "cos_phi_lower_bound",
     "cos_phi_weak_bound", "incenter", "karcher_mean", "layer_width",
     "make_circle", "make_disc_intersection", "make_frame_ode_curve",
     "make_lune", "make_support_curve", "make_warped", "make_warped_curve",
     "load_curve", "save_curve",
-    "max_distance_to_curve", "measure_curvature", "measure_radial",
+    "max_distance_to_curve", "measure_radial",
     "min_distance_to_curve", "min_width_layer", "mu0_decay_solution",
     "numeric_spindle_optimum", "radial_ode_residuals", "smaller_arcs_inside", "spindle_max_width_alt",
-    "spindle_optimum", "spindle_params", "spindle_rho", "spindle_table_rows",
+    "spindle_optimum", "spindle_rho", "spindle_table_rows",
     "spindle_width", "validate_curve", "verify_angle_bound",
     "verify_circle_curvature_comparison", "verify_radial_bounds",
     "winding_number", "__version__",

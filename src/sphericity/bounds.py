@@ -20,51 +20,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, measure_radial
+from .curves import ClosedCurve, corner_band, measure_radial
 from .errors import GeometryError, HypothesisViolation
 from .spaceforms import Kind, SpaceForm
 
-#: verdict tolerance on the per-sample slack
-DEFAULT_SLACK_TOL = 1e-9
+# Guards and verdict tolerances of every verifier (angle, width, warped)
+# and of the suite reports.
 #: measured-curvature safety margin subtracted before bound evaluation
 DEFAULT_K0_GUARD = 1e-6
 #: refined-distance safety margin subtracted before bound evaluation
 DEFAULT_H_GUARD = 1e-8
+#: verdict tolerance on the per-sample angle slack
+DEFAULT_SLACK_TOL = 1e-9
+#: verdict tolerance on the width margin d0 - d
+DEFAULT_MARGIN_TOL = 1e-7
 
 
-def _check_k0(space: SpaceForm, k0: float) -> float:
-    # circle_radius_of_curvature enforces the per-geometry validity range
-    return space.circle_radius_of_curvature(k0)
+def check_hypotheses(space: SpaceForm, k0: float, t_max: float | None = None,
+                     k_ball: float | None = None) -> float:
+    """Refuse a bound whose hypotheses fail; return R = radius of k0.
 
-
-@dataclass(frozen=True)
-class AngleBound:
-    """Bound parameters (k0, h) with the derived circle radius R."""
-
-    space: SpaceForm
-    k0: float
-    h: float
-
-    def __post_init__(self):
-        radius = _check_k0(self.space, self.k0)
-        if not -1e-12 <= self.h <= radius * (1 + 1e-12):
-            raise GeometryError(
-                f"h must lie in [0, R={radius}] (got h={self.h})")
-
-    @property
-    def R(self) -> float:
-        return self.space.circle_radius_of_curvature(self.k0)
-
-    def cos_phi(self) -> float:
-        return cos_phi_lower_bound(self.space, self.k0, self.h)
-
-    def cos_phi_weak(self) -> float:
-        return cos_phi_weak_bound(self.space, self.k0, self.h)
+    ``k0`` must lie in the domain of ``space.circle_radius_of_curvature``
+    (flat k0 > 0, sphere k0 >= 0, hyperbolic k0 > k1).  On the sphere the
+    curve's largest distance ``t_max`` from the base point, when given,
+    must stay within pi / (2 k_ball) (the closed hemisphere for the default
+    k_ball = k1).  Raises HypothesisViolation otherwise.
+    """
+    try:
+        radius = space.circle_radius_of_curvature(k0)
+    except GeometryError as exc:
+        raise HypothesisViolation(
+            f"bound hypothesis fails for k0 = {k0:.6g}: {exc}") from None
+    if t_max is not None and space.kind is Kind.SPHERE:
+        k_ball = space.k1 if k_ball is None else k_ball
+        if t_max > np.pi / (2.0 * k_ball) * (1 + 1e-9):
+            raise HypothesisViolation(
+                f"curve leaves the closed ball of radius pi/(2 k) = "
+                f"{np.pi / (2.0 * k_ball):.6g} around the base point")
+    return radius
 
 
 def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
     """Sharp lower bound for cos(phi); 0 at h = 0, 1 at h = R, nondecreasing."""
-    radius = _check_k0(space, k0)
+    radius = space.circle_radius_of_curvature(k0)
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < -1e-12) or np.any(h_arr > radius * (1 + 1e-12)):
         raise GeometryError(f"h must lie in [0, R={radius}]")
@@ -77,7 +75,7 @@ def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
 
 def cos_phi_weak_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
     """Rough lower bound sn(h)/sn(R); dominated by the sharp bound."""
-    radius = _check_k0(space, k0)
+    radius = space.circle_radius_of_curvature(k0)
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < -1e-12) or np.any(h_arr > radius * (1 + 1e-12)):
         raise GeometryError(f"h must lie in [0, R={radius}]")
@@ -210,70 +208,34 @@ class AngleReport:
         }
 
 
-def _corner_exclusion_mask(corner: np.ndarray, band: int) -> np.ndarray:
-    """True on corners and up to ``band`` samples on each side."""
-    out = corner.copy()
-    for off in range(1, band + 1):
-        out |= np.roll(corner, off) | np.roll(corner, -off)
-    return out
-
-
-def verify_angle_bound(curve: ClosedCurve, base, k0_mode: str = "measured",
+def verify_angle_bound(curve: ClosedCurve, base,
                        slack_tol: float = DEFAULT_SLACK_TOL,
-                       corner_exclusion: int = 2,
-                       k0_guard: float = DEFAULT_K0_GUARD,
-                       h_guard: float = DEFAULT_H_GUARD) -> AngleReport:
+                       k0_guard: float = DEFAULT_K0_GUARD) -> AngleReport:
     """Check every sample's cos(phi) against the sharp lower bound.
 
-    ``k0_mode`` selects the curvature entering the bound: "measured" uses
-    the refined measured minimum (minus ``k0_guard``, so estimator error
-    cannot produce spurious failures), "declared" uses the generator's
-    requested curvature.  The refined minimum distance loses ``h_guard``
-    for the same reason; both guards only slacken the bound.
+    The curvature entering the bound is the refined measured minimum minus
+    ``k0_guard``, so estimator error cannot produce spurious failures; the
+    refined minimum distance loses DEFAULT_H_GUARD for the same reason.  Both
+    guards only slacken the bound.  Samples whose curvature window spans a
+    corner are excluded.
 
     Raises HypothesisViolation when the curve does not satisfy the
-    hypotheses for its geometry (kmin <= k1 on the hyperbolic plane;
-    curve leaving the closed hemisphere around the base point on the
-    sphere when kmin >= 0).
+    hypotheses for its geometry (see :func:`check_hypotheses`; on the
+    sphere the closed hemisphere is taken around the base point).
     """
     space = curve.space
-    if k0_mode == "measured":
-        k0_used = curve.kmin - k0_guard
-        if space.kind is Kind.SPHERE and k0_used < 0.0 \
-                and curve.kmin >= -1e-9:
-            k0_used = 0.0   # geodesic circles measure kmin ~ 0 up to noise
-    elif k0_mode == "declared":
-        if curve.k0_declared is None:
-            raise GeometryError("curve carries no declared curvature")
-        k0_used = curve.k0_declared
-    else:
-        raise GeometryError(f"unknown k0_mode {k0_mode!r}")
-
-    if space.kind is Kind.FLAT and k0_used <= 0.0:
-        raise HypothesisViolation(
-            f"flat-plane bound requires kmin > 0 (got {k0_used})")
-    if space.kind is Kind.HYPERBOLIC and k0_used <= space.k1:
-        raise HypothesisViolation(
-            f"hyperbolic bound requires kmin > k1 (got {k0_used})")
-    if space.kind is Kind.SPHERE and k0_used < 0.0:
-        raise HypothesisViolation(
-            f"sphere bound requires kmin >= 0 (got {k0_used})")
-
+    k0_used = curve.kmin - k0_guard
+    if space.kind is Kind.SPHERE and k0_used < 0.0 and curve.kmin >= -1e-9:
+        k0_used = 0.0   # geodesic circles measure kmin ~ 0 up to noise
+    check_hypotheses(space, k0_used)
     meas = measure_radial(curve, base)
-
-    if space.kind is Kind.SPHERE:
-        # hemisphere around the base point (closed, with tolerance)
-        if float(np.max(meas.t)) > np.pi / (2.0 * space.k1) * (1 + 1e-9):
-            raise HypothesisViolation(
-                "curve leaves the closed hemisphere around the base point")
-
-    radius = space.circle_radius_of_curvature(k0_used)
-    h_used = min(max(meas.h - h_guard, 0.0), radius)
+    radius = check_hypotheses(space, k0_used, float(np.max(meas.t)))
+    h_used = min(max(meas.h - DEFAULT_H_GUARD, 0.0), radius)
     bound = float(cos_phi_lower_bound(space, k0_used, h_used))
 
     cos_phi = np.cos(meas.phi)
     slack = cos_phi - bound
-    included = ~_corner_exclusion_mask(curve.corner, corner_exclusion)
+    included = ~corner_band(curve.corner)
     excluded = int(np.sum(~included))
     if not np.any(included):
         raise GeometryError("corner exclusion removed every sample")

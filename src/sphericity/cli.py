@@ -70,6 +70,9 @@ def main(argv=None) -> int:
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
 
+    if not isinstance(config, dict):
+        print("error: config must be a JSON object", file=sys.stderr)
+        return 1
     config["suite"] = _SUBCOMMANDS[args.command]
     if args.seed is not None:
         config["seed"] = args.seed

@@ -17,21 +17,20 @@ stored ``kappa``/``kmin`` are honest observations.
 
 Measurement
 -----------
-* :func:`measure_curvature`   geodesic curvature from a 5-sample window
 * :func:`measure_radial`      distances and radial angles from a base point
 * :func:`min_distance_to_curve` / :func:`max_distance_to_curve`
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (CornerWindowError, CurveGenerationError, GeometryError,
-                     NonClosureError)
+from .errors import CurveGenerationError, GeometryError, NonClosureError
 from .search import golden_min, interpolate_local, refine_extremum
 from .spaceforms import Kind, SpaceForm, karcher_mean
 
@@ -39,6 +38,8 @@ PROVENANCES = ("circle", "lune", "support_function", "frame_ode",
                "disc_intersection")
 
 DEFAULT_SAMPLES = 4096
+#: samples on each side of the center in the curvature-measurement window
+WINDOW_HALF = 2
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +84,12 @@ class ClosedCurve:
         gaps = np.diff(self.s, append=self.total_length + self.s[0])
         return float(np.max(gaps))
 
-    def corner_indices(self) -> np.ndarray:
-        return np.nonzero(self.corner)[0]
-
 
 # ---------------------------------------------------------------------------
 # Curvature estimation (geodesic normal coordinate fit)
 # ---------------------------------------------------------------------------
 
-def _window_fit_kappa(space, points, tangents, normals_out, window=5):
+def _window_fit_kappa(space, points, tangents, normals_out):
     """Measured geodesic curvature at every sample.
 
     Each sample's neighbors (two on each side) are mapped into geodesic
@@ -102,8 +100,7 @@ def _window_fit_kappa(space, points, tangents, normals_out, window=5):
     at the center, so this equals the geodesic curvature there.
     """
     n = len(points)
-    half = window // 2
-    offsets = [o for o in range(-half, half + 1) if o != 0]
+    offsets = [o for o in range(-WINDOW_HALF, WINDOW_HALF + 1) if o != 0]
     inward = -normals_out
     xs = np.empty((n, len(offsets)))
     ys = np.empty((n, len(offsets)))
@@ -117,36 +114,45 @@ def _window_fit_kappa(space, points, tangents, normals_out, window=5):
     a[:, :, 1] = xs ** 2 / 2.0
     a[:, :, 2] = xs ** 3 / 6.0
     a[:, :, 3] = xs ** 4 / 24.0
-    coeffs = np.linalg.solve(a, ys[..., None])[..., 0]
+    try:
+        coeffs = np.linalg.solve(a, ys[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise CurveGenerationError(
+            "curvature window fit is singular (samples too close together "
+            "for float64)") from None
     c1 = coeffs[:, 0]
     c2 = coeffs[:, 1]
     return c2 / (1.0 + c1 ** 2) ** 1.5
 
 
-def _corner_window_mask(corner, window=5):
-    """True where the measurement window around a sample spans a corner."""
-    n = len(corner)
-    half = window // 2
-    bad = np.zeros(n, dtype=bool)
-    for off in range(-half, half + 1):
-        bad |= np.roll(corner, -off)
-    return bad
+def corner_band(corner, half: int = WINDOW_HALF) -> np.ndarray:
+    """True on flagged corners and up to ``half`` samples on each side.
+
+    With the default half-width these are the samples whose curvature
+    window spans a corner.
+    """
+    band = np.array(corner, dtype=bool)
+    for off in range(1, half + 1):
+        band |= np.roll(corner, off) | np.roll(corner, -off)
+    return band
 
 
 def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
                              total_length):
+    n = len(points)
+    if n < 2 * WINDOW_HALF + 1:
+        raise CurveGenerationError(
+            f"{n} samples are fewer than the {2 * WINDOW_HALF + 1}-sample "
+            "curvature window", where=n)
     kappa = _window_fit_kappa(space, points, tangents, normals_out)
-    bad = _corner_window_mask(corner)
-    kappa = np.where(bad, np.nan, kappa)
+    kappa = np.where(corner_band(corner), np.nan, kappa)
     finite = np.isfinite(kappa)
     if not np.any(finite):
         raise CurveGenerationError("no corner-free window to measure curvature")
     kmin = float(np.nanmin(kappa))
     idx = int(np.nanargmin(kappa))
-    half = 2
-    window_idx = [(idx + j) % len(kappa) for j in range(-half, half + 1)]
-    window_ok = all(finite[i] for i in window_idx)
-    if window_ok:
+    window_idx = [(idx + j) % n for j in range(-WINDOW_HALF, WINDOW_HALF + 1)]
+    if all(finite[i] for i in window_idx):
         window_vals = kappa[window_idx]
         # refining a constant-curvature stretch only amplifies roundoff
         if np.ptp(window_vals) > 1e-8 * max(1.0, abs(kmin)):
@@ -154,26 +160,6 @@ def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
                                          idx, mode="min", period=total_length)
             kmin = min(kmin, refined)
     return kappa, kmin
-
-
-def measure_curvature(curve: ClosedCurve, index: int, window: int = 5) -> float:
-    """Geodesic curvature at one sample from its measurement window.
-
-    Raises CornerWindowError when the window would span a flagged corner.
-    """
-    n = curve.n
-    half = window // 2
-    idx = [(index + j) % n for j in range(-half, half + 1)]
-    if any(curve.corner[i] for i in idx):
-        raise CornerWindowError(
-            f"curvature window around sample {index} spans a corner")
-    pts = curve.points[idx]
-    tan = curve.tangents[idx]
-    nor = curve.normals_out[idx]
-    kappas = _window_fit_kappa(curve.space, pts, tan, nor, window=window)
-    # _window_fit_kappa wraps around the 5 supplied samples; its center
-    # entry uses exactly the window we were asked about.
-    return float(kappas[half])
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +173,6 @@ def winding_number(space: SpaceForm, points, origin) -> int:
     d = np.roll(ang, -1) - ang
     d = (d + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(float(np.sum(d)) / (2.0 * np.pi)))
-
-
-def contains_point(curve: ClosedCurve, p) -> bool:
-    """True when p lies strictly inside the curve (winding test)."""
-    t = curve.space.distance(p, curve.points)
-    if float(np.min(t)) <= 1e-12:
-        return False
-    if curve.space.kind is Kind.SPHERE:
-        if float(np.max(t)) >= np.pi / curve.space.k1 * (1 - 1e-9):
-            return False
-    return winding_number(curve.space, curve.points, p) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +252,7 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     idx = int(np.argmin(t))
     s_star, h = refine_extremum(curve.s, t, idx, mode="min",
                                 period=curve.total_length)
-    finite_window = not any(
-        curve.corner[(idx + j) % curve.n] for j in range(-2, 3))
-    if finite_window:
+    if not corner_band(curve.corner)[idx]:
         # the unsigned angle has a corner at the foot point; interpolate the
         # signed version (sign = side of the radial direction along travel)
         signed_phi = phi * np.sign(space.metric_dot(curve.points, u,
@@ -345,75 +318,40 @@ def _angle_in_frame(space, center, point):
                       space.metric_dot(center, v, e1))
 
 
-def _arc(space, center, radius, ang_from, ang_to, count, endpoint=False):
+def _arc(space, center, radius, ang_from, ang_to, count):
     """Sample an arc counterclockwise from ang_from to ang_to (unwrapped)."""
     sweep = (ang_to - ang_from) % (2.0 * np.pi)
     if sweep == 0.0:
         sweep = 2.0 * np.pi
-    alphas = ang_from + sweep * np.arange(count + (1 if endpoint else 0)) / count
-    points, tangents = _circle_arrays(space, center, radius, alphas)
-    return points, tangents, sweep
+    alphas = ang_from + sweep * np.arange(count) / count
+    return _circle_arrays(space, center, radius, alphas)
 
 
-def make_lune(space: SpaceForm, k0: float, r: float, center=None,
+def make_lune(space: SpaceForm, k0: float, r: float,
               n: int = DEFAULT_SAMPLES) -> ClosedCurve:
     """Closed curve made of two smaller circular arcs of curvature k0.
 
     ``r`` is the inradius: the curve touches the circle of radius r around
-    the midpoint of its two corners' axis.  In the limit r -> R the lune
-    degenerates to the circle of curvature k0.  The two corner samples are
-    flagged; smooth-only verifiers exclude a band around them.
+    the origin, the midpoint of its two corners' axis.  In the limit r -> R
+    the lune degenerates to the circle of curvature k0.  This is the
+    intersection of the two discs of curvature k0 centered R - r from the
+    origin along the frame's second axis; the two corner samples are
+    flagged, and each arc's midpoint (the touch point) is a sample.
     """
-    from .spindles import spindle_rho
-
     radius = space.circle_radius_of_curvature(k0)
     if not 0.0 < r < radius:
         raise CurveGenerationError(
             f"lune inradius must lie strictly inside (0, {radius}), got {r}",
             where=r)
-    if center is None:
-        center = space.origin()
-    center = space.check_point(np.asarray(center, dtype=float))
-    rho = float(spindle_rho(space, k0, r))
-    e1, e2 = space.frame(center)
-
-    p_corner = space.exp_map(center, rho * e1)
-    q_corner = space.exp_map(center, -rho * e1)
-    c_up = space.exp_map(center, -(radius - r) * e2)
-    c_dn = space.exp_map(center, (radius - r) * e2)
-
-    n_arc = max(8, (n // 4) * 2)   # even count so the touch point is a sample
-    ang_p_up = _angle_in_frame(space, c_up, p_corner)
-    ang_q_up = _angle_in_frame(space, c_up, q_corner)
-    pts1, tan1, sweep1 = _arc(space, c_up, radius, ang_p_up, ang_q_up, n_arc)
-    ang_q_dn = _angle_in_frame(space, c_dn, q_corner)
-    ang_p_dn = _angle_in_frame(space, c_dn, p_corner)
-    pts2, tan2, sweep2 = _arc(space, c_dn, radius, ang_q_dn, ang_p_dn, n_arc)
-
-    points = np.concatenate([pts1, pts2], axis=0)
-    tangents = np.concatenate([tan1, tan2], axis=0)
-    corner = np.zeros(2 * n_arc, dtype=bool)
-    corner[0] = corner[n_arc] = True
-    # corner tangents: bisector of the adjacent arc directions
-    for idx in (0, n_arc):
-        before = tangents[(idx - 1) % (2 * n_arc)]
-        after = tangents[(idx + 1) % (2 * n_arc)]
-        bis = before + after
-        norm = space.norm(points[idx], bis)
-        if norm > 1e-12:
-            tangents[idx] = space.project_tangent(points[idx], bis) / norm
-
-    normals = -space.rotate90(points, tangents)
-    arc_len = float(space.sn(radius)) * sweep1
-    total = 2.0 * arc_len
-    ds = arc_len / n_arc
-    s = ds * np.arange(2 * n_arc)
-    kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
-                                           normals, corner, total)
-    return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
-                       normals_out=normals, kappa=kappa, corner=corner,
-                       total_length=total, kmin=kmin, provenance="lune",
-                       k0_declared=float(k0), hint_center=center)
+    center = space.origin()
+    _, e2 = space.frame(center)
+    centers = np.array([space.exp_map(center, -(radius - r) * e2),
+                        space.exp_map(center, (radius - r) * e2)])
+    # a multiple of 4 gives each arc an even sample count, so the arc
+    # midpoints (the touch points) are samples
+    curve = make_disc_intersection(space, centers, k0,
+                                   n=max(16, 4 * (n // 4)))
+    return dataclasses.replace(curve, provenance="lune", hint_center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +675,7 @@ def _detect_symmetry_order(profile, max_order: int = 64):
     return 0, best
 
 
-def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
+def make_frame_ode_curve(space: SpaceForm, kappa_profile,
                          n: int = DEFAULT_SAMPLES) -> ClosedCurve:
     """Closed curve with prescribed geodesic curvature profile.
 
@@ -761,6 +699,10 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
         raise NonClosureError(
             "curvature profile must repeat with period 1/m for some m >= 2",
             residual=mismatch)
+    if n < m:
+        raise CurveGenerationError(
+            f"{n} samples cannot carry the profile's {m}-fold symmetry",
+            where=n)
 
     u_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
     prof_vals = np.asarray(kappa_profile(u_grid), dtype=float)
@@ -780,9 +722,8 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
     if space.kind is Kind.FLAT and k_min_profile <= 0.0:
         raise CurveGenerationError("profile must be positive on the flat plane")
 
-    if length_guess is None:
-        radius_mean = space.circle_radius_of_curvature(k_mean)
-        length_guess = float(space.circumference(radius_mean))
+    length_guess = float(space.circumference(
+        space.circle_radius_of_curvature(k_mean)))
 
     p0 = space.origin()
     e1, _ = space.frame(p0)
@@ -887,16 +828,26 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile, length_guess=None,
 # Intersections of equal-radius discs (non-regular convex bodies)
 # ---------------------------------------------------------------------------
 
-def _perp_leg(space, hyp, leg):
-    """Second leg of a right geodesic triangle with the given hypotenuse."""
+def _equidistant_points(space, a, b, d: float, radius: float):
+    """The two points at distance ``radius`` from both a and b (d = |ab|).
+
+    They lie on the perpendicular bisector of ab, at the second leg of the
+    right geodesic triangle with hypotenuse ``radius`` and leg d / 2.
+    """
+    mid = space.exp_map(a, 0.5 * space.log_map(a, b))
+    direction = space.log_map(mid, b)
+    direction = direction / space.norm(mid, direction)
+    w = space.rotate90(mid, direction)
+    leg = 0.5 * d
     if space.kind is Kind.FLAT:
-        return math.sqrt(max(hyp * hyp - leg * leg, 0.0))
-    k = space.k1
-    if space.kind is Kind.SPHERE:
-        ratio = math.cos(k * hyp) / math.cos(k * leg)
-        return math.acos(min(1.0, max(-1.0, ratio))) / k
-    ratio = math.cosh(k * hyp) / math.cosh(k * leg)
-    return math.acosh(max(1.0, ratio)) / k
+        q = math.sqrt(max(radius * radius - leg * leg, 0.0))
+    elif space.kind is Kind.SPHERE:
+        ratio = math.cos(space.k1 * radius) / math.cos(space.k1 * leg)
+        q = math.acos(min(1.0, max(-1.0, ratio))) / space.k1
+    else:
+        ratio = math.cosh(space.k1 * radius) / math.cosh(space.k1 * leg)
+        q = math.acosh(max(1.0, ratio)) / space.k1
+    return [space.exp_map(mid, sign * q * w) for sign in (-1.0, +1.0)]
 
 
 def make_disc_intersection(space: SpaceForm, centers, k0: float,
@@ -919,14 +870,8 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
             keep.append(i)
     centers = centers[keep]
     if len(centers) == 1:
-        circle = make_circle(space, centers[0], k0, n=n)
-        return ClosedCurve(space=space, points=circle.points, s=circle.s,
-                           tangents=circle.tangents,
-                           normals_out=circle.normals_out, kappa=circle.kappa,
-                           corner=circle.corner,
-                           total_length=circle.total_length, kmin=circle.kmin,
-                           provenance="disc_intersection",
-                           k0_declared=float(k0), hint_center=centers[0])
+        return dataclasses.replace(make_circle(space, centers[0], k0, n=n),
+                                   provenance="disc_intersection")
 
     dists = space.distance(centers[:, None, :], centers[None, :, :])
     off_diag = dists[~np.eye(len(centers), dtype=bool)]
@@ -938,15 +883,8 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     corners = []
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            d = float(dists[i, j])
-            mid = space.exp_map(centers[i],
-                                0.5 * space.log_map(centers[i], centers[j]))
-            direction = space.log_map(mid, centers[j])
-            direction = direction / space.norm(mid, direction)
-            w = space.rotate90(mid, direction)
-            q = _perp_leg(space, radius, 0.5 * d)
-            for sign in (+1.0, -1.0):
-                x = space.exp_map(mid, sign * q * w)
+            for x in _equidistant_points(space, centers[i], centers[j],
+                                         float(dists[i, j]), radius):
                 if np.all(space.distance(x, centers) <= radius * (1 + 1e-12)):
                     corners.append(x)
     if len(corners) < 2:
@@ -957,9 +895,11 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     seed = karcher_mean(space, centers)
     if np.any(space.distance(seed, centers) >= radius):
         seed = karcher_mean(space, corners)
+    # counterclockwise around the seed, starting from the first candidate,
+    # so that roundoff at the branch cut of atan2 cannot pick the start
     xy = space.to_chart(seed, corners)
-    order = np.argsort(np.arctan2(xy[:, 1], xy[:, 0]))
-    corners = corners[order]
+    ang = np.arctan2(xy[:, 1], xy[:, 0])
+    corners = corners[np.argsort((ang - ang[0]) % (2.0 * np.pi))]
 
     # assemble arcs between consecutive corners
     arcs = []
@@ -995,8 +935,8 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     s_acc = 0.0
     for (i, ang_a, sweep, arc_len) in arcs:
         count = max(4, int(round(n * arc_len / total)))
-        pts, tans, _ = _arc(space, centers[i], radius, ang_a,
-                            ang_a + sweep, count)
+        pts, tans = _arc(space, centers[i], radius, ang_a, ang_a + sweep,
+                         count)
         flags = np.zeros(count, dtype=bool)
         flags[0] = True
         pts_list.append(pts)
@@ -1048,7 +988,7 @@ def validate_curve(curve: ClosedCurve) -> dict:
     winding = winding_number(space, curve.points, center)
     orth = np.abs(space.metric_dot(curve.points, curve.tangents,
                                    curve.normals_out))
-    smooth = ~_corner_window_mask(curve.corner, window=3)
+    smooth = ~corner_band(curve.corner, half=1)
     result = {
         "winding": winding,
         "max_tangent_normal_dot": float(np.max(orth[smooth]))

@@ -33,10 +33,6 @@ class NonClosureError(RuntimeError):
         self.residual = residual
 
 
-class CornerWindowError(GeometryError):
-    """A curvature-measurement window spans a flagged corner sample."""
-
-
 class HypothesisViolation(RuntimeError):
     """Input does not satisfy the hypotheses of the bound being verified.
 

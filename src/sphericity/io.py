@@ -1,9 +1,9 @@
 """JSON serialization of curves and warped metrics.
 
-Curve files carry the space-form header and the per-sample data (coords,
-arc length, measured curvature, corner flag, and optionally the exact
-tangent/outward normal).  Values are written with a configurable number of
-significant digits; at the default 17 the round trip is bit-identical.
+Curve files carry the space-form header and one array per sample field:
+coords, arc length, measured curvature, corner flag, and optionally the
+exact tangent/outward normal.  Floats are written as their shortest
+round-trip repr, so the round trip is bit-identical.
 """
 
 from __future__ import annotations
@@ -18,17 +18,15 @@ from .errors import GeometryError
 from .spaceforms import SpaceForm
 from .warped import WarpedMetric, make_warped
 
-DEFAULT_DIGITS = 17
+CURVE_SCHEMA = "closed_curve/2"
+WARPED_CURVE_SCHEMA = "warped_curve/2"
 
 
-def _fmt(x: float, digits: int) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(format(float(x), f".{digits}g"))
-
-
-def _fmt_list(arr, digits: int):
-    return [_fmt(float(v), digits) for v in np.asarray(arr).ravel()]
+def _check_schema(data, expected: str, what: str):
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != expected:
+        raise GeometryError(
+            f"unsupported {what} schema {schema!r}; expected {expected!r}")
 
 
 def space_to_dict(space: SpaceForm) -> dict:
@@ -46,33 +44,24 @@ def space_from_dict(d: dict) -> SpaceForm:
     raise GeometryError(f"unknown space kind {kind!r}")
 
 
-def curve_to_dict(curve: ClosedCurve, digits: int = DEFAULT_DIGITS,
-                  include_frames: bool = True) -> dict:
-    samples = []
-    for i in range(curve.n):
-        row = {
-            "coords": _fmt_list(curve.points[i], digits),
-            "s": _fmt(curve.s[i], digits),
-            "kappa": None if not np.isfinite(curve.kappa[i])
-            else _fmt(curve.kappa[i], digits),
-            "corner": bool(curve.corner[i]),
-        }
-        if include_frames:
-            row["tangent"] = _fmt_list(curve.tangents[i], digits)
-            row["normal_out"] = _fmt_list(curve.normals_out[i], digits)
-        samples.append(row)
+def curve_to_dict(curve: ClosedCurve) -> dict:
     return {
-        "schema": "closed_curve/1",
+        "schema": CURVE_SCHEMA,
         "space": space_to_dict(curve.space),
         "provenance": curve.provenance,
-        "k0_declared": None if curve.k0_declared is None
-        else _fmt(curve.k0_declared, digits),
-        "total_length": _fmt(curve.total_length, digits),
-        "kmin": _fmt(curve.kmin, digits),
-        "closure_gap": _fmt(curve.closure_gap, digits),
+        "k0_declared": curve.k0_declared,
+        "total_length": curve.total_length,
+        "kmin": curve.kmin,
+        "closure_gap": curve.closure_gap,
         "hint_center": None if curve.hint_center is None
-        else _fmt_list(curve.hint_center, digits),
-        "samples": samples,
+        else curve.hint_center.tolist(),
+        "coords": curve.points.tolist(),
+        "s": curve.s.tolist(),
+        "kappa": [k if math.isfinite(k) else None
+                  for k in curve.kappa.tolist()],
+        "corner": curve.corner.tolist(),
+        "tangent": curve.tangents.tolist(),
+        "normal_out": curve.normals_out.tolist(),
     }
 
 
@@ -88,18 +77,17 @@ def _frames_from_differences(space, points):
 
 
 def curve_from_dict(data: dict) -> ClosedCurve:
-    if data.get("schema") != "closed_curve/1":
-        raise GeometryError(f"unsupported curve schema {data.get('schema')!r}")
+    """Curve from a ``closed_curve/2`` document.
+
+    The tangent/normal arrays may be absent (curves from other tools); they
+    are then recovered from the points, which must run counterclockwise.
+    """
+    _check_schema(data, CURVE_SCHEMA, "curve")
     space = space_from_dict(data["space"])
-    samples = data["samples"]
-    points = np.array([s["coords"] for s in samples], dtype=float)
-    s_arr = np.array([s["s"] for s in samples], dtype=float)
-    kappa = np.array([math.nan if s["kappa"] is None else s["kappa"]
-                      for s in samples], dtype=float)
-    corner = np.array([s["corner"] for s in samples], dtype=bool)
-    if all("tangent" in s and "normal_out" in s for s in samples):
-        tangents = np.array([s["tangent"] for s in samples], dtype=float)
-        normals = np.array([s["normal_out"] for s in samples], dtype=float)
+    points = np.array(data["coords"], dtype=float)
+    if "tangent" in data and "normal_out" in data:
+        tangents = np.array(data["tangent"], dtype=float)
+        normals = np.array(data["normal_out"], dtype=float)
     else:
         from .curves import winding_number
         from .spaceforms import karcher_mean
@@ -109,8 +97,10 @@ def curve_from_dict(data: dict) -> ClosedCurve:
             raise GeometryError("stored curves must be positively oriented")
     hint = data.get("hint_center")
     return ClosedCurve(
-        space=space, points=points, s=s_arr, tangents=tangents,
-        normals_out=normals, kappa=kappa, corner=corner,
+        space=space, points=points, s=np.array(data["s"], dtype=float),
+        tangents=tangents, normals_out=normals,
+        kappa=np.array(data["kappa"], dtype=float),
+        corner=np.array(data["corner"], dtype=bool),
         total_length=float(data["total_length"]), kmin=float(data["kmin"]),
         provenance=data["provenance"],
         k0_declared=None if data.get("k0_declared") is None
@@ -119,10 +109,9 @@ def curve_from_dict(data: dict) -> ClosedCurve:
         hint_center=None if hint is None else np.array(hint, dtype=float))
 
 
-def save_curve(curve: ClosedCurve, path, digits: int = DEFAULT_DIGITS):
+def save_curve(curve: ClosedCurve, path):
     with open(path, "w") as fh:
-        json.dump(curve_to_dict(curve, digits=digits), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(curve_to_dict(curve)) + "\n")
 
 
 def load_curve(path) -> ClosedCurve:
@@ -130,46 +119,40 @@ def load_curve(path) -> ClosedCurve:
         return curve_from_dict(json.load(fh))
 
 
-def warped_curve_to_dict(curve, digits: int = DEFAULT_DIGITS) -> dict:
+def warped_curve_to_dict(curve) -> dict:
     """Serialize a pole-centered graph curve with its metric header."""
     return {
-        "schema": "warped_curve/1",
-        "metric": metric_to_dict(curve.metric, digits=digits),
-        "kmin": _fmt(curve.kmin, digits),
-        "samples": [
-            {"theta": _fmt(th, digits), "rho": _fmt(r, digits),
-             "kappa": _fmt(k, digits)}
-            for th, r, k in zip(curve.theta, curve.rho, curve.kappa)
-        ],
+        "schema": WARPED_CURVE_SCHEMA,
+        "metric": metric_to_dict(curve.metric),
+        "kmin": curve.kmin,
+        "theta": curve.theta.tolist(),
+        "rho": curve.rho.tolist(),
+        "kappa": curve.kappa.tolist(),
     }
 
 
 def warped_curve_from_dict(data: dict):
     from .warped import WarpedCurve
-    if data.get("schema") != "warped_curve/1":
-        raise GeometryError(
-            f"unsupported warped curve schema {data.get('schema')!r}")
-    metric = metric_from_dict(data["metric"])
-    theta = np.array([s["theta"] for s in data["samples"]], dtype=float)
-    rho = np.array([s["rho"] for s in data["samples"]], dtype=float)
-    kappa = np.array([s["kappa"] for s in data["samples"]], dtype=float)
-    return WarpedCurve(metric=metric, theta=theta, rho=rho, kappa=kappa,
+    _check_schema(data, WARPED_CURVE_SCHEMA, "warped curve")
+    return WarpedCurve(metric=metric_from_dict(data["metric"]),
+                       theta=np.array(data["theta"], dtype=float),
+                       rho=np.array(data["rho"], dtype=float),
+                       kappa=np.array(data["kappa"], dtype=float),
                        kmin=float(data["kmin"]))
 
 
-def metric_to_dict(metric: WarpedMetric, digits: int = DEFAULT_DIGITS) -> dict:
+def metric_to_dict(metric: WarpedMetric) -> dict:
     return {
         "schema": "warped_metric/1",
         "family": metric.family,
-        "params": {k: _fmt(v, digits) for k, v in metric.params.items()},
-        "T": _fmt(metric.T, digits),
-        "k_lo": _fmt(metric.k_lo, digits),
-        "k_hi": _fmt(metric.k_hi, digits),
+        "params": {k: float(v) for k, v in metric.params.items()},
+        "T": metric.T,
+        "k_lo": metric.k_lo,
+        "k_hi": metric.k_hi,
     }
 
 
 def metric_from_dict(data: dict) -> WarpedMetric:
-    if data.get("schema") != "warped_metric/1":
-        raise GeometryError(f"unsupported metric schema {data.get('schema')!r}")
+    _check_schema(data, "warped_metric/1", "metric")
     return make_warped(data["family"], T=float(data["T"]),
                        **{k: float(v) for k, v in data["params"].items()})

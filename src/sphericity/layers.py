@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .curves import (ClosedCurve, max_distance_to_curve, min_distance_to_curve,
-                     winding_number)
+from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
+from .curves import (ClosedCurve, _angle_in_frame, _circle_arrays,
+                     _equidistant_points, max_distance_to_curve,
+                     min_distance_to_curve, winding_number)
 from .errors import GeometryError, HypothesisViolation
 from .search import golden_max
 from .spaceforms import Kind, karcher_mean
 from .spindles import spindle_optimum
 
-#: measured-curvature safety margin entering the width bound
-DEFAULT_K0_GUARD = 1e-6
-#: verdict tolerance on the margin d0 - d
-DEFAULT_MARGIN_TOL = 1e-7
+#: points per axis of the coarse incenter grid
+_GRID_N = 41
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _line_search_polish(space, curve, center, step0):
     return best, best_val
 
 
-def incenter(curve: ClosedCurve, grid_n: int = 41):
+def incenter(curve: ClosedCurve):
     """Incenter and inradius: a maximizer of p -> min_s dist(p, curve).
 
     Coarse interior grid, Nelder-Mead refinement, then golden line-search
@@ -140,7 +140,7 @@ def incenter(curve: ClosedCurve, grid_n: int = 41):
     span = float(np.max(np.abs(poly))) * 1.05
     if span <= 0.0:
         raise GeometryError("degenerate (zero-area) curve")
-    axis = np.linspace(-span, span, grid_n)
+    axis = np.linspace(-span, span, _GRID_N)
     gx, gy = np.meshgrid(axis, axis)
     grid_xy = np.stack([gx.ravel(), gy.ravel()], axis=-1)
     inside = _point_in_polygon(grid_xy, poly)
@@ -162,7 +162,7 @@ def incenter(curve: ClosedCurve, grid_n: int = 41):
                    options={"xatol": 1e-10, "fatol": 1e-13,
                             "maxiter": 400, "maxfev": 800})
     center = space.from_chart(seed, res.x)
-    step0 = max(2.0 * span / (grid_n - 1), 1e-6)
+    step0 = max(2.0 * span / (_GRID_N - 1), 1e-6)
     center, r = _line_search_polish(space, curve, center, step0)
     return center, float(r), grid_certificate
 
@@ -174,24 +174,18 @@ def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
     ``k0_used`` is the measured minimal curvature minus ``k0_guard``: the
     curve genuinely is k0_used-convex, so d <= d0(k0_used) is an honest
     instance of the width bound even in the presence of estimator error.
+    On the sphere the closed hemisphere is taken around the incenter.
     """
     space = curve.space
     k0_used = curve.kmin - k0_guard
-    if space.kind is Kind.FLAT and k0_used <= 0.0:
+    check_hypotheses(space, k0_used)
+    if space.kind is Kind.SPHERE and k0_used <= 0.0:
+        # the spindle family degenerates (r0 = 0) at k0 = 0
         raise HypothesisViolation("width bound requires kmin > 0")
-    if space.kind is Kind.HYPERBOLIC and k0_used <= space.k1:
-        raise HypothesisViolation(
-            f"width bound requires kmin > k1 (got {k0_used})")
-    if space.kind is Kind.SPHERE:
-        if k0_used <= 0.0:
-            raise HypothesisViolation("width bound requires kmin > 0")
 
     center, r, certificate = incenter(curve)
-    if space.kind is Kind.SPHERE:
-        t_max = float(np.max(space.distance(center, curve.points)))
-        if t_max > np.pi / (2.0 * space.k1) * (1 + 1e-9):
-            raise HypothesisViolation(
-                "curve leaves the closed hemisphere around the incenter")
+    check_hypotheses(space, k0_used,
+                     float(np.max(space.distance(center, curve.points))))
     rho1, _ = max_distance_to_curve(curve, center, refine=True)
     d = rho1 - r
     d0 = spindle_optimum(space, k0_used).d0
@@ -258,32 +252,16 @@ def smaller_arcs_inside(curve: ClosedCurve, a, b, k0: float | None = None,
     gap = float(space.distance(a, b))
     if gap >= 2.0 * radius * (1 - 1e-12):
         raise GeometryError("points are too far apart for a radius-R arc")
-    mid = space.exp_map(a, 0.5 * space.log_map(a, b))
-    direction = space.log_map(mid, b)
-    nd = space.norm(mid, direction)
-    if nd < 1e-15:
+    if gap < 1e-15:
         return True
-    direction = direction / nd
-    w = space.rotate90(mid, direction)
-    from .curves import _perp_leg  # local import: shared triangle helper
-    q = _perp_leg(space, radius, 0.5 * gap)
-    for sign in (+1.0, -1.0):
-        c = space.exp_map(mid, sign * q * w)
-        e1, e2 = space.frame(c)
-        va = space.log_map(c, a)
-        vb = space.log_map(c, b)
-        ang_a = math.atan2(space.metric_dot(c, va, e2),
-                           space.metric_dot(c, va, e1))
-        ang_b = math.atan2(space.metric_dot(c, vb, e2),
-                           space.metric_dot(c, vb, e1))
+    for c in _equidistant_points(space, a, b, gap, radius):
+        ang_a = _angle_in_frame(space, c, a)
+        ang_b = _angle_in_frame(space, c, b)
         sweep = (ang_b - ang_a) % (2.0 * math.pi)
         if sweep > math.pi:
             ang_a, sweep = ang_b, 2.0 * math.pi - sweep
-        alphas = ang_a + sweep * np.arange(1, samples) / samples
-        ca = np.cos(alphas)[:, None]
-        sa = np.sin(alphas)[:, None]
-        pts = space.exp_map(c, radius * (ca * e1 + sa * e2))
-        for p in pts:
-            if winding_number(space, curve.points, p) != 1:
-                return False
+        pts, _ = _circle_arrays(
+            space, c, radius, ang_a + sweep * np.arange(1, samples) / samples)
+        if any(winding_number(space, curve.points, p) != 1 for p in pts):
+            return False
     return True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import verify_angle_bound
+from .bounds import DEFAULT_MARGIN_TOL, DEFAULT_SLACK_TOL, verify_angle_bound
 from .curves import (make_circle, make_disc_intersection, make_frame_ode_curve,
                      make_lune, make_support_curve)
 from .errors import GeometryError, HypothesisViolation
@@ -39,12 +39,90 @@ class ConfigError(ValueError):
     """Malformed run config; the message names the offending key."""
 
 
-def _g(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return default
+def _g(config: dict, path: str, kind=None, default=None,
+       required: bool = False):
+    """Checked lookup of a dotted key path such as ``generator.k0``.
+
+    Every container on the path must be a JSON object.  A present value is
+    returned through the converter ``kind``; a missing or null one gives
+    ``default``.  A value the converter rejects, a non-object container and
+    a missing required key raise ConfigError naming the path.
+    """
+    parts = path.split(".")
+    node = config
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            where = ".".join(parts[:depth]) or "config"
+            raise ConfigError(f"{where} must be a JSON object")
+        if node.get(part) is None:
+            if required:
+                raise ConfigError(f"config is missing required key {path!r}")
+            return default
+        node = node[part]
+    if kind is None:
+        return node
+    try:
+        return kind(node)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {path!r}: {exc}") from None
+
+
+# Converters for _g: each returns the checked value or raises TypeError or
+# ValueError.
+
+def _number(x) -> float:
+    value = float(x)
+    if not math.isfinite(value):
+        raise ValueError(f"{x!r} is not finite")
+    return value
+
+
+def _count(lo: int, hi: int):
+    def convert(x) -> int:
+        value = x if type(x) is int else int(_number(x))
+        if not lo <= value <= hi:
+            raise ValueError(f"{x!r} is not an integer in [{lo}, {hi}]")
+        return value
+    return convert
+
+
+def _of_type(kind: type):
+    def convert(x):
+        if not isinstance(x, kind):
+            raise TypeError(f"{x!r} is not a {kind.__name__}")
+        return x
+    return convert
+
+
+_text, _object, _list = _of_type(str), _of_type(dict), _of_type(list)
+
+
+def _numbers(x, size: int | None = None) -> list:
+    values = [_number(v) for v in _list(x)]
+    if not values or len(values) != (size or len(values)):
+        raise ValueError(f"{x!r} is not a list of {size or 'some'} numbers")
+    return values
+
+
+def _array(ndim: int):
+    def convert(x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+            raise ValueError(f"{x!r} is not a {ndim}-D array of finite numbers")
+        return arr
+    return convert
+
+
+def _harmonics(x) -> dict:
+    return {int(m): _numbers(ab, 2) for m, ab in _object(x).items()}
+
+
+def _terms(x) -> list:
+    return [(int(m), a, ph) for m, a, ph in (_numbers(t, 3) for t in _list(x))]
+
+
+#: largest sample count a config may request
+MAX_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -95,38 +173,33 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _space_from_config(cfg: dict) -> SpaceForm:
-    spec = _g(cfg, "space", required=True)
-    try:
-        return space_from_dict(spec)
-    except (KeyError, GeometryError) as exc:
-        raise ConfigError(f"bad space spec: {exc}") from exc
+def _space_from_config(config: dict) -> SpaceForm:
+    return _g(config, "space", space_from_dict, required=True)
 
 
-def build_curve(space: SpaceForm, gen: dict, rng: np.random.Generator):
-    """Construct a curve from a generator spec (provenance + parameters)."""
-    prov = _g(gen, "provenance", required=True)
-    n = int(_g(gen, "n", 4096))
+def build_curve(space: SpaceForm, config: dict):
+    """Construct the curve of a config's ``generator`` block."""
+    prov = _g(config, "generator.provenance", _text, required=True)
+    n = _g(config, "generator.n", _count(1, MAX_SAMPLES), 4096)
+    if prov in ("circle", "lune", "frame_ode", "disc_intersection"):
+        k0 = _g(config, "generator.k0", _number, required=True)
     if prov == "circle":
-        center = np.asarray(_g(gen, "center", space.origin()), dtype=float)
-        return make_circle(space, center, float(_g(gen, "k0", required=True)),
-                           n=n, phase=float(_g(gen, "phase", 0.0)))
+        center = _g(config, "generator.center", _array(1), space.origin())
+        return make_circle(space, center, k0, n=n,
+                           phase=_g(config, "generator.phase", _number, 0.0))
     if prov == "lune":
-        k0 = float(_g(gen, "k0", required=True))
-        r = _g(gen, "r", "optimal")
-        if r == "optimal":
-            r = spindle_optimum(space, k0).r0
-        return make_lune(space, k0, float(r), n=n)
+        r = _g(config, "generator.r", default="optimal")
+        r = spindle_optimum(space, k0).r0 if r == "optimal" \
+            else _g(config, "generator.r", _number)
+        return make_lune(space, k0, r, n=n)
     if prov == "support_function":
-        harmonics = {int(m): tuple(map(float, ab))
-                     for m, ab in _g(gen, "harmonics", {}).items()}
-        return make_support_curve(float(_g(gen, "a0", 1.0)), harmonics,
-                                  k0_target=float(_g(gen, "k0_target",
-                                                     required=True)), n=n)
+        return make_support_curve(
+            _g(config, "generator.a0", _number, 1.0),
+            _g(config, "generator.harmonics", _harmonics, {}),
+            k0_target=_g(config, "generator.k0_target", _number,
+                         required=True), n=n)
     if prov == "frame_ode":
-        k0 = float(_g(gen, "k0", required=True))
-        terms = [(int(m), float(a), float(ph))
-                 for m, a, ph in _g(gen, "terms", [])]
+        terms = _g(config, "generator.terms", _terms, [])
 
         def profile(u):
             u = np.asarray(u, dtype=float)
@@ -137,21 +210,20 @@ def build_curve(space: SpaceForm, gen: dict, rng: np.random.Generator):
 
         return make_frame_ode_curve(space, profile, n=n)
     if prov == "disc_intersection":
-        centers = np.asarray(_g(gen, "centers", required=True), dtype=float)
-        return make_disc_intersection(space, centers,
-                                      float(_g(gen, "k0", required=True)), n=n)
+        centers = _g(config, "generator.centers", _array(2), required=True)
+        return make_disc_intersection(space, centers, k0, n=n)
     raise ConfigError(f"unknown generator provenance {prov!r}")
 
 
-def _base_point(space: SpaceForm, curve, spec: dict):
-    mode = _g(spec or {}, "mode", "hint")
+def _base_point(space: SpaceForm, curve, config: dict):
+    mode = _g(config, "base_point.mode", _text, "hint")
     if mode == "hint":
         return curve.hint_center
     if mode == "point":
-        return np.asarray(_g(spec, "coords", required=True), dtype=float)
+        return _g(config, "base_point.coords", _array(1), required=True)
     if mode == "offset":
         center = curve.hint_center
-        dist = float(_g(spec, "distance", required=True))
+        dist = _g(config, "base_point.distance", _number, required=True)
         e1, _ = space.frame(center)
         return space.exp_map(center, dist * e1)
     raise ConfigError(f"unknown base point mode {mode!r}")
@@ -163,9 +235,9 @@ def _base_point(space: SpaceForm, curve, spec: dict):
 
 def _run_angle(config, result, rng):
     space = _space_from_config(config)
-    tol = float(_g(_g(config, "tolerances", {}), "slack_tol", 1e-9))
-    curve = build_curve(space, _g(config, "generator", required=True), rng)
-    base = _base_point(space, curve, _g(config, "base_point", {}))
+    tol = _g(config, "tolerances.slack_tol", _number, DEFAULT_SLACK_TOL)
+    curve = build_curve(space, config)
+    base = _base_point(space, curve, config)
     try:
         rep = verify_angle_bound(curve, base, slack_tol=tol)
     except HypothesisViolation as exc:
@@ -173,22 +245,24 @@ def _run_angle(config, result, rng):
         return
     result.add_check("angle_min_slack", rep.min_slack, -tol,
                      rep.min_slack + tol, rep.passed)
-    idx = np.nonzero(rep.included)[0]
     result.series["angle"] = {
         "columns": ["s", "t", "phi", "bound", "slack"],
-        "rows": [[float(rep.s[i]), float(rep.t[i]), float(rep.phi[i]),
-                  rep.bound_cos, float(rep.slack[i])] for i in idx],
+        "rows": [[s, t, phi, bound, slack]
+                 for s, t, phi, _, bound, slack in rep.rows()],
     }
 
 
 def _run_width(config, result, rng):
-    tol = float(_g(_g(config, "tolerances", {}), "margin_tol", 1e-7))
-    curve_file = _g(config, "curve_file")
+    tol = _g(config, "tolerances.margin_tol", _number, DEFAULT_MARGIN_TOL)
+    curve_file = _g(config, "curve_file", _text)
     if curve_file is not None:
-        curve = load_curve(curve_file)
+        try:
+            curve = load_curve(curve_file)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot load curve_file {curve_file!r}: "
+                              f"{exc}") from None
     else:
-        space = _space_from_config(config)
-        curve = build_curve(space, _g(config, "generator", required=True), rng)
+        curve = build_curve(_space_from_config(config), config)
     try:
         rep = layer_width(curve, margin_tol=tol)
     except HypothesisViolation as exc:
@@ -204,10 +278,10 @@ def _run_width(config, result, rng):
 
 def _run_spindle_table(config, result, rng):
     space = _space_from_config(config)
-    spec = _g(config, "spindle", {})
-    k0_values = [float(v) for v in _g(spec, "k0", [1.0])]
-    rows = spindle_table_rows(space, k0_values,
-                              r_count=int(_g(spec, "r_count", 33)))
+    k0_values = _g(config, "spindle.k0", _numbers, [1.0])
+    rows = spindle_table_rows(
+        space, k0_values,
+        r_count=_g(config, "spindle.r_count", _count(0, MAX_SAMPLES), 33))
     result.series["spindle"] = {
         "columns": ["space", "k1", "k0", "r", "rho", "d", "r0", "d0"],
         "rows": [[row[c] for c in
@@ -231,17 +305,22 @@ def _run_spindle_table(config, result, rng):
 
 
 def _run_warped(config, result, rng):
-    spec = _g(config, "warped", required=True)
-    family = _g(spec, "family", required=True)
-    params = {k: float(v) for k, v in _g(spec, "params", {}).items()}
-    metric = make_warped(family, T=float(_g(spec, "T", required=True)),
-                         **params)
+    family = _g(config, "warped.family", _text, required=True)
+    params = _g(config, "warped.params",
+                lambda x: {k: _number(v) for k, v in _object(x).items()}, {})
+    T = _g(config, "warped.T", _number, required=True)
+    try:
+        metric = make_warped(family, T=T, **params)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"warped.params do not fit family {family!r}: "
+                          f"{exc}") from None
     comp = verify_circle_curvature_comparison(metric)
-    result.add_check("mu_comparison_min_slack", comp.min_slack, -1e-9,
-                     comp.min_slack + 1e-9, comp.passed)
-    rho0 = float(_g(spec, "rho0", 0.8))
-    strength = float(_g(spec, "strength", 0.05))
-    count = int(_g(spec, "curves", 5))
+    result.add_check("mu_comparison_min_slack", comp.min_slack,
+                     -DEFAULT_SLACK_TOL, comp.min_slack + DEFAULT_SLACK_TOL,
+                     comp.passed)
+    rho0 = _g(config, "warped.rho0", _number, 0.8)
+    strength = _g(config, "warped.strength", _number, 0.05)
+    count = _g(config, "warped.curves", _count(0, 1000), 5)
     rows = []
     for i in range(count):
         harmonics = {}
@@ -256,12 +335,14 @@ def _run_warped(config, result, rng):
             result.hypothesis_violations.append(f"curve {i}: {exc}")
             continue
         result.add_check(f"warped_angle_slack_{i}", ver.min_angle_slack,
-                         -1e-9, ver.min_angle_slack + 1e-9, ver.angle_passed)
+                         -DEFAULT_SLACK_TOL,
+                         ver.min_angle_slack + DEFAULT_SLACK_TOL,
+                         ver.angle_passed)
         result.add_check(f"warped_width_margin_{i}", ver.d, ver.d0,
                          ver.width_margin, ver.width_passed)
         rows.append([i, curve.kmin, ver.h, ver.min_angle_slack, ver.d,
                      ver.d0])
-    if bool(_g(spec, "violating", False)):
+    if _g(config, "warped.violating", bool, False):
         # deliberately eccentric curve whose curvature drops below the
         # comparison threshold; must be rejected, not judged
         bad = make_warped_curve(metric, rho0,
@@ -279,10 +360,9 @@ def _run_warped(config, result, rng):
 
 
 def _run_sweep(config, result, rng):
-    spec = _g(config, "sweep", {})
-    k0 = float(_g(spec, "k0", 1.0))
-    k1_values = [float(v) for v in
-                 _g(spec, "k1", [0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])]
+    k0 = _g(config, "sweep.k0", _number, 1.0)
+    k1_values = _g(config, "sweep.k1", _numbers,
+                   [0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
     flat_d0 = spindle_optimum(SpaceForm.flat(), k0).d0
     rows = []
     for kind in ("sphere", "hyperbolic"):
@@ -294,7 +374,7 @@ def _run_sweep(config, result, rng):
             d0 = spindle_optimum(space, k0).d0
             rows.append([kind, k1, d0, d0 - flat_d0])
         d_last = rows[-1][2]
-        tol = float(_g(spec, "limit_tol", 1e-5))
+        tol = _g(config, "sweep.limit_tol", _number, 1e-5)
         result.add_check(f"euclidean_limit_{kind}", d_last, flat_d0,
                          tol - abs(d_last - flat_d0),
                          abs(d_last - flat_d0) <= tol)
@@ -318,7 +398,7 @@ def run(config: dict) -> SuiteResult:
     suite = _g(config, "suite", required=True)
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; valid: {SUITES}")
-    seed = int(_g(config, "seed", 0))
+    seed = _g(config, "seed", _count(0, 2 ** 63 - 1), 0)
     result = SuiteResult(suite=suite)
     result.metadata = {
         "config_hash": config_hash(config),

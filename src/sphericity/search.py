@@ -60,11 +60,8 @@ def _local_poly(s, values, index, window, period=None):
         for j in range(1, len(ss)):
             while ss[j] <= ss[j - 1]:
                 ss[j] += period
-        center = ss[half]
-        ss -= center
-    else:
-        center = ss[half]
-        ss = ss - center
+    center = ss[half]
+    ss = ss - center
     deg = min(4, len(ss) - 1)
     coeffs = np.polynomial.polynomial.polyfit(ss, vv, deg)
     poly = np.polynomial.polynomial.Polynomial(coeffs)

@@ -65,8 +65,11 @@ class SpaceForm:
         if self.kind is Kind.FLAT:
             if self.k1 != 0.0:
                 raise GeometryError("flat plane requires k1 == 0")
-        elif not self.k1 > 0.0:
-            raise GeometryError(f"{self.kind.value} geometry requires k1 > 0")
+        elif not (self.k1 > 0.0 and 0.0 < self.k1 * self.k1 < math.inf):
+            # k1^2 must neither overflow nor underflow
+            raise GeometryError(
+                f"{self.kind.value} geometry requires k1 > 0 with a finite, "
+                f"nonzero k1^2 (got k1={self.k1})")
 
     # -- constructors ------------------------------------------------------
 
@@ -123,6 +126,8 @@ class SpaceForm:
         if p.shape[-1] != self.dim:
             raise ConstraintViolation(
                 f"expected {self.dim}-vector point, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ConstraintViolation("point has non-finite coordinates")
         defect = self.constraint_defect(p)
         if np.any(defect > 1e4 * MODEL_TOL):
             raise ConstraintViolation(
@@ -131,21 +136,6 @@ class SpaceForm:
         if self.kind is Kind.HYPERBOLIC and np.any(p[..., 0] <= 0):
             raise ConstraintViolation("hyperboloid point must have x0 > 0")
         return p
-
-    def check_tangent(self, base, v) -> np.ndarray:
-        """Validate that v is tangent to the model at base."""
-        base = np.asarray(base, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind is Kind.FLAT:
-            return v
-        if self.kind is Kind.SPHERE:
-            inner = np.sum(v * base, axis=-1)
-        else:
-            inner = _mdot(v, base)
-        scale = np.maximum(self.norm(base, v), 1e-300) / self.k1
-        if np.any(np.abs(inner) > 1e4 * MODEL_TOL * scale):
-            raise ConstraintViolation("vector is not tangent to the model at base")
-        return v
 
     def project(self, p) -> np.ndarray:
         """Rescale p back onto the constraint surface (drift control)."""

@@ -33,19 +33,6 @@ from .spaceforms import Kind, SpaceForm
 
 
 @dataclass(frozen=True)
-class SpindleParams:
-    """One member of the spindle family: inradius r, circumradius rho,
-    annulus width d = rho - r."""
-
-    space: SpaceForm
-    k0: float
-    R: float
-    r: float
-    rho: float
-    d: float
-
-
-@dataclass(frozen=True)
 class SpindleOptimum:
     """Closed-form maximizer of the spindle width."""
 
@@ -84,13 +71,6 @@ def spindle_width(space: SpaceForm, k0: float, r):
     """Width d(r) = rho(r) - r of the annulus enclosing the spindle."""
     _, r = _check_r(space, k0, r)
     return spindle_rho(space, k0, r) - r
-
-
-def spindle_params(space: SpaceForm, k0: float, r: float) -> SpindleParams:
-    radius, rc = _check_r(space, k0, float(r))
-    rho = float(spindle_rho(space, k0, rc))
-    return SpindleParams(space=space, k0=float(k0), R=radius, r=float(rc),
-                         rho=rho, d=rho - float(rc))
 
 
 def _half_width_angle(space, radius: float) -> float:

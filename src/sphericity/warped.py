@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import cos_phi_lower_bound
+from .bounds import (DEFAULT_H_GUARD, DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL,
+                     DEFAULT_SLACK_TOL, check_hypotheses, cos_phi_lower_bound)
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
 from .spaceforms import SpaceForm
@@ -29,6 +30,10 @@ from .spindles import spindle_optimum
 
 #: tolerance on the declared curvature band during certification
 BAND_GUARD = 1e-9
+#: radii on the certification grid of a metric's curvature band
+_CHECK_POINTS = 10_000
+#: radii at which the circle-curvature comparison is checked
+_COMPARISON_RADII = 1000
 
 
 @dataclass(frozen=True)
@@ -167,8 +172,7 @@ def _declared_band(family: str, params: dict, T: float):
     raise CurveGenerationError(f"unknown warped family {family!r}")
 
 
-def make_warped(family: str, *, T: float, check_points: int = 10_000,
-                **params) -> WarpedMetric:
+def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
     """Build and certify a warped metric.
 
     The curvature band is measured on a dense radius grid and must stay
@@ -180,7 +184,7 @@ def make_warped(family: str, *, T: float, check_points: int = 10_000,
         raise CurveGenerationError("T must be positive")
     f, fp, fpp = _family_functions(family, params)
     lo_decl, hi_decl = _declared_band(family, params, T)
-    t = np.linspace(T / check_points, T, check_points)
+    t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
     fv = f(t)
     if np.any(fv <= 0.0):
         bad = float(t[np.argmax(fv <= 0.0)])
@@ -222,15 +226,6 @@ class MuComparisonReport:
     min_slack: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "mu_comparison/1",
-            "comparison": self.comparison,
-            "k1_used": self.k1_used,
-            "min_slack": self.min_slack,
-            "passed": bool(self.passed),
-        }
-
 
 def comparison_space(metric: WarpedMetric) -> SpaceForm:
     """Constant-curvature plane matched to the metric's curvature band.
@@ -253,11 +248,9 @@ def comparison_space(metric: WarpedMetric) -> SpaceForm:
         "one-signed; no comparison plane applies")
 
 
-def verify_circle_curvature_comparison(metric: WarpedMetric,
-                                       n_radii: int = 1000,
-                                       slack_tol: float = 1e-9
-                                       ) -> MuComparisonReport:
-    """Check mu(t) <= mu0(t) at n_radii radii in (0, T].
+def verify_circle_curvature_comparison(
+        metric: WarpedMetric) -> MuComparisonReport:
+    """Check mu(t) <= mu0(t) on a uniform grid of radii in (0, T].
 
     mu0 is the circle curvature of the comparison plane; radii where mu0
     is undefined (beyond pi/k1 on the sphere side) are skipped.
@@ -266,14 +259,14 @@ def verify_circle_curvature_comparison(metric: WarpedMetric,
     t_hi = metric.T
     if space.kind.value == "sphere":
         t_hi = min(t_hi, np.pi / space.k1 * (1 - 1e-9))
-    radii = np.linspace(t_hi / n_radii, t_hi, n_radii)
+    radii = np.linspace(t_hi / _COMPARISON_RADII, t_hi, _COMPARISON_RADII)
     mu = metric.mu(radii)
     mu0 = np.asarray(space.mu0(radii), dtype=float)
     slack = mu0 - mu
     min_slack = float(np.min(slack))
     return MuComparisonReport(comparison=space.kind.value, k1_used=space.k1,
                               radii=radii, slack=slack, min_slack=min_slack,
-                              passed=bool(min_slack >= -slack_tol))
+                              passed=bool(min_slack >= -DEFAULT_SLACK_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +397,8 @@ class WarpedVerification:
         }
 
 
-def verify_radial_bounds(metric: WarpedMetric, curve: WarpedCurve,
-                         slack_tol: float = 1e-9,
-                         margin_tol: float = 1e-7,
-                         k0_guard: float = 1e-6) -> WarpedVerification:
+def verify_radial_bounds(metric: WarpedMetric,
+                         curve: WarpedCurve) -> WarpedVerification:
     """Verify the radial-angle and annulus-width bounds about the pole.
 
     The comparison plane comes from the metric's certified curvature band.
@@ -423,22 +414,9 @@ def verify_radial_bounds(metric: WarpedMetric, curve: WarpedCurve,
     incenter, which the generators place at the pole by construction).
     """
     space = comparison_space(metric)
-    k0_used = curve.kmin - k0_guard
-    if space.kind.value in ("hyperbolic",):
-        if k0_used <= space.k1:
-            raise HypothesisViolation(
-                f"nonpositive band requires kmin > k1 = {space.k1:.6g} "
-                f"(got {k0_used:.6g})")
-    elif space.kind.value == "sphere":
-        if k0_used < 0.0:
-            raise HypothesisViolation("positive band requires kmin >= 0")
-        k2 = math.sqrt(metric.k_hi)
-        if float(np.max(curve.rho)) > np.pi / (2.0 * k2) * (1 + 1e-9):
-            raise HypothesisViolation(
-                "curve leaves the ball of radius pi/(2 k2) around the pole")
-    else:  # flat comparison (K identically 0)
-        if k0_used <= 0.0:
-            raise HypothesisViolation("flat comparison requires kmin > 0")
+    k0_used = curve.kmin - DEFAULT_K0_GUARD
+    radius = check_hypotheses(space, k0_used, float(np.max(curve.rho)),
+                              k_ball=math.sqrt(max(metric.k_hi, 0.0)))
 
     dtheta = curve.theta[1] - curve.theta[0]
     rho_p, _ = _fd_derivatives(curve.rho, dtheta)
@@ -453,8 +431,7 @@ def verify_radial_bounds(metric: WarpedMetric, curve: WarpedCurve,
                               period=2.0 * np.pi)
     rho1 = max(rho1, float(np.max(curve.rho)))
 
-    radius = space.circle_radius_of_curvature(k0_used)
-    h_eff = min(max(h - 1e-8, 0.0), radius)
+    h_eff = min(max(h - DEFAULT_H_GUARD, 0.0), radius)
     bound = float(cos_phi_lower_bound(space, k0_used, h_eff))
     min_slack = float(np.min(cos_phi - bound))
 
@@ -464,7 +441,7 @@ def verify_radial_bounds(metric: WarpedMetric, curve: WarpedCurve,
     return WarpedVerification(
         comparison=space.kind.value, k1_used=space.k1, k0_used=float(k0_used),
         h=float(h), bound_cos=bound, min_angle_slack=min_slack,
-        angle_passed=bool(min_slack >= -slack_tol), r=float(h),
+        angle_passed=bool(min_slack >= -DEFAULT_SLACK_TOL), r=float(h),
         rho1=float(rho1), d=float(d), d0=float(d0),
         width_margin=float(margin),
-        width_passed=bool(margin >= -margin_tol))
+        width_passed=bool(margin >= -DEFAULT_MARGIN_TOL))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphericity import (AngleBound, GeometryError, HypothesisViolation,
-                        SpaceForm, circle_exact_angle, cos_phi_lower_bound,
+from sphericity import (GeometryError, HypothesisViolation, SpaceForm,
+                        circle_exact_angle, cos_phi_lower_bound,
                         cos_phi_weak_bound, make_circle, make_lune,
                         mu0_decay_solution, radial_ode_residuals,
                         verify_angle_bound)
@@ -87,10 +87,6 @@ class TestClosedForms:
             cos_phi_lower_bound(FLAT, 1.0, 1.5)
         with pytest.raises(GeometryError):
             cos_phi_lower_bound(FLAT, 1.0, -0.1)
-        with pytest.raises(GeometryError):
-            AngleBound(FLAT, 1.0, 2.0)
-        bound = AngleBound(FLAT, 1.0, 0.3)
-        assert abs(bound.cos_phi() - math.sqrt(0.51)) < 1e-15
 
     def test_euclidean_limit_of_curved_bounds(self):
         # module invariant: k1 = 1e-4 agrees with flat within 1e-6
@@ -190,12 +186,6 @@ class TestVerifier:
         rep = verify_angle_bound(curve, FLAT.origin())
         assert rep.passed
         assert float(np.max(np.abs(rep.slack))) < 1e-9
-
-    def test_declared_mode(self):
-        curve = make_circle(HYP, HYP.origin(), 2.0, n=2048)
-        rep = verify_angle_bound(curve, HYP.origin(), k0_mode="declared")
-        assert rep.k0_used == 2.0
-        assert rep.passed
 
     def test_hyperbolic_hypothesis_violation(self):
         # kmin at or below k1 admits no comparison circle; an oversized

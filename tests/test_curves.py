@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sphericity import (CornerWindowError, CurveGenerationError, NonClosureError,
-                        SpaceForm, contains_point, make_circle,
-                        make_disc_intersection, make_frame_ode_curve, make_lune,
-                        make_support_curve, measure_curvature, measure_radial,
-                        min_distance_to_curve, spindle_optimum, spindle_rho,
-                        validate_curve, winding_number)
-from sphericity.curves import _frame_matrix, _integrate_frame
+from sphericity import (CurveGenerationError, GeometryError, NonClosureError,
+                        SpaceForm, make_circle, make_disc_intersection,
+                        make_frame_ode_curve, make_lune, make_support_curve,
+                        measure_radial, min_distance_to_curve, spindle_optimum,
+                        spindle_rho, validate_curve, winding_number)
+from sphericity.curves import _frame_matrix, _integrate_frame, corner_band
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -46,6 +45,16 @@ def test_circle_construction(space, k0):
     assert float(np.max(np.abs(t - radius))) < 1e-12
 
 
+@pytest.mark.parametrize("space,k0,n", [
+    (FLAT, 1.0, 1), (FLAT, 1.0, 2), (FLAT, 1.0, 3), (FLAT, 1.0, 4),
+    (FLAT, 1e100, 64), (FLAT, 1e308, 64)])
+def test_degenerate_sampling_refused(space, k0, n):
+    # fewer samples than the curvature window, or a window too small for
+    # float64 to resolve, is refused instead of measured
+    with pytest.raises(CurveGenerationError):
+        make_circle(space, space.origin(), k0, n=n)
+
+
 def test_hyperbolic_circle_length_closed_form():
     # polyline-refinement oracle for the circumference 2 pi sinh(k1 R)/k1:
     # chord sums converge quadratically, so Richardson-extrapolate the two
@@ -74,7 +83,11 @@ class TestLune:
     def test_lune_structure(self, space, k0):
         r = 0.5 * spindle_optimum(space, k0).R
         curve = make_lune(space, k0, r, n=2048)
-        assert int(curve.corner.sum()) == 2
+        assert curve.provenance == "lune"
+        assert list(np.nonzero(curve.corner)[0]) == [0, 1024]
+        # kappa is NaN exactly where the curvature window spans a corner
+        assert np.array_equal(np.isnan(curve.kappa), corner_band(curve.corner))
+        assert int(np.isnan(curve.kappa).sum()) == 10
         structural_ok(curve, k0)
         assert abs(curve.kmin - k0) < 1e-8
         # inradius and circumradius about the construction center
@@ -243,20 +256,6 @@ class TestDiscIntersection:
 
 
 class TestMeasurement:
-    def test_measure_curvature_matches_circles(self):
-        for space, k0 in [(FLAT, 1.0), (SPH, 0.0), (HYP, 2.0)]:
-            curve = make_circle(space, space.origin(), k0, n=2048)
-            for idx in (0, 511, 1200):
-                assert abs(measure_curvature(curve, idx) - k0) < 1e-6
-
-    def test_measure_curvature_corner_error(self):
-        lune = make_lune(FLAT, 1.0, 0.3, n=1024)
-        corner_idx = int(np.nonzero(lune.corner)[0][0])
-        with pytest.raises(CornerWindowError):
-            measure_curvature(lune, corner_idx)
-        with pytest.raises(CornerWindowError):
-            measure_curvature(lune, corner_idx + 1)
-
     def test_radial_measurement_centered_circle(self):
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=1024)
         m = measure_radial(curve, FLAT.origin())
@@ -322,8 +321,9 @@ class TestOrientationHelpers:
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=512)
         assert winding_number(FLAT, curve.points, np.array([0.3, 0.2])) == 1
         assert winding_number(FLAT, curve.points, np.array([1.7, 0.0])) == 0
-        assert contains_point(curve, np.array([0.0, -0.4]))
-        assert not contains_point(curve, np.array([2.0, 0.0]))
+        assert measure_radial(curve, np.array([0.0, -0.4])).h > 0.0
+        with pytest.raises(GeometryError):
+            measure_radial(curve, np.array([2.0, 0.0]))
 
     def test_law_of_sines_relation_all_spaces(self):
         # sin(phi) = sn(R-h)/sn(R) sin(alpha) with alpha at the base point

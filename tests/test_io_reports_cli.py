@@ -1,11 +1,17 @@
 """Serialization round trips, suite runner determinism, CLI exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
+                        make_disc_intersection, make_frame_ode_curve,
                         make_lune, make_support_curve, make_warped)
 from sphericity.cli import main
 from sphericity.io import (curve_from_dict, curve_to_dict, load_curve,
@@ -18,32 +24,37 @@ FLAT = SpaceForm.flat()
 
 class TestCurveSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
-        curve = make_lune(SpaceForm.sphere(1.0), 1.0, 0.15, n=512)
+        sph, hyp = SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)
+        curves = [
+            make_lune(sph, 1.0, 0.15, n=512),
+            make_circle(hyp, hyp.origin(), 2.0, n=256),
+            make_support_curve(1.0, {2: (0.05, 0.0)}, k0_target=0.8, n=256),
+            make_frame_ode_curve(
+                sph, lambda u: 1.0 + 0.1 * np.cos(6 * np.pi * np.asarray(u)),
+                n=256),
+            make_disc_intersection(FLAT, [[0.0, 0.0], [0.5, 0.2], [0.1, 0.6]],
+                                   1.0, n=256),
+        ]
         path = tmp_path / "curve.json"
-        save_curve(curve, path)
-        loaded = load_curve(path)
-        assert np.array_equal(loaded.points, curve.points)
-        assert np.array_equal(loaded.s, curve.s)
-        assert np.array_equal(loaded.tangents, curve.tangents)
-        assert np.array_equal(loaded.normals_out, curve.normals_out)
-        assert np.array_equal(loaded.corner, curve.corner)
-        nan_safe = np.nan_to_num
-        assert np.array_equal(nan_safe(loaded.kappa), nan_safe(curve.kappa))
-        assert loaded.total_length == curve.total_length
-        assert loaded.kmin == curve.kmin
-        # a second dump reproduces the same document byte for byte
-        assert json.dumps(curve_to_dict(loaded)) \
-            == json.dumps(curve_to_dict(curve))
-
-    def test_reduced_precision_round_trips_structurally(self):
-        curve = make_circle(FLAT, FLAT.origin(), 1.0, n=256)
-        doc = curve_to_dict(curve, digits=12)
-        loaded = curve_from_dict(doc)
-        assert float(np.max(np.abs(loaded.points - curve.points))) < 1e-11
+        for curve in curves:
+            save_curve(curve, path)
+            loaded = load_curve(path)
+            for name in ("points", "s", "tangents", "normals_out", "corner",
+                         "hint_center"):
+                assert np.array_equal(getattr(loaded, name),
+                                      getattr(curve, name)), name
+            assert np.array_equal(loaded.kappa, curve.kappa, equal_nan=True)
+            for name in ("total_length", "kmin", "closure_gap", "provenance",
+                         "k0_declared"):
+                assert getattr(loaded, name) == getattr(curve, name), name
+            # a second dump reproduces the same document byte for byte
+            assert json.dumps(curve_to_dict(loaded)) \
+                == json.dumps(curve_to_dict(curve))
 
     def test_frames_recovered_when_absent(self):
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=2048)
-        doc = curve_to_dict(curve, include_frames=False)
+        doc = curve_to_dict(curve)
+        del doc["tangent"], doc["normal_out"]
         loaded = curve_from_dict(doc)
         dots = np.sum(loaded.tangents * curve.tangents, axis=-1)
         assert float(np.min(dots)) > 1.0 - 1e-9
@@ -54,6 +65,10 @@ class TestCurveSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(GeometryError):
             curve_from_dict({"schema": "something_else/9"})
+        doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
+        doc["schema"] = "closed_curve/1"
+        with pytest.raises(GeometryError, match="closed_curve/1"):
+            curve_from_dict(doc)
 
     def test_metric_round_trip(self):
         metric = make_warped("cubic", T=2.0, eps=0.05)
@@ -245,3 +260,100 @@ class TestCli:
         rc = main(["verify-angle", "--config", self._write(tmp_path, cfg)])
         assert rc == 0
         assert (out_dir / "report.json").exists()
+
+
+# Config inputs that once crashed the CLI with a traceback, with the key path
+# that the error line must name.
+CONFIG_CRASHERS = [
+    ({"generator.k0": "abc"}, "generator.k0"),
+    ({"": [1, 2]}, "config"),
+    ({"space": "flat"}, "space"),
+    ({"generator": {"provenance": "frame_ode", "k0": 1.0, "n": 64,
+                    "terms": [[2, 0.1]]}}, "generator.terms"),
+    ({"generator.k0": math.nan}, "generator.k0"),
+]
+
+# One base config per fuzzed subcommand and the key paths the fuzz replaces.
+FUZZ_BASE = {
+    "verify-angle": (
+        {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
+         "generator": {"provenance": "circle", "k0": 1.0, "n": 64},
+         "base_point": {"mode": "offset", "distance": 0.3}},
+        ["seed", "space", "space.k1", "generator.k0", "generator.n",
+         "generator.phase", "generator.center", "base_point",
+         "base_point.distance", "tolerances.slack_tol"]),
+    "verify-width": (
+        {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
+         "generator": {"provenance": "lune", "k0": 1.0, "r": 0.3, "n": 64}},
+        ["space.kind", "generator.provenance", "generator.k0", "generator.r",
+         "generator.n", "generator.terms", "generator.harmonics",
+         "generator.centers", "curve_file", "tolerances.margin_tol"]),
+    "spindle-table": (
+        {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
+         "spindle": {"k0": [1.5, 2.0], "r_count": 9}},
+        ["space", "space.k1", "spindle", "spindle.k0", "spindle.r_count"]),
+    "sweep": (
+        {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5, 0.01],
+                              "limit_tol": 1e-5}},
+        ["seed", "sweep", "sweep.k0", "sweep.k1", "sweep.limit_tol"]),
+}
+FUZZ_VALUES = ["abc", [1, 2], {"a": 1}, None, math.nan, 1e300, -1e300, 0,
+               -1]
+
+
+def _configured(command, overrides):
+    config = copy.deepcopy(FUZZ_BASE[command][0])
+    for path, value in overrides.items():
+        value = copy.deepcopy(value)
+        if path == "":
+            return value
+        *parents, key = path.split(".")
+        node = config
+        for part in parents:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[key] = value
+    return config
+
+
+def _run_cli(tmp_dir, command, config):
+    path = tmp_dir / "fuzz.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("overrides,key", CONFIG_CRASHERS,
+                         ids=[k for _, k in CONFIG_CRASHERS])
+def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
+    code, err = _run_cli(tmp_path, "verify-angle",
+                         _configured("verify-angle", overrides))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert key in err
+
+
+_fuzz_cases = st.sampled_from(sorted(FUZZ_BASE)).flatmap(
+    lambda command: st.tuples(st.just(command), st.dictionaries(
+        st.sampled_from(FUZZ_BASE[command][1]), st.sampled_from(FUZZ_VALUES),
+        max_size=2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_fuzz_cases)
+@example(case=("verify-angle", {"generator.k0": "abc"}))
+@example(case=("verify-angle", {"": [1, 2]}))
+@example(case=("verify-angle", {"space": "flat"}))
+@example(case=("verify-angle", {"generator": {
+    "provenance": "frame_ode", "k0": 1.0, "n": 64, "terms": [[2, 0.1]]}}))
+@example(case=("verify-angle", {"generator.k0": math.nan}))
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
+    command, overrides = case
+    code, err = _run_cli(tmp_path_factory.mktemp("fuzz"), command,
+                         _configured(command, overrides))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sphericity import (GeometryError, SpaceForm, numeric_spindle_optimum,
-                        spindle_max_width_alt, spindle_optimum, spindle_params,
-                        spindle_rho, spindle_table_rows, spindle_width)
+                        spindle_max_width_alt, spindle_optimum, spindle_rho,
+                        spindle_table_rows, spindle_width)
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -104,11 +104,6 @@ class TestWidth:
         r0 = 1.0 / (2.0 + math.sqrt(2.0))
         assert abs(float(spindle_width(FLAT, 1.0, r0))
                    - (math.sqrt(2.0) - 1.0)) < 1e-15
-
-    def test_params_container(self):
-        p = spindle_params(SPH, 1.0, 0.2)
-        assert p.rho >= p.r
-        assert abs(p.d - (p.rho - p.r)) < 1e-15
 
 
 class TestOptimum:
