@@ -22,8 +22,7 @@ from .spindles import (SpindleOptimum, numeric_spindle_optimum,
 from .bounds import (AngleReport, circle_exact_angle, cos_phi_lower_bound,
                      cos_phi_weak_bound, mu0_decay_solution,
                      radial_ode_residuals, verify_angle_bound)
-from .layers import (LayerReport, incenter, layer_width, min_width_layer,
-                     smaller_arcs_inside)
+from .layers import LayerReport, incenter, layer_width, smaller_arcs_inside
 from .warped import (MuComparisonReport, WarpedCurve, WarpedMetric,
                      WarpedVerification, circle_normal_curvature, make_warped,
                      make_warped_curve, verify_circle_curvature_comparison,
@@ -45,7 +44,7 @@ __all__ = [
     "make_lune", "make_support_curve", "make_warped", "make_warped_curve",
     "load_curve", "save_curve",
     "max_distance_to_curve", "measure_radial",
-    "min_distance_to_curve", "min_width_layer", "mu0_decay_solution",
+    "min_distance_to_curve", "mu0_decay_solution",
     "numeric_spindle_optimum", "radial_ode_residuals", "smaller_arcs_inside", "spindle_max_width_alt",
     "spindle_optimum", "spindle_rho", "spindle_table_rows",
     "spindle_width", "validate_curve", "verify_angle_bound",

@@ -137,6 +137,12 @@ def corner_band(corner, half: int = WINDOW_HALF) -> np.ndarray:
     return band
 
 
+def _flat_window(spread, value):
+    """True where a sample window is constant up to roundoff: refining it
+    would only polish noise."""
+    return spread <= 1e-8 * np.maximum(1.0, np.abs(value))
+
+
 def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
                              total_length):
     n = len(points)
@@ -153,9 +159,7 @@ def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
     idx = int(np.nanargmin(kappa))
     window_idx = [(idx + j) % n for j in range(-WINDOW_HALF, WINDOW_HALF + 1)]
     if all(finite[i] for i in window_idx):
-        window_vals = kappa[window_idx]
-        # refining a constant-curvature stretch only amplifies roundoff
-        if np.ptp(window_vals) > 1e-8 * max(1.0, abs(kmin)):
+        if not _flat_window(np.ptp(kappa[window_idx]), kmin):
             _, refined = refine_extremum(s, np.nan_to_num(kappa, nan=np.inf),
                                          idx, mode="min", period=total_length)
             kmin = min(kmin, refined)
@@ -179,25 +183,40 @@ def winding_number(space: SpaceForm, points, origin) -> int:
 # Distance queries
 # ---------------------------------------------------------------------------
 
-def min_distance_to_curve(curve: ClosedCurve, p, refine: bool = True):
+def _distance_extrema(curve: ClosedCurve, p, mode: str):
+    """Every refined local extremum of the distance from p that can win.
+
+    Distance is 1-Lipschitz in arc length and a refined extremum lies
+    within one gap of its sample, so only the local extrema whose sample is
+    within ``curve.max_gap`` of the extreme sample are kept.  A window whose
+    spread is at roundoff keeps its sample value: refining it would only
+    polish noise.  Returns (sample indices, arc lengths, values).
+    """
+    t = curve.space.distance(p, curve.points)
+    v = t if mode == "min" else -t
+    idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
+                         & (v <= np.min(v) + curve.max_gap))
+    s_star, vals = curve.s[idx].astype(float), t[idx].astype(float)
+    window = idx[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1)
+    spread = np.ptp(t[window % len(t)], axis=1)
+    for j in np.flatnonzero(~_flat_window(spread, vals)):
+        s_star[j], vals[j] = refine_extremum(curve.s, t, idx[j], mode=mode,
+                                             period=curve.total_length)
+    return idx, s_star, vals
+
+
+def min_distance_to_curve(curve: ClosedCurve, p):
     """(min distance, arc length of the minimizer) from p to the curve."""
-    t = curve.space.distance(p, curve.points)
-    idx = int(np.argmin(t))
-    if not refine:
-        return float(t[idx]), float(curve.s[idx])
-    s_star, val = refine_extremum(curve.s, t, idx, mode="min",
-                                  period=curve.total_length)
-    return val, s_star
+    _, s_star, vals = _distance_extrema(curve, p, "min")
+    j = int(np.argmin(vals))
+    return float(vals[j]), float(s_star[j])
 
 
-def max_distance_to_curve(curve: ClosedCurve, p, refine: bool = True):
-    t = curve.space.distance(p, curve.points)
-    idx = int(np.argmax(t))
-    if not refine:
-        return float(t[idx]), float(curve.s[idx])
-    s_star, val = refine_extremum(curve.s, t, idx, mode="max",
-                                  period=curve.total_length)
-    return val, s_star
+def max_distance_to_curve(curve: ClosedCurve, p):
+    """(max distance, arc length of the maximizer) from p to the curve."""
+    _, s_star, vals = _distance_extrema(curve, p, "max")
+    j = int(np.argmax(vals))
+    return float(vals[j]), float(s_star[j])
 
 
 # ---------------------------------------------------------------------------

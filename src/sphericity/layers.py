@@ -10,23 +10,22 @@ the bound, every other k0-convex body stays below it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
 from .curves import (ClosedCurve, _angle_in_frame, _circle_arrays,
-                     _equidistant_points, max_distance_to_curve,
-                     min_distance_to_curve, winding_number)
+                     _distance_extrema, _equidistant_points,
+                     max_distance_to_curve, min_distance_to_curve,
+                     winding_number)
 from .errors import GeometryError, HypothesisViolation
-from .search import golden_max
+from .search import interpolate_local
 from .spaceforms import Kind, karcher_mean
 from .spindles import spindle_optimum
-
-#: points per axis of the coarse incenter grid
-_GRID_N = 41
 
 
 @dataclass(frozen=True)
@@ -41,130 +40,91 @@ class LayerReport:
     d0: float
     margin: float
     passed: bool
-    grid_certificate: float
+    kkt_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "layer_report/1",
-            "incenter": [float(x) for x in self.incenter],
-            "r": self.r,
-            "rho1": self.rho1,
-            "d": self.d,
-            "k0_used": self.k0_used,
-            "d0": self.d0,
-            "margin": self.margin,
-            "passed": bool(self.passed),
-            "grid_certificate": self.grid_certificate,
-        }
+        return {"schema": "layer_report/2", **dataclasses.asdict(self),
+                "incenter": [float(x) for x in self.incenter]}
 
 
-def _point_in_polygon(xy_points, polygon) -> np.ndarray:
-    """Vectorized even-odd test of chart points against a chart polygon."""
-    x, y = xy_points[:, 0], xy_points[:, 1]
-    px, py = polygon[:, 0], polygon[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    inside = np.zeros(len(xy_points), dtype=bool)
-    for (x0, y0, x1, y1) in zip(px, py, qx, qy):
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        inside ^= crosses & (x < x_int)
-    return inside
+def _contacts(curve: ClosedCurve, p):
+    """Refined local minima of the distance from p to the curve.
 
-
-def _min_dist_field(space, curve_points, trial_points) -> np.ndarray:
-    """min_j distance(p_i, curve_j) for a batch of trial points."""
-    out = np.empty(len(trial_points))
-    # chunked to keep the (trials x samples) distance table small
-    chunk = max(1, 2_000_000 // max(len(curve_points), 1))
-    for start in range(0, len(trial_points), chunk):
-        block = trial_points[start:start + chunk]
-        d = space.distance(block[:, None, :], curve_points[None, :, :])
-        out[start:start + chunk] = d.min(axis=1)
-    return out
-
-
-def _line_search_polish(space, curve, center, step0):
-    """Alternating golden line searches maximizing the min-distance field.
-
-    Nelder-Mead stalls on the flat-topped ridge that the two-contact bodies
-    (lunes) produce; a few golden sweeps along the chart axes localize the
-    maximizer to ~1e-10, which the sharpness margins need.
+    Returns their values and the unit directions from p toward their foot
+    points in ``space.frame(p)`` coordinates, interpolated at the refined
+    foot points.
     """
-    def f_of(p):
-        return min_distance_to_curve(curve, p, refine=True)[0]
+    idx, s_star, f = _distance_extrema(curve, p, "min")
+    xy = curve.space.to_chart(p, curve.points)
+    u = xy[idx]
+    for j in np.flatnonzero(s_star != curve.s[idx]):
+        u[j] = [interpolate_local(curve.s, xy[:, k], idx[j], s_star[j],
+                                  period=curve.total_length) for k in (0, 1)]
+    return f, u / np.linalg.norm(u, axis=1, keepdims=True)
 
-    e1, e2 = space.frame(center)
-    best = np.array(center, dtype=float)
-    best_val = f_of(best)
-    step = step0
-    for _ in range(60):
-        moved = False
-        for direction in (e1, e2):
-            e1c, e2c = space.frame(best)
-            d = e1c if direction is e1 else e2c
 
-            def along(u, d=d, base=best):
-                return f_of(space.exp_map(base, u * d))
+def _kkt_residual(u) -> float:
+    """Norm of the smallest convex combination of unit vectors u.
 
-            u_star, val = golden_max(along, -step, step, tol=1e-12 * step0)
-            if val > best_val:
-                best = space.exp_map(best, u_star * d)
-                best_val = val
-                if abs(u_star) > 1e-13:
-                    moved = True
-        if not moved:
-            step *= 0.25
-            if step < 1e-11 * step0:
-                break
-    return best, best_val
+    Zero when they surround the origin (no angular gap beyond pi);
+    otherwise the chord between the extreme directions is nearest the
+    origin, at cos(span / 2) = -cos(widest gap / 2).
+    """
+    ang = np.sort(np.arctan2(u[:, 1], u[:, 0]))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
+    return max(0.0, -math.cos(0.5 * float(np.max(gaps))))
 
 
 def incenter(curve: ClosedCurve):
     """Incenter and inradius: a maximizer of p -> min_s dist(p, curve).
 
-    Coarse interior grid, Nelder-Mead refinement, then golden line-search
-    polish.  Returns (point, r, grid_certificate) where the certificate is
-    the largest min-distance seen on the coarse grid (no grid point may
-    exceed the returned r by more than the refinement tolerance).
+    Trust-region ascent on the contacts (Madsen's minimax SLP): at p, the
+    linear model of each contact c is f_c - <u_c, delta>, and a 3-variable
+    LP maximizes their minimum t over the box |delta|_inf <= Delta.  The
+    step is taken with exp_map; Delta grows or shrinks with the ratio of
+    actual to predicted gain; the ascent stops when either reaches
+    roundoff.  Returns (point, r, kkt_residual): r is the least refined
+    contact at the point, and the residual is the norm of the smallest
+    convex combination of the directions of the contacts within
+    DEFAULT_MARGIN_TOL of r, which the width verdict cannot tell apart
+    (zero at an exact maximizer).
     """
     space = curve.space
-    seed = curve.hint_center if curve.hint_center is not None \
-        else karcher_mean(space, curve.points)
-    if winding_number(space, curve.points, seed) != 1:
-        seed = karcher_mean(space, curve.points)
-        if winding_number(space, curve.points, seed) != 1:
+    p = curve.hint_center
+    if p is None or winding_number(space, curve.points, p) != 1:
+        p = karcher_mean(space, curve.points)
+        if winding_number(space, curve.points, p) != 1:
             raise GeometryError("found no interior seed point for the curve")
-
-    poly = space.to_chart(seed, curve.points)
-    span = float(np.max(np.abs(poly))) * 1.05
-    if span <= 0.0:
+    f, u = _contacts(curve, p)
+    r = float(np.min(f))
+    if r <= 0.0:
         raise GeometryError("degenerate (zero-area) curve")
-    axis = np.linspace(-span, span, _GRID_N)
-    gx, gy = np.meshgrid(axis, axis)
-    grid_xy = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    inside = _point_in_polygon(grid_xy, poly)
-    grid_xy = grid_xy[inside]
-    if len(grid_xy) == 0:
-        grid_xy = np.zeros((1, 2))
-    trial_points = space.from_chart(seed, grid_xy)
-    field = _min_dist_field(space, curve.points, trial_points)
-    best_idx = int(np.argmax(field))
-    grid_certificate = float(np.max(field))
-
-    x0 = grid_xy[best_idx]
-
-    def objective(xy):
-        p = space.from_chart(seed, xy)
-        return -min_distance_to_curve(curve, p, refine=False)[0]
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-13,
-                            "maxiter": 400, "maxfev": 800})
-    center = space.from_chart(seed, res.x)
-    step0 = max(2.0 * span / (_GRID_N - 1), 1e-6)
-    center, r = _line_search_polish(space, curve, center, step0)
-    return center, float(r), grid_certificate
+    radius = 0.25 * r
+    tiny = 64.0 * np.finfo(float).eps * max(1.0, r)
+    for _ in range(200):
+        # contacts farther than 2 sqrt(2) Delta above r never bind in the box
+        near = f - r <= 3.0 * radius
+        lp = linprog([0.0, 0.0, -1.0],
+                     A_ub=np.column_stack([u[near], np.ones(near.sum())]),
+                     b_ub=f[near] - r,
+                     bounds=[(-radius, radius)] * 2 + [(None, None)],
+                     method="highs")
+        predicted = -lp.fun
+        if predicted <= tiny:
+            break
+        e1, e2 = space.frame(p)
+        q = space.exp_map(p, lp.x[0] * e1 + lp.x[1] * e2)
+        f_q, u_q = _contacts(curve, q)
+        gain = float(np.min(f_q)) - r
+        if gain > 0.0:
+            p, f, u, r = q, f_q, u_q, float(np.min(f_q))
+        if gain >= 0.75 * predicted:
+            radius = min(2.0 * radius, 0.5 * r)
+        elif gain < 0.25 * predicted:
+            radius *= 0.25
+        if radius <= tiny:
+            break
+    return p, r, _kkt_residual(u[f - r <= DEFAULT_MARGIN_TOL])
 
 
 def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
@@ -183,10 +143,11 @@ def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
         # the spindle family degenerates (r0 = 0) at k0 = 0
         raise HypothesisViolation("width bound requires kmin > 0")
 
-    center, r, certificate = incenter(curve)
+    center, _, kkt = incenter(curve)
     check_hypotheses(space, k0_used,
                      float(np.max(space.distance(center, curve.points))))
-    rho1, _ = max_distance_to_curve(curve, center, refine=True)
+    r, _ = min_distance_to_curve(curve, center)
+    rho1, _ = max_distance_to_curve(curve, center)
     d = rho1 - r
     d0 = spindle_optimum(space, k0_used).d0
     margin = d0 - d
@@ -194,47 +155,7 @@ def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
                        k0_used=float(k0_used), d0=float(d0),
                        margin=float(margin),
                        passed=bool(margin >= -margin_tol),
-                       grid_certificate=certificate)
-
-
-def min_width_layer(curve: ClosedCurve, starts: int = 1, rng=None):
-    """Locally optimal annulus center minimizing max - min distance.
-
-    Exploratory: the bound of :func:`layer_width` concerns the incenter
-    layer; the true minimal layer can only be narrower.  Direct search
-    (Nelder-Mead) started at the incenter, optionally with perturbed
-    restarts whose agreement the tests check.
-    """
-    space = curve.space
-    center0, _, _ = incenter(curve)
-    seed = center0
-
-    def width_of(xy):
-        p = space.from_chart(seed, xy)
-        try:
-            if winding_number(space, curve.points, p) != 1:
-                return np.inf
-        except Exception:
-            return np.inf
-        lo, _ = min_distance_to_curve(curve, p, refine=True)
-        hi, _ = max_distance_to_curve(curve, p, refine=True)
-        return hi - lo
-
-    x0s = [np.zeros(2)]
-    if starts > 1:
-        rng = rng or np.random.default_rng(0)
-        scale = 0.05 * float(np.max(space.distance(center0, curve.points)))
-        for _ in range(starts - 1):
-            x0s.append(rng.normal(scale=scale, size=2))
-    best_xy, best_w = None, np.inf
-    for x0 in x0s:
-        res = minimize(width_of, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-13,
-                                "maxiter": 600, "maxfev": 1200})
-        if res.fun < best_w:
-            best_w = float(res.fun)
-            best_xy = res.x
-    return space.from_chart(seed, best_xy), best_w
+                       kkt_residual=kkt)
 
 
 def smaller_arcs_inside(curve: ClosedCurve, a, b, k0: float | None = None,

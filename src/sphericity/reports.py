@@ -363,18 +363,23 @@ def _run_sweep(config, result, rng):
     k0 = _g(config, "sweep.k0", _number, 1.0)
     k1_values = _g(config, "sweep.k1", _numbers,
                    [0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
+    tol = _g(config, "sweep.limit_tol", _number, 1e-5)
     flat_d0 = spindle_optimum(SpaceForm.flat(), k0).d0
     rows = []
     for kind in ("sphere", "hyperbolic"):
-        for k1 in k1_values:
-            if kind == "hyperbolic" and k1 >= k0:
-                continue    # no closed circle of curvature k0 there
+        # a hyperbolic circle of curvature k0 needs k0 > k1
+        usable = [k1 for k1 in k1_values if kind == "sphere" or k1 < k0]
+        if not usable:
+            result.hypothesis_violations.append(
+                f"sweep: no {kind} row, every k1 in {k1_values} is >= "
+                f"k0 = {k0:.6g}")
+            continue
+        for k1 in usable:
             space = SpaceForm.sphere(k1) if kind == "sphere" \
                 else SpaceForm.hyperbolic(k1)
             d0 = spindle_optimum(space, k0).d0
             rows.append([kind, k1, d0, d0 - flat_d0])
         d_last = rows[-1][2]
-        tol = _g(config, "sweep.limit_tol", _number, 1e-5)
         result.add_check(f"euclidean_limit_{kind}", d_last, flat_d0,
                          tol - abs(d_last - flat_d0),
                          abs(d_last - flat_d0) <= tol)

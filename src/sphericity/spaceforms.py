@@ -376,13 +376,6 @@ class SpaceForm:
         return np.stack([self.metric_dot(origin, v, e1),
                          self.metric_dot(origin, v, e2)], axis=-1)
 
-    def from_chart(self, origin, xy) -> np.ndarray:
-        """Inverse of to_chart (inside the injectivity radius)."""
-        xy = np.asarray(xy, dtype=float)
-        e1, e2 = self.frame(origin)
-        v = xy[..., 0:1] * e1 + xy[..., 1:2] * e2
-        return self.exp_map(origin, v)
-
 
 def karcher_mean(space: SpaceForm, points, iterations: int = 8) -> np.ndarray:
     """Riemannian center of mass of a point cloud (fixed-point iteration).

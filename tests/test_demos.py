@@ -1,6 +1,9 @@
-"""Every name a demo imports from the package is public API."""
+"""Every demo runs cleanly, and every name it imports is public API."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,3 +21,15 @@ def test_demo_imports_are_public(path):
                 and node.module == "sphericity" for alias in node.names]
     assert imported
     assert set(imported) <= set(sphericity.__all__)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    package_root = str(Path(sphericity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout

@@ -210,6 +210,18 @@ class TestCli:
         rc = main(["verify-warped", "--config", self._write(tmp_path, cfg)])
         assert rc == 3
 
+    def test_sweep_without_hyperbolic_row_exit_3(self, tmp_path):
+        cfg = {"seed": 0, "sweep": {"k0": 0.5, "k1": [1.0]}}
+        rc = main(["sweep", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] \
+            == ["euclidean_limit_sphere"]
+        assert "[1.0]" in report["hypothesis_violations"][0]
+        rows = report["series"]["width_sweep"]["rows"]
+        assert [row[0] for row in rows] == ["sphere"]
+
     def test_missing_config_usage_error(self, tmp_path, capsys):
         rc = main(["verify-angle", "--config", str(tmp_path / "nope.json")])
         assert rc == 1

@@ -7,8 +7,9 @@ import pytest
 
 from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
                         make_circle, make_disc_intersection, make_lune,
-                        min_distance_to_curve, min_width_layer,
+                        max_distance_to_curve, min_distance_to_curve,
                         smaller_arcs_inside, spindle_optimum)
+from sphericity.search import refine_extremum
 from tests.conftest import random_frame_ode_curve, random_support_curve
 
 FLAT = SpaceForm.flat()
@@ -19,19 +20,19 @@ HYP = SpaceForm.hyperbolic(1.0)
 class TestIncenter:
     def test_circle_incenter(self):
         curve = make_circle(FLAT, np.array([0.4, -0.1]), 1.0, n=2048)
-        center, r, certificate = incenter(curve)
+        center, r, kkt = incenter(curve)
         assert float(np.linalg.norm(center - [0.4, -0.1])) < 1e-9
         assert abs(r - 1.0) < 1e-8
-        assert certificate <= r + 1e-7
+        assert kkt <= 1e-6
 
     @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 1.0), (HYP, 2.0)])
     def test_lune_incenter_is_midpoint(self, space, k0):
         r_in = 0.6 * spindle_optimum(space, k0).R
         lune = make_lune(space, k0, r_in, n=2048)
-        center, r, certificate = incenter(lune)
+        center, r, kkt = incenter(lune)
         assert float(space.distance(center, lune.hint_center)) < 1e-7
         assert abs(r - r_in) < 1e-7
-        assert certificate <= r + 1e-7
+        assert kkt <= 1e-6
 
     def test_two_disc_body_matches_lune(self):
         r_in = 0.35
@@ -41,15 +42,37 @@ class TestIncenter:
         assert abs(r - r_in) < 1e-7
 
     def test_compass_optimality_certificate(self):
-        curve = random_support_curve(np.random.default_rng(5), n=2048)
+        disc_centers = [[0.2873961301448322, -0.10092636423707455],
+                        [0.2914176983138768, -0.28730255342448635],
+                        [0.09618569595614329, -0.005463733455968511]]
+        curves = [random_support_curve(np.random.default_rng(5), n=2048),
+                  make_disc_intersection(FLAT, disc_centers, 1.0, n=2048)]
+        angles = np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False)
+        for curve in curves:
+            center, r, kkt = incenter(curve)
+            assert kkt <= 1e-6
+            for radius in (1e-3, 1e-5):
+                for a in angles:
+                    probe = center + radius * np.array([np.cos(a), np.sin(a)])
+                    assert min_distance_to_curve(curve, probe)[0] <= r + 1e-12
+
+    def test_radii_are_extreme_refined_local_extrema(self):
+        rng = np.random.default_rng(20240607)
+        random_support_curve(rng, n=2048)
+        curve = random_support_curve(rng, n=2048)
         center, r, _ = incenter(curve)
-        e1, e2 = FLAT.frame(center)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == dy == 0:
-                    continue
-                probe = center + 1e-5 * (dx * e1 + dy * e2)
-                assert min_distance_to_curve(curve, probe)[0] <= r + 1e-12
+        t = FLAT.distance(center, curve.points)
+        rho1, _ = max_distance_to_curve(curve, center)
+
+        def refined(i, mode):
+            return refine_extremum(curve.s, t, int(i), mode=mode,
+                                   period=curve.total_length)[1]
+
+        before, after = np.roll(t, 1), np.roll(t, -1)
+        minima = np.flatnonzero((t <= before) & (t <= after))
+        maxima = np.flatnonzero((t >= before) & (t >= after))
+        assert r <= min(refined(i, "min") for i in minima) + 1e-12
+        assert rho1 >= max(refined(i, "max") for i in maxima) - 1e-12
 
 
 class TestLayerWidth:
@@ -103,30 +126,9 @@ class TestLayerWidth:
     def test_report_dict(self):
         rep = layer_width(make_circle(FLAT, FLAT.origin(), 2.0, n=1024))
         doc = rep.to_dict()
-        assert doc["schema"] == "layer_report/1"
+        assert doc["schema"] == "layer_report/2"
         assert doc["passed"] is True
-
-
-class TestMinWidthLayer:
-    def test_circle(self):
-        curve = make_circle(FLAT, FLAT.origin(), 1.0, n=1024)
-        center, width = min_width_layer(curve)
-        assert width < 1e-8
-        assert float(np.linalg.norm(center)) < 1e-6
-
-    def test_never_exceeds_incenter_layer(self):
-        opt = spindle_optimum(FLAT, 1.0)
-        lune = make_lune(FLAT, 1.0, opt.r0, n=2048)
-        rep = layer_width(lune)
-        _, width = min_width_layer(lune)
-        assert width <= rep.d + 1e-9
-
-    def test_multistart_agreement(self):
-        curve = random_support_curve(np.random.default_rng(3), n=2048)
-        _, w1 = min_width_layer(curve, starts=1)
-        _, w10 = min_width_layer(curve, starts=10,
-                                 rng=np.random.default_rng(0))
-        assert abs(w1 - w10) < 1e-6
+        assert doc["kkt_residual"] <= 1e-6
 
 
 class TestArcContainment:
