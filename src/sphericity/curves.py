@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CurveGenerationError, GeometryError, NonClosureError
-from .search import golden_min, interpolate_local, refine_extremum
+from .search import golden_min, refine_extremum, refine_windows, windows
 from .spaceforms import Kind, SpaceForm, karcher_mean
 
 PROVENANCES = ("circle", "lune", "support_function", "frame_ode",
@@ -183,40 +183,47 @@ def winding_number(space: SpaceForm, points, origin) -> int:
 # Distance queries
 # ---------------------------------------------------------------------------
 
-def _distance_extrema(curve: ClosedCurve, p, mode: str):
+def _distance_extrema(curve: ClosedCurve, p, mode: str, chart: bool = False):
     """Every refined local extremum of the distance from p that can win.
 
     Distance is 1-Lipschitz in arc length and a refined extremum lies
     within one gap of its sample, so only the local extrema whose sample is
     within ``curve.max_gap`` of the extreme sample are kept.  A window whose
     spread is at roundoff keeps its sample value: refining it would only
-    polish noise.  Returns (sample indices, arc lengths, values).
+    polish noise.  Returns (arc lengths, values (k, 1)); ``chart`` adds
+    the extrema's ``space.to_chart(p, ...)`` coordinates as columns 1-2,
+    charting only their windows.
     """
-    t = curve.space.distance(p, curve.points)
+    space = curve.space
+    t = space.distance(p, curve.points)
     v = t if mode == "min" else -t
     idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
                          & (v <= np.min(v) + curve.max_gap))
-    s_star, vals = curve.s[idx].astype(float), t[idx].astype(float)
-    window = idx[:, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1)
-    spread = np.ptp(t[window % len(t)], axis=1)
-    for j in np.flatnonzero(~_flat_window(spread, vals)):
-        s_star[j], vals[j] = refine_extremum(curve.s, t, idx[j], mode=mode,
-                                             period=curve.total_length)
-    return idx, s_star, vals
+    win = windows(len(t), idx)
+    rough = ~_flat_window(np.ptp(t[win], axis=1), t[idx])
+    s_star, vals = curve.s[idx].astype(float), t[idx, None]
+    cols = t[win[rough], None]
+    if chart:
+        vals = np.column_stack([vals, space.to_chart(p, curve.points[idx])])
+        cols = np.concatenate(
+            [cols, space.to_chart(p, curve.points[win[rough]])], axis=-1)
+    s_star[rough], vals[rough] = refine_windows(
+        curve.s, win[rough], cols, mode, curve.total_length)
+    return s_star, vals
 
 
 def min_distance_to_curve(curve: ClosedCurve, p):
     """(min distance, arc length of the minimizer) from p to the curve."""
-    _, s_star, vals = _distance_extrema(curve, p, "min")
-    j = int(np.argmin(vals))
-    return float(vals[j]), float(s_star[j])
+    s_star, vals = _distance_extrema(curve, p, "min")
+    j = int(np.argmin(vals[:, 0]))
+    return float(vals[j, 0]), float(s_star[j])
 
 
 def max_distance_to_curve(curve: ClosedCurve, p):
     """(max distance, arc length of the maximizer) from p to the curve."""
-    _, s_star, vals = _distance_extrema(curve, p, "max")
-    j = int(np.argmax(vals))
-    return float(vals[j]), float(s_star[j])
+    s_star, vals = _distance_extrema(curve, p, "max")
+    j = int(np.argmax(vals[:, 0]))
+    return float(vals[j, 0]), float(s_star[j])
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +276,18 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     phi = space.angle_between(curve.points, u, curve.normals_out)
 
     idx = int(np.argmin(t))
-    s_star, h = refine_extremum(curve.s, t, idx, mode="min",
-                                period=curve.total_length)
-    if not corner_band(curve.corner)[idx]:
-        # the unsigned angle has a corner at the foot point; interpolate the
-        # signed version (sign = side of the radial direction along travel)
-        signed_phi = phi * np.sign(space.metric_dot(curve.points, u,
-                                                    curve.tangents))
-        phi_near = abs(interpolate_local(curve.s, signed_phi, idx, s_star,
-                                         period=curve.total_length))
-    else:
-        phi_near = float(phi[idx])
+    w = windows(len(t), idx)
+    # the unsigned angle has a corner at the foot point; interpolate the
+    # signed version (sign = side of the radial direction along travel)
+    signed_phi = phi[w] * np.sign(space.metric_dot(
+        curve.points[w], u[w], curve.tangents[w]))
+    s_star, ((h, phi_near),) = refine_windows(
+        curve.s, w, np.stack([t[w], signed_phi], axis=-1), "min",
+        curve.total_length)
+    phi_near = float(phi[idx]) if corner_band(curve.corner)[idx] else abs(
+        phi_near)
     return RadialMeasurement(base=base, t=t, phi=phi, h=float(h),
-                             s_at_h=float(s_star), phi_at_nearest=phi_near,
+                             s_at_h=float(s_star[0]), phi_at_nearest=phi_near,
                              argmin_index=idx)
 
 

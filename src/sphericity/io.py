@@ -96,8 +96,12 @@ def curve_from_dict(data: dict) -> ClosedCurve:
         if winding_number(space, points, seed) != 1:
             raise GeometryError("stored curves must be positively oriented")
     hint = data.get("hint_center")
+    s = np.array(data["s"], dtype=float)
+    if not (np.all(np.diff(s) > 0.0)
+            and np.all(s[-1:] - s[:1] < float(data["total_length"]))):
+        raise GeometryError("arc lengths must increase within total_length")
     return ClosedCurve(
-        space=space, points=points, s=np.array(data["s"], dtype=float),
+        space=space, points=points, s=s,
         tangents=tangents, normals_out=normals,
         kappa=np.array(data["kappa"], dtype=float),
         corner=np.array(data["corner"], dtype=bool),

@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
 from .curves import (ClosedCurve, _angle_in_frame, _circle_arrays,
@@ -23,7 +23,6 @@ from .curves import (ClosedCurve, _angle_in_frame, _circle_arrays,
                      max_distance_to_curve, min_distance_to_curve,
                      winding_number)
 from .errors import GeometryError, HypothesisViolation
-from .search import interpolate_local
 from .spaceforms import Kind, karcher_mean
 from .spindles import spindle_optimum
 
@@ -54,13 +53,37 @@ def _contacts(curve: ClosedCurve, p):
     points in ``space.frame(p)`` coordinates, interpolated at the refined
     foot points.
     """
-    idx, s_star, f = _distance_extrema(curve, p, "min")
-    xy = curve.space.to_chart(p, curve.points)
-    u = xy[idx]
-    for j in np.flatnonzero(s_star != curve.s[idx]):
-        u[j] = [interpolate_local(curve.s, xy[:, k], idx[j], s_star[j],
-                                  period=curve.total_length) for k in (0, 1)]
-    return f, u / np.linalg.norm(u, axis=1, keepdims=True)
+    _, vals = _distance_extrema(curve, p, "min", chart=True)
+    u = vals[:, 1:]
+    return vals[:, 0], u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _model_step(u, b, radius):
+    """Exact maximizer of min_c (b_c - <u_c, delta>) on |delta|_inf <= radius.
+
+    Constraint generation in units of radius: the LP over a working set of
+    contacts and the four box faces is solved by enumerating its vertices
+    (the feasible solutions of its nonsingular 3x3 active systems), and the
+    contact the result violates most joins the set; a round costs O(m).
+    Returns (delta, predicted), the least model over all contacts at delta.
+    """
+    beta = b / radius
+    rows = np.column_stack([u, np.ones(len(u))])
+    work = [int(np.argmin(beta))]
+    while True:
+        a = np.vstack([np.eye(2, 3), -np.eye(2, 3), rows[work]])
+        rhs = np.concatenate([np.ones(4), beta[work]])
+        tri = np.array(list(combinations(range(len(a)), 3)))
+        tri = tri[np.abs(np.linalg.det(a[tri])) > 1e-14]
+        x = np.linalg.solve(a[tri], rhs[tri][..., None])[..., 0]
+        x = x[np.all(x @ a.T <= rhs + 1e-12, axis=1)]
+        x = x[np.argmax(x[:, 2])]
+        delta = np.clip(x[:2], -1.0, 1.0)
+        model = beta - u @ delta
+        j = int(np.argmin(model))
+        if model[j] >= x[2] - 1e-14 or j in work:
+            return radius * delta, radius * float(model[j])
+        work.append(j)
 
 
 def _kkt_residual(u) -> float:
@@ -79,15 +102,15 @@ def incenter(curve: ClosedCurve):
     """Incenter and inradius: a maximizer of p -> min_s dist(p, curve).
 
     Trust-region ascent on the contacts (Madsen's minimax SLP): at p, the
-    linear model of each contact c is f_c - <u_c, delta>, and a 3-variable
-    LP maximizes their minimum t over the box |delta|_inf <= Delta.  The
-    step is taken with exp_map; Delta grows or shrinks with the ratio of
-    actual to predicted gain; the ascent stops when either reaches
-    roundoff.  Returns (point, r, kkt_residual): r is the least refined
-    contact at the point, and the residual is the norm of the smallest
-    convex combination of the directions of the contacts within
-    DEFAULT_MARGIN_TOL of r, which the width verdict cannot tell apart
-    (zero at an exact maximizer).
+    linear model of each contact c is f_c - <u_c, delta>; an exact LP solve
+    maximizes their minimum over the box |delta|_inf <= Delta, and that
+    minimum at the step is the predicted gain.  The step is taken with
+    exp_map; Delta grows or shrinks with the ratio of actual to predicted
+    gain; the ascent stops when either reaches roundoff.  Returns (point,
+    r, kkt_residual): r is the least refined contact at the point, and
+    the residual is the norm of the smallest convex combination of the
+    directions of the contacts within DEFAULT_MARGIN_TOL of r, which the
+    width verdict cannot tell apart (zero at an exact maximizer).
     """
     space = curve.space
     p = curve.hint_center
@@ -104,16 +127,11 @@ def incenter(curve: ClosedCurve):
     for _ in range(200):
         # contacts farther than 2 sqrt(2) Delta above r never bind in the box
         near = f - r <= 3.0 * radius
-        lp = linprog([0.0, 0.0, -1.0],
-                     A_ub=np.column_stack([u[near], np.ones(near.sum())]),
-                     b_ub=f[near] - r,
-                     bounds=[(-radius, radius)] * 2 + [(None, None)],
-                     method="highs")
-        predicted = -lp.fun
+        delta, predicted = _model_step(u[near], f[near] - r, radius)
         if predicted <= tiny:
             break
         e1, e2 = space.frame(p)
-        q = space.exp_map(p, lp.x[0] * e1 + lp.x[1] * e2)
+        q = space.exp_map(p, delta[0] * e1 + delta[1] * e2)
         f_q, u_q = _contacts(curve, q)
         gain = float(np.min(f_q)) - r
         if gain > 0.0:

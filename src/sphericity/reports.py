@@ -291,17 +291,16 @@ def _run_spindle_table(config, result, rng):
     for k0 in k0_values:
         opt = spindle_optimum(space, k0)
         r_num, d_num = numeric_spindle_optimum(space, k0)
-        result.add_check(f"spindle_oracle_r0_k0={k0:g}", r_num, opt.r0,
-                         1e-7 - abs(r_num - opt.r0),
-                         abs(r_num - opt.r0) <= 1e-7)
-        result.add_check(f"spindle_oracle_d0_k0={k0:g}", d_num, opt.d0,
-                         1e-9 - abs(d_num - opt.d0),
-                         abs(d_num - opt.d0) <= 1e-9)
+        checks = [("spindle_oracle_r0", r_num, opt.r0, 1e-7),
+                  ("spindle_oracle_d0", d_num, opt.d0, 1e-9)]
         if space.kind.value != "flat":
-            alt = spindle_max_width_alt(space, k0)
-            result.add_check(f"spindle_alt_form_k0={k0:g}", alt, opt.d0,
-                             1e-10 - abs(alt - opt.d0),
-                             abs(alt - opt.d0) <= 1e-10)
+            checks.append(("spindle_alt_form",
+                           spindle_max_width_alt(space, k0), opt.d0, 1e-10))
+        for name, value, exact, rel_tol in checks:
+            # every length of the family scales with the circle radius R
+            tol, gap = rel_tol * opt.R, abs(value - exact)
+            result.add_check(f"{name}_k0={k0:g}", value, exact, tol - gap,
+                             gap <= tol)
 
 
 def _run_warped(config, result, rng):

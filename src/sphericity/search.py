@@ -1,8 +1,11 @@
-"""Small derivative-free search utilities.
+"""Refinement of sampled extrema, and a golden-section search.
 
-The golden-section routine doubles as the independent oracle for every
-closed-form maximizer in the package, so it is intentionally kept free of
-any other module's machinery.
+:func:`refine_windows` refines many discrete extrema of exact samples at
+once, through the quartic that interpolates the five samples around each;
+every measurement path uses it.  The golden-section routine is the
+independent oracle: it checks the closed-form spindle maximizer, finds the
+frame-ODE profile minimum and, in the tests, checks the quartic refinement.
+It is intentionally kept free of any other module's machinery.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_HALF = 2                                     # samples each side of a centre
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
@@ -42,64 +46,69 @@ def golden_min(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
     return x, -fneg
 
 
-def _local_poly(s, values, index, window, period=None):
-    """Fit a polynomial through `window` samples centered at index.
+def windows(n: int, index) -> np.ndarray:
+    """Sample indices (k, 5) of the cyclic windows centred at each index."""
+    return (np.atleast_1d(index)[:, None] + np.arange(-_HALF, _HALF + 1)) % n
 
-    The abscissae are unwrapped around the center when the sequence is
-    periodic with the given period.  Returns (poly, lo, hi) where [lo, hi]
-    is the bracketing interval of the two neighbors of the center sample,
-    in the unwrapped coordinate.
+
+def _poly(coef, z):
+    """Polynomials with ascending coefficients on the last axis, at z."""
+    out = coef[..., -1]
+    for j in range(coef.shape[-1] - 2, -1, -1):
+        out = out * z + coef[..., j]
+    return out
+
+
+def refine_windows(s, win, values, mode: str, period: float):
+    """Refine the discrete extremum of every 5-sample window at once.
+
+    ``values`` holds the samples at the indices ``win`` (from
+    :func:`windows`): (k, 5), or (k, 5, m) with further columns to
+    interpolate at the refined abscissa of column 0.  Each window's quartic
+    interpolant is extremized between the centre's neighbours by Newton
+    steps on its cubic derivative from its quadratic part's vertex, with
+    both neighbours as candidates; a window whose quartic does not beat its
+    centre sample keeps it.  For exact samples of a smooth function this
+    is O(gap^4) accurate, not O(gap^2).  Returns (s_star mod ``period``,
+    values at s_star), shaped (k,) and (k,) or (k, m).
     """
-    n = len(s)
-    half = window // 2
-    idx = [(index + j) % n for j in range(-half, half + 1)]
-    ss = np.array([s[i] for i in idx], dtype=float)
-    vv = np.array([values[i] for i in idx], dtype=float)
-    if period is not None:
-        # unwrap so the abscissae increase through the window
-        for j in range(1, len(ss)):
-            while ss[j] <= ss[j - 1]:
-                ss[j] += period
-    center = ss[half]
-    ss = ss - center
-    deg = min(4, len(ss) - 1)
-    coeffs = np.polynomial.polynomial.polyfit(ss, vv, deg)
-    poly = np.polynomial.polynomial.Polynomial(coeffs)
-    return poly, ss[half - 1], ss[half + 1], center
+    cols = values if values.ndim == 3 else values[..., None]
+    centre = s[win[:, _HALF]]
+    x = s[win] - centre[:, None]
+    # unwrap the period seam so the abscissae increase through a window
+    x[:, :_HALF] -= period * (x[:, :_HALF] >= 0.0)
+    x[:, _HALF + 1:] += period * (x[:, _HALF + 1:] <= 0.0)
+    h = 0.5 * (x[:, _HALF + 1] - x[:, _HALF - 1])
+    z = x / h[:, None]
+    y0 = cols[:, _HALF]
+    coef = np.linalg.solve(z[..., None] ** np.arange(5), cols - y0[:, None])
+    coef = np.moveaxis(coef, 1, -1)                   # (k, m, 5)
+    q = (1.0 if mode == "min" else -1.0) * coef[:, 0]
+    dq = q[:, 1:] * np.arange(1, 5)
+    ddq = dq[:, 1:] * np.arange(1, 4)
+    lo, hi = z[:, _HALF - 1], z[:, _HALF + 1]
+    zs = np.clip(np.divide(-q[:, 1], 2.0 * q[:, 2], out=np.zeros(len(q)),
+                           where=q[:, 2] > 0.0), lo, hi)
+    for _ in range(30):
+        curv = _poly(ddq, zs)
+        step = np.divide(_poly(dq, zs), curv, out=np.zeros(len(q)),
+                         where=curv > 0.0)
+        zs, before = np.clip(zs - step, lo, hi), zs
+        if np.all(np.abs(zs - before) <= 1e-15):
+            break
+    cand = np.stack([zs, lo, hi], axis=1)
+    best = np.argmin(_poly(q[:, None], cand), axis=1)
+    z_star = cand[np.arange(len(q)), best]
+    beats = _poly(q, z_star) < 0.0
+    z_star = np.where(beats, z_star, 0.0)
+    out = y0 + np.where(beats[:, None], _poly(coef, z_star[:, None]), 0.0)
+    s_star = (centre + z_star * h) % period
+    return s_star, (out if values.ndim == 3 else out[:, 0])
 
 
-def refine_extremum(s, values, index, mode: str = "min", window: int = 5,
-                    period: float | None = None):
-    """Refine a discrete extremum of exact samples (s_i, v_i).
-
-    Fits a local polynomial through the window around the arg-extreme
-    sample and golden-searches it between the two neighbors.  The samples
-    are assumed to lie exactly on the underlying smooth function, so the
-    refined value approximates the true extremum to O(gap^4) instead of the
-    O(gap^2) bias of the raw discrete extremum.
-
-    Returns (s_star, v_star) in the original parameter (mod period).
-    """
-    poly, lo, hi, center = _local_poly(s, values, index, window, period)
-    if mode == "min":
-        x, v = golden_min(poly, lo, hi, tol=1e-13 * max(1.0, hi - lo))
-    else:
-        x, v = golden_max(poly, lo, hi, tol=1e-13 * max(1.0, hi - lo))
-    # never report worse than the exact center sample
-    v_center = values[index]
-    if (mode == "min" and v_center < v) or (mode == "max" and v_center > v):
-        x, v = 0.0, v_center
-    s_star = center + x
-    if period is not None:
-        s_star = s_star % period
-    return float(s_star), float(v)
-
-
-def interpolate_local(s, values, index, s_star, window: int = 5,
-                      period: float | None = None) -> float:
-    """Evaluate the local polynomial through samples around index at s_star."""
-    poly, lo, hi, center = _local_poly(s, values, index, window, period)
-    x = s_star - center
-    if period is not None:
-        x = (x + 0.5 * period) % period - 0.5 * period
-    return float(poly(x))
+def refine_extremum(s, values, index, mode: str, period: float):
+    """(s_star, v_star): the one-window case of :func:`refine_windows`."""
+    win = windows(len(s), index)
+    s_star, v = refine_windows(s, win, np.asarray(values, dtype=float)[win],
+                               mode, period)
+    return float(s_star[0]), float(v[0])

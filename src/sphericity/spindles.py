@@ -124,21 +124,23 @@ def spindle_max_width_alt(space: SpaceForm, k0: float) -> float:
                      - arccoth(k0 / k1)) / k1
 
     since cos(arccot x) = x / sqrt(x^2 + 1) and cosh(arccoth x) =
-    x / sqrt(x^2 - 1).  Defined for the curved planes only.
+    x / sqrt(x^2 - 1); with psi the arccot (arccoth) term, the arccos
+    (arccosh) is arcsin(sqrt 2 sin(psi/2)) (arcsinh(sqrt 2 sinh(psi/2))).
+    Defined for the curved planes only.
     """
     k1 = space.k1
     if space.kind is Kind.SPHERE:
         if k0 <= 0.0:
             raise GeometryError("sphere form requires k0 > 0")
-        inner = math.sqrt(k0) / (k0 * k0 + k1 * k1) ** 0.25
-        return (2.0 * math.acos(min(1.0, inner))
-                - math.atan2(k1, k0)) / k1
+        psi = math.atan2(k1, k0)
+        return (2.0 * math.asin(min(1.0, math.sqrt(2.0)
+                                    * math.sin(0.5 * psi))) - psi) / k1
     if space.kind is Kind.HYPERBOLIC:
         if k0 <= k1:
             raise GeometryError("hyperbolic form requires k0 > k1")
-        inner = math.sqrt(k0) / (k0 * k0 - k1 * k1) ** 0.25
-        return (2.0 * math.acosh(max(1.0, inner))
-                - math.atanh(k1 / k0)) / k1
+        chi = math.atanh(k1 / k0)
+        return (2.0 * math.asinh(math.sqrt(2.0) * math.sinh(0.5 * chi))
+                - chi) / k1
     raise GeometryError("the rewritten width form exists for curved planes only")
 
 
@@ -146,15 +148,16 @@ def numeric_spindle_optimum(space: SpaceForm, k0: float,
                             tol: float = 1e-12) -> tuple[float, float]:
     """Independent golden-section oracle for the width maximum.
 
-    Maximizes r -> spindle_width(space, k0, r) on [0, R] directly; used in
-    tests against the closed forms, never as the primary answer.
+    Maximizes r -> spindle_width(space, k0, r) on [0, R] directly, to a
+    bracket of tol * R; used in tests against the closed forms, never as
+    the primary answer.
     """
     radius = space.circle_radius_of_curvature(k0)
 
     def width(r):
         return float(spindle_width(space, k0, r))
 
-    r_star, d_star = golden_max(width, 0.0, radius, tol=tol)
+    r_star, d_star = golden_max(width, 0.0, radius, tol=tol * radius)
     return r_star, d_star
 
 

@@ -51,6 +51,13 @@ class TestCurveSerialization:
             assert json.dumps(curve_to_dict(loaded)) \
                 == json.dumps(curve_to_dict(curve))
 
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_non_increasing_arc_length_refused(self, index):
+        doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
+        doc["s"][index] = doc["s"][0] if index == 1 else doc["total_length"]
+        with pytest.raises(GeometryError):
+            curve_from_dict(doc)
+
     def test_frames_recovered_when_absent(self):
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=2048)
         doc = curve_to_dict(curve)
@@ -222,6 +229,22 @@ class TestCli:
         rows = report["series"]["width_sweep"]["rows"]
         assert [row[0] for row in rows] == ["sphere"]
 
+    @pytest.mark.parametrize("kind,k1,k0", [("flat", 0.0, 1e-3),
+                                             ("hyperbolic", 1.0, 1.0000001),
+                                             ("sphere", 1.0, 1e3)])
+    def test_spindle_oracle_tolerances_scale_with_R(self, tmp_path, kind, k1,
+                                                    k0):
+        cfg = {"seed": 0, "space": {"kind": kind, "k1": k1},
+               "spindle": {"k0": [k0], "r_count": 3}}
+        rc = main(["spindle-table", "--config", self._write(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = next(c for c in report["checks"]
+                     if c["name"].startswith("spindle_oracle_r0"))
+        tol = check["slack"] + abs(check["measured"] - check["bound"])
+        assert tol <= 1e-6 * check["bound"]
+
     def test_missing_config_usage_error(self, tmp_path, capsys):
         rc = main(["verify-angle", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
@@ -304,6 +327,12 @@ FUZZ_BASE = {
         {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
          "spindle": {"k0": [1.5, 2.0], "r_count": 9}},
         ["space", "space.k1", "spindle", "spindle.k0", "spindle.r_count"]),
+    "verify-warped": (
+        {"seed": 0, "warped": {"family": "cubic", "params": {"eps": 0.05},
+                               "T": 2.0, "rho0": 0.8, "curves": 1}},
+        ["warped.family", "warped.params", "warped.params.eps",
+         "warped.params.delta", "warped.T", "warped.rho0", "warped.curves",
+         "warped.violating"]),
     "sweep": (
         {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5, 0.01],
                               "limit_tol": 1e-5}},

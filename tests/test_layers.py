@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
                         make_circle, make_disc_intersection, make_lune,
                         max_distance_to_curve, min_distance_to_curve,
                         smaller_arcs_inside, spindle_optimum)
+from sphericity.layers import _contacts, _model_step
 from sphericity.search import refine_extremum
 from tests.conftest import random_frame_ode_curve, random_support_curve
 
@@ -73,6 +75,61 @@ class TestIncenter:
         maxima = np.flatnonzero((t >= before) & (t >= after))
         assert r <= min(refined(i, "min") for i in minima) + 1e-12
         assert rho1 >= max(refined(i, "max") for i in maxima) - 1e-12
+
+
+def _linprog_model_min(u, b, radius):
+    """Least linear model at scipy's solution of the step LP.
+
+    HiGHS's feasibility tolerances are absolute (1e-7), so the reference
+    solves the LP in units of the box radius.
+    """
+    lp = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([u, np.ones(len(u))]),
+                 b_ub=b / radius, bounds=[(-1.0, 1.0)] * 2 + [(None, None)],
+                 method="highs")
+    assert lp.status == 0
+    return float(np.min(b - u @ (radius * np.clip(lp.x[:2], -1.0, 1.0))))
+
+
+class TestModelStep:
+    @staticmethod
+    def _agrees(u, b, radius):
+        delta, predicted = _model_step(u, b, radius)
+        assert np.max(np.abs(delta)) <= radius
+        assert predicted == pytest.approx(float(np.min(b - u @ delta)),
+                                          rel=0.0, abs=1e-15 * radius)
+        reference = _linprog_model_min(u, b, radius)
+        assert predicted == pytest.approx(reference, rel=0.0,
+                                          abs=1e-12 * max(1.0, radius))
+
+    def test_random_instances_match_linprog(self):
+        rng = np.random.default_rng(0)
+        for i in range(400):
+            m = int(rng.integers(1, 8))
+            # every third instance has all directions in one half-plane
+            span = 0.9 * math.pi if i % 3 == 0 else 2.0 * math.pi
+            ang = rng.uniform(0.0, span, m)
+            u = np.column_stack([np.cos(ang), np.sin(ang)])
+            radius = 10.0 ** rng.uniform(-6.0, -1.0)
+            b = rng.uniform(0.0, 3.0 * radius, m) * (i % 5 != 0)
+            b[rng.integers(m)] = 0.0
+            self._agrees(u, b, radius)
+
+    def test_single_and_parallel_contacts(self):
+        u = np.array([[0.6, 0.8]])
+        self._agrees(u, np.zeros(1), 1e-3)
+        self._agrees(np.array([[1.0, 0.0]]), np.zeros(1), 1e-3)
+        par = np.array([[0.6, 0.8], [0.6, 0.8], [-0.6, -0.8]])
+        self._agrees(par, np.array([0.0, 1e-4, 2e-4]), 1e-3)
+        self._agrees(par, np.zeros(3), 1e-3)
+
+    @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 2.0), (HYP, 2.0)])
+    def test_centred_circle_has_thousands_of_contacts(self, space, k0):
+        curve = make_circle(space, space.origin(), k0, n=4096)
+        f, u = _contacts(curve, curve.hint_center)
+        assert len(f) > 2000
+        r = float(np.min(f))
+        for radius in (1e-6, 0.25 * r):
+            self._agrees(u, f - r, radius)
 
 
 class TestLayerWidth:
