@@ -1,13 +1,15 @@
-"""JSON serialization of curves and warped metrics.
+"""JSON serialization of curves.
 
 Curve files carry the space-form header and one array per sample field:
-coords, arc length, measured curvature, corner flag, and optionally the
-exact tangent/outward normal.  Floats are written as their shortest
-round-trip repr, so the round trip is bit-identical.
+coords, arc length, measured curvature, optionally the exact
+tangent/outward normal, and the list of corner indices.  Each sample array
+is written as the base64 text of its little-endian float64 bytes, so the
+round trip is bit-identical (NaNs, signed zeros and subnormals included).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 
@@ -16,10 +18,9 @@ import numpy as np
 from .curves import ClosedCurve
 from .errors import GeometryError
 from .spaceforms import SpaceForm
-from .warped import WarpedMetric, make_warped
 
-CURVE_SCHEMA = "closed_curve/2"
-WARPED_CURVE_SCHEMA = "warped_curve/2"
+CURVE_SCHEMA = "closed_curve/3"
+_FLOAT64 = np.dtype("<f8")
 
 
 def _check_schema(data, expected: str, what: str):
@@ -44,6 +45,29 @@ def space_from_dict(d: dict) -> SpaceForm:
     raise GeometryError(f"unknown space kind {kind!r}")
 
 
+def _encode(array) -> str:
+    """Base64 of the row-major little-endian float64 bytes."""
+    raw = np.ascontiguousarray(array, dtype=_FLOAT64).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode(data: dict, name: str, shape: tuple, finite: bool = True):
+    """C-contiguous float64 array of ``shape`` from the field ``name``."""
+    try:
+        raw = base64.b64decode(data[name], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"{name}: not base64 float64 data ({exc})") \
+            from None
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise GeometryError(
+            f"{name}: {len(raw)} bytes, expected {expected} for shape {shape}")
+    array = np.frombuffer(raw, dtype=_FLOAT64).astype(float, copy=False)
+    if finite and not np.all(np.isfinite(array)):
+        raise GeometryError(f"{name}: non-finite values")
+    return array.reshape(shape)
+
+
 def curve_to_dict(curve: ClosedCurve) -> dict:
     return {
         "schema": CURVE_SCHEMA,
@@ -55,13 +79,13 @@ def curve_to_dict(curve: ClosedCurve) -> dict:
         "closure_gap": curve.closure_gap,
         "hint_center": None if curve.hint_center is None
         else curve.hint_center.tolist(),
-        "coords": curve.points.tolist(),
-        "s": curve.s.tolist(),
-        "kappa": [k if math.isfinite(k) else None
-                  for k in curve.kappa.tolist()],
-        "corner": curve.corner.tolist(),
-        "tangent": curve.tangents.tolist(),
-        "normal_out": curve.normals_out.tolist(),
+        "n": curve.n,
+        "coords": _encode(curve.points),
+        "s": _encode(curve.s),
+        "kappa": _encode(curve.kappa),
+        "corners": np.flatnonzero(curve.corner).tolist(),
+        "tangent": _encode(curve.tangents),
+        "normal_out": _encode(curve.normals_out),
     }
 
 
@@ -76,18 +100,53 @@ def _frames_from_differences(space, points):
     return tangents, normals
 
 
+def _corner_mask(data: dict, n: int):
+    indices = data["corners"]
+    if not (isinstance(indices, list)
+            and all(type(i) is int and 0 <= i < n for i in indices)):
+        raise GeometryError(
+            f"corners: must be a list of sample indices in [0, {n})")
+    corner = np.zeros(n, dtype=bool)
+    corner[indices] = True
+    return corner
+
+
+def _is_finite_number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _finite(data: dict, name: str) -> float:
+    if not _is_finite_number(data[name]):
+        raise GeometryError(f"{name}: must be a finite number")
+    return float(data[name])
+
+
+def _hint_center(data: dict, dim: int):
+    hint = data.get("hint_center")
+    if hint is None:
+        return None
+    if not (isinstance(hint, list) and len(hint) == dim
+            and all(map(_is_finite_number, hint))):
+        raise GeometryError(f"hint_center: must be {dim} finite numbers")
+    return np.array(hint, dtype=float)
+
+
 def curve_from_dict(data: dict) -> ClosedCurve:
-    """Curve from a ``closed_curve/2`` document.
+    """Curve from a ``closed_curve/3`` document.
 
     The tangent/normal arrays may be absent (curves from other tools); they
     are then recovered from the points, which must run counterclockwise.
     """
     _check_schema(data, CURVE_SCHEMA, "curve")
     space = space_from_dict(data["space"])
-    points = np.array(data["coords"], dtype=float)
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise GeometryError(f"n: expected a positive integer, got {n!r}")
+    points = _decode(data, "coords", (n, space.dim))
     if "tangent" in data and "normal_out" in data:
-        tangents = np.array(data["tangent"], dtype=float)
-        normals = np.array(data["normal_out"], dtype=float)
+        tangents = _decode(data, "tangent", (n, space.dim))
+        normals = _decode(data, "normal_out", (n, space.dim))
     else:
         from .curves import winding_number
         from .spaceforms import karcher_mean
@@ -95,22 +154,22 @@ def curve_from_dict(data: dict) -> ClosedCurve:
         seed = karcher_mean(space, points)
         if winding_number(space, points, seed) != 1:
             raise GeometryError("stored curves must be positively oriented")
-    hint = data.get("hint_center")
-    s = np.array(data["s"], dtype=float)
+    s = _decode(data, "s", (n,))
+    total_length = _finite(data, "total_length")
     if not (np.all(np.diff(s) > 0.0)
-            and np.all(s[-1:] - s[:1] < float(data["total_length"]))):
+            and np.all(s[-1:] - s[:1] < total_length)):
         raise GeometryError("arc lengths must increase within total_length")
     return ClosedCurve(
         space=space, points=points, s=s,
         tangents=tangents, normals_out=normals,
-        kappa=np.array(data["kappa"], dtype=float),
-        corner=np.array(data["corner"], dtype=bool),
-        total_length=float(data["total_length"]), kmin=float(data["kmin"]),
+        kappa=_decode(data, "kappa", (n,), finite=False),
+        corner=_corner_mask(data, n),
+        total_length=total_length, kmin=_finite(data, "kmin"),
         provenance=data["provenance"],
         k0_declared=None if data.get("k0_declared") is None
         else float(data["k0_declared"]),
         closure_gap=float(data.get("closure_gap", 0.0)),
-        hint_center=None if hint is None else np.array(hint, dtype=float))
+        hint_center=_hint_center(data, space.dim))
 
 
 def save_curve(curve: ClosedCurve, path):
@@ -121,42 +180,3 @@ def save_curve(curve: ClosedCurve, path):
 def load_curve(path) -> ClosedCurve:
     with open(path) as fh:
         return curve_from_dict(json.load(fh))
-
-
-def warped_curve_to_dict(curve) -> dict:
-    """Serialize a pole-centered graph curve with its metric header."""
-    return {
-        "schema": WARPED_CURVE_SCHEMA,
-        "metric": metric_to_dict(curve.metric),
-        "kmin": curve.kmin,
-        "theta": curve.theta.tolist(),
-        "rho": curve.rho.tolist(),
-        "kappa": curve.kappa.tolist(),
-    }
-
-
-def warped_curve_from_dict(data: dict):
-    from .warped import WarpedCurve
-    _check_schema(data, WARPED_CURVE_SCHEMA, "warped curve")
-    return WarpedCurve(metric=metric_from_dict(data["metric"]),
-                       theta=np.array(data["theta"], dtype=float),
-                       rho=np.array(data["rho"], dtype=float),
-                       kappa=np.array(data["kappa"], dtype=float),
-                       kmin=float(data["kmin"]))
-
-
-def metric_to_dict(metric: WarpedMetric) -> dict:
-    return {
-        "schema": "warped_metric/1",
-        "family": metric.family,
-        "params": {k: float(v) for k, v in metric.params.items()},
-        "T": metric.T,
-        "k_lo": metric.k_lo,
-        "k_hi": metric.k_hi,
-    }
-
-
-def metric_from_dict(data: dict) -> WarpedMetric:
-    _check_schema(data, "warped_metric/1", "metric")
-    return make_warped(data["family"], T=float(data["T"]),
-                       **{k: float(v) for k, v in data["params"].items()})

@@ -245,10 +245,11 @@ def _run_angle(config, result, rng):
         return
     result.add_check("angle_min_slack", rep.min_slack, -tol,
                      rep.min_slack + tol, rep.passed)
+    table = np.column_stack((rep.s, rep.t, rep.phi,
+                             np.full(rep.s.shape, rep.bound_cos), rep.slack))
     result.series["angle"] = {
         "columns": ["s", "t", "phi", "bound", "slack"],
-        "rows": [[s, t, phi, bound, slack]
-                 for s, t, phi, _, bound, slack in rep.rows()],
+        "rows": table[rep.included].tolist(),
     }
 
 
@@ -445,10 +446,21 @@ def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, f".{PLOT_DIGITS}g")
-    return str(v)
+def _csv_lines(rows):
+    """CSV lines: floats as %.17g, every other value as str().
+
+    Each row is formatted by one %-format string, built once per sequence
+    of cell types.
+    """
+    formats = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                f"%.{PLOT_DIGITS}g" if issubclass(t, float) else "%s"
+                for t in types)
+        yield fmt % tuple(row)
 
 
 def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
@@ -459,8 +471,7 @@ def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
             f"{sorted(result.series)}")
     series = result.series[kind]
     lines = [",".join(series["columns"])]
-    for row in series["rows"]:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines.extend(_csv_lines(series["rows"]))
     text = "\n".join(lines) + "\n"
     with open(out_path, "w") as fh:
         fh.write(text)

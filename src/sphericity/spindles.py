@@ -57,14 +57,18 @@ def spindle_rho(space: SpaceForm, k0: float, r):
     rho(0) = 0 and rho(R) = R; vectorized over r.
     """
     radius, r = _check_r(space, k0, r)
+    # square roots of the two factors, not of their product, which under-
+    # or overflows for R beyond about 1e±154
     if space.kind is Kind.FLAT:
-        return np.sqrt(r * (2.0 * radius - r))
+        return np.sqrt(r) * np.sqrt(2.0 * radius - r)
     k = space.k1
     if space.kind is Kind.SPHERE:
-        prod = np.tan(0.5 * k * (2.0 * radius - r)) * np.tan(0.5 * k * r)
-        return 2.0 / k * np.arctan(np.sqrt(np.maximum(prod, 0.0)))
-    prod = np.tanh(0.5 * k * (2.0 * radius - r)) * np.tanh(0.5 * k * r)
-    return 2.0 / k * np.arctanh(np.sqrt(np.maximum(prod, 0.0)))
+        a, b = np.tan(0.5 * k * (2.0 * radius - r)), np.tan(0.5 * k * r)
+        return 2.0 / k * np.arctan(
+            np.sqrt(np.maximum(a, 0.0)) * np.sqrt(np.maximum(b, 0.0)))
+    a, b = np.tanh(0.5 * k * (2.0 * radius - r)), np.tanh(0.5 * k * r)
+    return 2.0 / k * np.arctanh(
+        np.sqrt(np.maximum(a, 0.0)) * np.sqrt(np.maximum(b, 0.0)))
 
 
 def spindle_width(space: SpaceForm, k0: float, r):

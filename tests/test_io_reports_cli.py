@@ -1,25 +1,77 @@
 """Serialization round trips, suite runner determinism, CLI exit codes."""
 
+import base64
 import contextlib
 import copy
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sphericity.reports
 from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
                         make_disc_intersection, make_frame_ode_curve,
-                        make_lune, make_support_curve, make_warped)
+                        make_lune, make_support_curve)
 from sphericity.cli import main
+from sphericity.curves import ClosedCurve
 from sphericity.io import (curve_from_dict, curve_to_dict, load_curve,
-                           metric_from_dict, metric_to_dict, save_curve)
+                           save_curve)
 from sphericity.reports import (ConfigError, config_hash, emit_plot_data,
                                 result_json, run)
 
 FLAT = SpaceForm.flat()
+
+
+def _b64(values) -> str:
+    """Producer-side encoding: base64 of the little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _unb64(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+# Floats at the edges of binary64: signed zeros, subnormals, the extremes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                -1e-310, sys.float_info.max, -sys.float_info.max]
+_FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _extreme_curves(draw):
+    """Curves whose arrays hold edge-case floats (and NaN/inf in kappa)."""
+    space = draw(st.sampled_from([FLAT, SpaceForm.sphere(1.0),
+                                  SpaceForm.hyperbolic(2.0)]))
+    n = draw(st.integers(1, 6))
+
+    def array(elements, shape):
+        size = math.prod(shape)
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    # strictly increasing, with a span below the largest float
+    s = np.array(sorted(draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS[:6]),
+                  st.floats(-1e300, 1e300)),
+        min_size=n, max_size=n, unique=True))))
+    kappa = array(st.one_of(_FINITE, st.floats()), (n,))
+    hint = draw(st.none() | st.lists(_FINITE, min_size=space.dim,
+                                     max_size=space.dim))
+    return ClosedCurve(
+        space=space, points=array(_FINITE, (n, space.dim)), s=s,
+        tangents=array(_FINITE, (n, space.dim)),
+        normals_out=array(_FINITE, (n, space.dim)), kappa=kappa,
+        corner=np.array(draw(st.lists(st.booleans(), min_size=n,
+                                      max_size=n)), dtype=bool),
+        total_length=sys.float_info.max, kmin=draw(_FINITE),
+        provenance="circle", k0_declared=draw(st.none() | _FINITE),
+        closure_gap=draw(_FINITE),
+        hint_center=None if hint is None else np.array(hint))
 
 
 class TestCurveSerialization:
@@ -51,11 +103,32 @@ class TestCurveSerialization:
             assert json.dumps(curve_to_dict(loaded)) \
                 == json.dumps(curve_to_dict(curve))
 
+    @settings(max_examples=60, deadline=None)
+    @given(curve=_extreme_curves())
+    def test_edge_case_floats_round_trip_bit_exact(self, curve):
+        loaded = curve_from_dict(json.loads(json.dumps(curve_to_dict(curve))))
+        for name in ("points", "s", "tangents", "normals_out", "kappa"):
+            a, b = getattr(loaded, name), getattr(curve, name)
+            assert a.dtype == np.float64 and a.flags.c_contiguous, name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+        assert np.array_equal(loaded.corner, curve.corner)
+        if curve.hint_center is None:
+            assert loaded.hint_center is None
+        else:
+            assert np.array_equal(loaded.hint_center.view(np.uint64),
+                                  curve.hint_center.view(np.uint64))
+        for name in ("total_length", "kmin", "closure_gap", "k0_declared"):
+            a, b = getattr(loaded, name), getattr(curve, name)
+            assert (a is None and b is None) or \
+                np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
     @pytest.mark.parametrize("index", [1, -1])
     def test_non_increasing_arc_length_refused(self, index):
         doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
-        doc["s"][index] = doc["s"][0] if index == 1 else doc["total_length"]
-        with pytest.raises(GeometryError):
+        s = _unb64(doc["s"])
+        s[index] = s[0] if index == 1 else doc["total_length"]
+        doc["s"] = _b64(s)
+        with pytest.raises(GeometryError, match="arc lengths"):
             curve_from_dict(doc)
 
     def test_frames_recovered_when_absent(self):
@@ -73,18 +146,77 @@ class TestCurveSerialization:
         with pytest.raises(GeometryError):
             curve_from_dict({"schema": "something_else/9"})
         doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
-        doc["schema"] = "closed_curve/1"
-        with pytest.raises(GeometryError, match="closed_curve/1"):
-            curve_from_dict(doc)
+        for old in ("closed_curve/1", "closed_curve/2"):
+            doc["schema"] = old
+            with pytest.raises(GeometryError, match=old):
+                curve_from_dict(doc)
 
-    def test_metric_round_trip(self):
-        metric = make_warped("cubic", T=2.0, eps=0.05)
-        doc = metric_to_dict(metric)
-        loaded = metric_from_dict(doc)
-        assert loaded.family == metric.family
-        assert loaded.k_lo == metric.k_lo
-        t = np.linspace(0.1, 1.9, 7)
-        assert np.array_equal(loaded.f(t), metric.f(t))
+
+def _spoil(doc, field, how):
+    """A copy of a curve document with one field made invalid."""
+    doc = dict(doc)
+    n, text = doc["n"], doc.get(field)
+    if how == "truncated":
+        doc[field] = text[:-1]
+    elif how == "non_alphabet":
+        doc[field] = text[:8] + "*" + text[9:]
+    elif how == "short":
+        doc[field] = _b64(_unb64(text)[:-1])
+    elif how in ("nan", "inf"):
+        values = _unb64(text)
+        values[n // 2] = math.nan if how == "nan" else -math.inf
+        doc[field] = _b64(values)
+    elif how == "index":
+        doc[field] = [0, n]
+    elif how == "negative_index":
+        doc[field] = [-1]
+    else:
+        doc[field] = how
+    return doc
+
+
+# (field, how it is spoiled): each must be refused naming the field.
+CURVE_FILE_REFUSALS = [
+    ("coords", "truncated"), ("tangent", "truncated"),
+    ("s", "non_alphabet"), ("kappa", "non_alphabet"),
+    ("coords", "short"), ("normal_out", "short"), ("kappa", "short"),
+    ("coords", "nan"), ("coords", "inf"), ("s", "nan"),
+    ("tangent", "inf"), ("normal_out", "nan"),
+    ("corners", "index"), ("corners", "negative_index"),
+    ("corners", [1.5]), ("coords", [[0.0, 1.0]]), ("n", 0), ("n", "64"),
+    ("hint_center", [math.nan, 0.0, 0.0]), ("hint_center", [0.0, 0.0]),
+    ("kmin", math.nan), ("kmin", "1.0"), ("total_length", math.inf),
+]
+
+
+class TestCurveFileRefusals:
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return curve_to_dict(make_lune(SpaceForm.sphere(1.0), 1.0, 0.3, n=64))
+
+    @pytest.mark.parametrize("field,how", CURVE_FILE_REFUSALS,
+                             ids=[f"{f}-{h}" for f, h in CURVE_FILE_REFUSALS])
+    def test_refused_naming_the_field(self, doc, field, how):
+        assert len(doc["corners"]) == 2
+        curve_from_dict(doc)   # the unspoiled document loads
+        with pytest.raises(GeometryError, match=f"^{field}: "):
+            curve_from_dict(_spoil(doc, field, how))
+
+    @pytest.mark.parametrize("field,how", [("coords", "truncated"),
+                                           ("s", "short"),
+                                           ("coords", "nan"),
+                                           ("corners", "index"),
+                                           ("hint_center", [math.nan] * 3),
+                                           ("kmin", math.nan)])
+    def test_verify_width_refuses_curve_file(self, tmp_path, doc, field,
+                                             how):
+        path = tmp_path / "bad_curve.json"
+        path.write_text(json.dumps(_spoil(doc, field, how)))
+        code, err = _run_cli(tmp_path, "verify-width",
+                             {"seed": 0, "curve_file": str(path)})
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{field}: " in err and "Traceback" not in err
 
 
 class TestSuiteRunner:
@@ -398,3 +530,87 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
                          _configured(command, overrides))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def _per_cell_csv(series) -> str:
+    """Oracle: the CSV text as one format() / str() call per cell."""
+    def cell(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    lines = [",".join(series["columns"])]
+    lines += [",".join(cell(v) for v in row) for row in series["rows"]]
+    return "\n".join(lines) + "\n"
+
+
+def _per_row_angle_rows(rep):
+    """Oracle: the angle series rows built one included sample at a time."""
+    return [[float(rep.s[i]), float(rep.t[i]), float(rep.phi[i]),
+             rep.bound_cos, float(rep.slack[i])]
+            for i in np.nonzero(rep.included)[0]]
+
+
+# The CLI test configs: one base config per subcommand, the offset angle
+# witness at n=1024, and a flat lune, whose corner samples the angle series
+# leaves out.
+CLI_OUTPUT_CONFIGS = [(command, config)
+                      for command, (config, _) in sorted(FUZZ_BASE.items())]
+CLI_OUTPUT_CONFIGS += [
+    ("verify-angle", {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
+                      "generator": {"provenance": "circle", "k0": 1.0,
+                                    "n": 1024},
+                      "base_point": {"mode": "offset", "distance": 0.7}}),
+    ("verify-angle", {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
+                      "generator": {"provenance": "lune", "k0": 1.0,
+                                    "r": 0.3, "n": 256}}),
+]
+
+
+@pytest.mark.parametrize("command,config", CLI_OUTPUT_CONFIGS,
+                         ids=[f"{c}-{i}" for i, (c, _)
+                              in enumerate(CLI_OUTPUT_CONFIGS)])
+def test_cli_outputs_match_per_cell_formulas(tmp_path, monkeypatch, command,
+                                             config):
+    angle_reports = []
+    verify = sphericity.reports.verify_angle_bound
+
+    def recording_verify(*args, **kwargs):
+        angle_reports.append(verify(*args, **kwargs))
+        return angle_reports[-1]
+
+    monkeypatch.setattr(sphericity.reports, "verify_angle_bound",
+                        recording_verify)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(path), "--out", str(out),
+                     "--format", "both"])
+    assert code == 0
+    text = (out / "report.json").read_text()
+    doc = json.loads(text)
+    if command == "verify-angle":
+        (rep,) = angle_reports
+        doc["series"]["angle"]["rows"] = _per_row_angle_rows(rep)
+        if config["generator"]["provenance"] == "lune":
+            assert not rep.included.all()
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+    assert doc["series"]
+    written = {p.stem for p in out.glob("*.csv")}
+    assert written == set(doc["series"])
+    for kind, series in doc["series"].items():
+        assert (out / f"{kind}.csv").read_text() == _per_cell_csv(series)
+
+
+# Spindle tables at the extremes of k0, where R = 1/k0 (or its curved
+# analog) leaves the range in which r (2R - r) is representable.
+EXTREME_SPINDLE_CONFIGS = [("flat", 0.0, 1e160), ("flat", 0.0, 1e300),
+                           ("flat", 0.0, 1e-300), ("sphere", 1.0, 1e160),
+                           ("sphere", 1.0, 1e300), ("hyperbolic", 1.0, 1e160),
+                           ("hyperbolic", 1.0, 1e300)]
+
+
+@pytest.mark.parametrize("kind,k1,k0", EXTREME_SPINDLE_CONFIGS)
+def test_spindle_table_extreme_k0_passes(tmp_path, kind, k1, k0):
+    code, err = _run_cli(tmp_path, "spindle-table",
+                         {"seed": 0, "space": {"kind": kind, "k1": k1},
+                          "spindle": {"k0": [k0], "r_count": 5}})
+    assert (code, err) == (0, "")

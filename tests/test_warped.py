@@ -169,14 +169,3 @@ class TestWarpedCurves:
         doc = verify_radial_bounds(metric, curve).to_dict()
         assert doc["schema"] == "warped_verification/1"
         assert doc["passed"] is True
-
-    def test_warped_curve_serialization_round_trip(self):
-        from sphericity.io import warped_curve_from_dict, warped_curve_to_dict
-        metric = make_warped("cubic", T=2.0, eps=0.05)
-        curve = make_warped_curve(metric, 0.8, {2: (0.03, 0.01)}, n=256)
-        loaded = warped_curve_from_dict(warped_curve_to_dict(curve))
-        assert np.array_equal(loaded.rho, curve.rho)
-        assert np.array_equal(loaded.theta, curve.theta)
-        assert loaded.kmin == curve.kmin
-        ver = verify_radial_bounds(loaded.metric, loaded)
-        assert ver.passed
