@@ -15,14 +15,14 @@ from .errors import (AntipodalPointsError, ConstraintViolation,
 from .curves import (ClosedCurve, RadialMeasurement, make_circle,
                      make_disc_intersection, make_frame_ode_curve, make_lune,
                      make_support_curve, max_distance_to_curve, measure_radial,
-                     min_distance_to_curve, validate_curve, winding_number)
+                     min_distance_to_curve, winding_number)
 from .spindles import (SpindleOptimum, numeric_spindle_optimum,
                        spindle_max_width_alt, spindle_optimum, spindle_rho,
                        spindle_table_rows, spindle_width)
 from .bounds import (AngleReport, circle_exact_angle, cos_phi_lower_bound,
-                     cos_phi_weak_bound, mu0_decay_solution,
-                     radial_ode_residuals, verify_angle_bound)
-from .layers import LayerReport, incenter, layer_width, smaller_arcs_inside
+                     cos_phi_weak_bound, radial_ode_residuals,
+                     verify_angle_bound)
+from .layers import LayerReport, incenter, layer_width
 from .warped import (MuComparisonReport, WarpedCurve, WarpedMetric,
                      WarpedVerification, circle_normal_curvature, make_warped,
                      make_warped_curve, verify_circle_curvature_comparison,
@@ -44,10 +44,10 @@ __all__ = [
     "make_lune", "make_support_curve", "make_warped", "make_warped_curve",
     "load_curve", "save_curve",
     "max_distance_to_curve", "measure_radial",
-    "min_distance_to_curve", "mu0_decay_solution",
-    "numeric_spindle_optimum", "radial_ode_residuals", "smaller_arcs_inside", "spindle_max_width_alt",
+    "min_distance_to_curve", "numeric_spindle_optimum",
+    "radial_ode_residuals", "spindle_max_width_alt",
     "spindle_optimum", "spindle_rho", "spindle_table_rows",
-    "spindle_width", "validate_curve", "verify_angle_bound",
+    "spindle_width", "verify_angle_bound",
     "verify_circle_curvature_comparison", "verify_radial_bounds",
     "winding_number", "__version__",
 ]

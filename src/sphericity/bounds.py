@@ -34,6 +34,8 @@ DEFAULT_H_GUARD = 1e-8
 DEFAULT_SLACK_TOL = 1e-9
 #: verdict tolerance on the width margin d0 - d
 DEFAULT_MARGIN_TOL = 1e-7
+#: samples left out on each side of a turning point of t in the ODE residual
+_ODE_EXCLUSION = 3
 
 
 def check_hypotheses(space: SpaceForm, k0: float, t_max: float | None = None,
@@ -107,27 +109,7 @@ def circle_exact_angle(space: SpaceForm, radius: float, h: float,
     return float(out) if np.isscalar(alpha) or np.ndim(alpha) == 0 else out
 
 
-def mu0_decay_solution(space: SpaceForm, value_at_t1: float, t1: float,
-                       t) -> np.ndarray | float:
-    """Solution of u' + mu0(t) u = 0 with u(t1) = value_at_t1.
-
-    The integrating factor of mu0 = sn'/sn gives u(t) = u(t1) sn(t1)/sn(t)
-    exactly, so the residual of the returned function vanishes identically.
-    On the sphere the solution is positive for t in (0, pi/k1) and
-    increasing on (pi/(2 k1), pi/k1) when the datum is positive.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if t1 <= 0.0 or np.any(t_arr <= 0.0):
-        raise GeometryError("radial parameters must be positive")
-    if space.kind is Kind.SPHERE:
-        upper = np.pi / space.k1
-        if t1 >= upper or np.any(t_arr >= upper):
-            raise GeometryError("radial parameter must stay below pi/k1")
-    out = value_at_t1 * space.sn(t1) / space.sn(t_arr)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def radial_ode_residuals(curve: ClosedCurve, base, exclusion: int = 3):
+def radial_ode_residuals(curve: ClosedCurve, base):
     """Residual of the radial-angle ODE identity on monotone-t arcs.
 
     Along any arc where the distance t(s) from the base point is strictly
@@ -138,7 +120,7 @@ def radial_ode_residuals(curve: ClosedCurve, base, exclusion: int = 3):
 
     in constant curvature (the circle curvature mu0 equals the normal
     curvature of the distance sphere there).  dphi/dsigma is computed with
-    centered differences; samples within ``exclusion`` of a sign change of
+    centered differences; samples within _ODE_EXCLUSION of a sign change of
     dt/ds (where the unsigned phi has a corner) and corner windows are
     excluded.  Returns (residuals, included_mask).
     """
@@ -154,7 +136,7 @@ def radial_ode_residuals(curve: ClosedCurve, base, exclusion: int = 3):
     sgn = np.sign(dt)
     flips = sgn != np.roll(sgn, 1)
     near_extremum = flips.copy()
-    for off in range(1, exclusion + 1):
+    for off in range(1, _ODE_EXCLUSION + 1):
         near_extremum |= np.roll(flips, off) | np.roll(flips, -off)
     included = np.isfinite(curve.kappa) & ~near_extremum & (sgn != 0)
     mu0 = np.asarray(space.mu0(t), dtype=float)
@@ -170,9 +152,6 @@ def radial_ode_residuals(curve: ClosedCurve, base, exclusion: int = 3):
 class AngleReport:
     """Per-sample slack of the measured angles against the sharp bound."""
 
-    curve_provenance: str
-    k0_used: float
-    h_used: float
     bound_cos: float
     s: np.ndarray
     t: np.ndarray
@@ -181,40 +160,16 @@ class AngleReport:
     slack: np.ndarray
     included: np.ndarray
     min_slack: float
-    argmin_s: float
     excluded_corner_count: int
     passed: bool
 
-    def rows(self):
-        """(s, t, phi, cos_phi, bound, slack) for the included samples."""
-        idx = np.nonzero(self.included)[0]
-        for i in idx:
-            yield (float(self.s[i]), float(self.t[i]), float(self.phi[i]),
-                   float(self.cos_phi[i]), self.bound_cos,
-                   float(self.slack[i]))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "angle_report/1",
-            "provenance": self.curve_provenance,
-            "k0_used": self.k0_used,
-            "h_used": self.h_used,
-            "bound_cos": self.bound_cos,
-            "min_slack": self.min_slack,
-            "argmin_s": self.argmin_s,
-            "excluded_corner_count": self.excluded_corner_count,
-            "passed": bool(self.passed),
-            "rows": [list(r) for r in self.rows()],
-        }
-
 
 def verify_angle_bound(curve: ClosedCurve, base,
-                       slack_tol: float = DEFAULT_SLACK_TOL,
-                       k0_guard: float = DEFAULT_K0_GUARD) -> AngleReport:
+                       slack_tol: float = DEFAULT_SLACK_TOL) -> AngleReport:
     """Check every sample's cos(phi) against the sharp lower bound.
 
     The curvature entering the bound is the refined measured minimum minus
-    ``k0_guard``, so estimator error cannot produce spurious failures; the
+    DEFAULT_K0_GUARD, so estimator error cannot produce spurious failures; the
     refined minimum distance loses DEFAULT_H_GUARD for the same reason.  Both
     guards only slacken the bound.  Samples whose curvature window spans a
     corner are excluded.
@@ -224,7 +179,7 @@ def verify_angle_bound(curve: ClosedCurve, base,
     sphere the closed hemisphere is taken around the base point).
     """
     space = curve.space
-    k0_used = curve.kmin - k0_guard
+    k0_used = curve.kmin - DEFAULT_K0_GUARD
     if space.kind is Kind.SPHERE and k0_used < 0.0 and curve.kmin >= -1e-9:
         k0_used = 0.0   # geodesic circles measure kmin ~ 0 up to noise
     check_hypotheses(space, k0_used)
@@ -240,11 +195,7 @@ def verify_angle_bound(curve: ClosedCurve, base,
     if not np.any(included):
         raise GeometryError("corner exclusion removed every sample")
     min_slack = float(np.min(slack[included]))
-    argmin_idx = int(np.nonzero(included)[0][np.argmin(slack[included])])
-    return AngleReport(curve_provenance=curve.provenance, k0_used=float(k0_used),
-                       h_used=float(h_used), bound_cos=bound, s=curve.s,
-                       t=meas.t, phi=meas.phi, cos_phi=cos_phi, slack=slack,
-                       included=included, min_slack=min_slack,
-                       argmin_s=float(curve.s[argmin_idx]),
-                       excluded_corner_count=excluded,
+    return AngleReport(bound_cos=bound, s=curve.s, t=meas.t, phi=meas.phi,
+                       cos_phi=cos_phi, slack=slack, included=included,
+                       min_slack=min_slack, excluded_corner_count=excluded,
                        passed=bool(min_slack >= -slack_tol))

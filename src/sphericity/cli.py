@@ -4,7 +4,7 @@ Subcommands: verify-angle, verify-width, spindle-table, verify-warped,
 sweep.  Each reads a single JSON config (--config), runs the matching
 suite, writes the JSON report (and CSV plot data) under --out, and prints
 a one-line verdict.  Exit codes: 0 all checks passed, 2 a bound check
-failed, 3 a hypothesis violation occurred, 1 usage or config error.
+failed, 3 a hypothesis violation occurred, 1 usage, config or output error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, NonClosureError
-from .reports import ConfigError, emit_plot_data, result_json, run
+from .reports import ConfigError, _g, _text, emit_plot_data, result_json, run
 
 _SUBCOMMANDS = {
     "verify-angle": "angle",
@@ -76,10 +76,10 @@ def main(argv=None) -> int:
     config["suite"] = _SUBCOMMANDS[args.command]
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.out is None:
-        args.out = config.get("out")
 
     try:
+        if args.out is None:
+            args.out = _g(config, "out", _text)
         result = run(config)
     except (ConfigError, GeometryError, NonClosureError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
@@ -87,16 +87,20 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.format in ("json", "both"):
-            (out_dir / "report.json").write_text(result_json(result))
-            layer = result.metadata.get("layer_report")
-            if layer is not None:
-                (out_dir / "layer_report.json").write_text(
-                    json.dumps(layer, sort_keys=True, indent=2) + "\n")
-        if args.format in ("csv", "both"):
-            for kind in result.series:
-                emit_plot_data(result, kind, out_dir / f"{kind}.csv")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if args.format in ("json", "both"):
+                (out_dir / "report.json").write_text(result_json(result))
+                layer = result.metadata.get("layer_report")
+                if layer is not None:
+                    (out_dir / "layer_report.json").write_text(
+                        json.dumps(layer, sort_keys=True, indent=2) + "\n")
+            if args.format in ("csv", "both"):
+                for kind in result.series:
+                    emit_plot_data(result, kind, out_dir / f"{kind}.csv")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
 
     n_checks = len(result.checks)
     n_fail = sum(c["verdict"] != "pass" for c in result.checks)

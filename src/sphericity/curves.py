@@ -31,15 +31,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CurveGenerationError, GeometryError, NonClosureError
-from .search import golden_min, refine_extremum, refine_windows, windows
+from .search import (WINDOW_HALF, golden_min, refine_extremum,
+                     refine_windows, windows)
 from .spaceforms import Kind, SpaceForm, karcher_mean
 
-PROVENANCES = ("circle", "lune", "support_function", "frame_ode",
-               "disc_intersection")
-
 DEFAULT_SAMPLES = 4096
-#: samples on each side of the center in the curvature-measurement window
-WINDOW_HALF = 2
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +121,10 @@ def _window_fit_kappa(space, points, tangents, normals_out):
     return c2 / (1.0 + c1 ** 2) ** 1.5
 
 
-def corner_band(corner, half: int = WINDOW_HALF) -> np.ndarray:
-    """True on flagged corners and up to ``half`` samples on each side.
-
-    With the default half-width these are the samples whose curvature
-    window spans a corner.
-    """
+def corner_band(corner) -> np.ndarray:
+    """True on the samples whose curvature window spans a flagged corner."""
     band = np.array(corner, dtype=bool)
-    for off in range(1, half + 1):
+    for off in range(1, WINDOW_HALF + 1):
         band |= np.roll(corner, off) | np.roll(corner, -off)
     return band
 
@@ -232,21 +224,12 @@ def max_distance_to_curve(curve: ClosedCurve, p):
 
 @dataclass(frozen=True)
 class RadialMeasurement:
-    """Distances t and radial angles phi of every sample, seen from base.
+    """Distances t and radial angles phi of every sample, seen from a base
+    point; ``h`` is the refined minimum distance from it to the curve."""
 
-    ``h`` is the refined minimum distance from the base point to the curve;
-    ``phi_at_nearest`` is the radial angle interpolated at the refined foot
-    point (it vanishes there up to discretization, by first variation of
-    arc length).
-    """
-
-    base: np.ndarray
     t: np.ndarray
     phi: np.ndarray
     h: float
-    s_at_h: float
-    phi_at_nearest: float
-    argmin_index: int
 
     def __post_init__(self):
         self.t.setflags(write=False)
@@ -274,21 +257,8 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     v = space.log_map(curve.points, base)       # toward the base point
     u = -v / t[:, None]                          # radial, away from base
     phi = space.angle_between(curve.points, u, curve.normals_out)
-
-    idx = int(np.argmin(t))
-    w = windows(len(t), idx)
-    # the unsigned angle has a corner at the foot point; interpolate the
-    # signed version (sign = side of the radial direction along travel)
-    signed_phi = phi[w] * np.sign(space.metric_dot(
-        curve.points[w], u[w], curve.tangents[w]))
-    s_star, ((h, phi_near),) = refine_windows(
-        curve.s, w, np.stack([t[w], signed_phi], axis=-1), "min",
-        curve.total_length)
-    phi_near = float(phi[idx]) if corner_band(curve.corner)[idx] else abs(
-        phi_near)
-    return RadialMeasurement(base=base, t=t, phi=phi, h=float(h),
-                             s_at_h=float(s_star[0]), phi_at_nearest=phi_near,
-                             argmin_index=idx)
+    h, _ = min_distance_to_curve(curve, base)
+    return RadialMeasurement(t=t, phi=phi, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +651,8 @@ def _rotation_defect(space, mat, probe, target_angle: float):
     return s_part * ct - c_part * st, c_part * ct + s_part * st
 
 
-def _detect_symmetry_order(profile, max_order: int = 64):
-    """(m, mismatch): largest m >= 2 with profile(u + 1/m) == profile(u).
+def _detect_symmetry_order(profile):
+    """(m, mismatch): largest m in [2, 64] with profile(u + 1/m) == profile(u).
 
     ``mismatch`` is the relative max |profile(u + 1/m) - profile(u)| of the
     returned m, or, when no order qualifies (m = 0), the smallest one seen.
@@ -691,7 +661,7 @@ def _detect_symmetry_order(profile, max_order: int = 64):
     base = np.asarray(profile(u), dtype=float)
     scale = max(1.0, float(np.max(np.abs(base))))
     best = math.inf
-    for m in range(max_order, 1, -1):
+    for m in range(64, 1, -1):
         shifted = np.asarray(profile((u + 1.0 / m) % 1.0), dtype=float)
         mismatch = float(np.max(np.abs(shifted - base))) / scale
         if mismatch <= 1e-10:
@@ -993,39 +963,3 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
                        total_length=float(total), kmin=kmin,
                        provenance="disc_intersection",
                        k0_declared=float(k0), hint_center=seed)
-
-
-# ---------------------------------------------------------------------------
-# Validation (generator sanity certificate)
-# ---------------------------------------------------------------------------
-
-def validate_curve(curve: ClosedCurve) -> dict:
-    """Structural checks used by the generator test suites.
-
-    Returns a dict of measured quantities; the convexity certificate
-    (positive measured curvature + unit winding around an interior point)
-    doubles as the simplicity check at sampling resolution, since a locally
-    convex loop winding once around an interior point is embedded.
-    """
-    space = curve.space
-    center = curve.hint_center if curve.hint_center is not None \
-        else karcher_mean(space, curve.points)
-    winding = winding_number(space, curve.points, center)
-    orth = np.abs(space.metric_dot(curve.points, curve.tangents,
-                                   curve.normals_out))
-    smooth = ~corner_band(curve.corner, half=1)
-    result = {
-        "winding": winding,
-        "max_tangent_normal_dot": float(np.max(orth[smooth]))
-        if np.any(smooth) else 0.0,
-        "max_gap": curve.max_gap,
-        "closure_gap": curve.closure_gap,
-        "kmin": curve.kmin,
-        "hemisphere_ok": True,
-    }
-    if space.kind is Kind.SPHERE and (curve.kmin >= -1e-9):
-        u = space.project(center) * space.k1
-        unit_pts = curve.points * space.k1
-        result["hemisphere_ok"] = bool(
-            float(np.min(unit_pts @ u)) >= -1e-9)
-    return result

@@ -23,13 +23,6 @@ CURVE_SCHEMA = "closed_curve/3"
 _FLOAT64 = np.dtype("<f8")
 
 
-def _check_schema(data, expected: str, what: str):
-    schema = data.get("schema") if isinstance(data, dict) else None
-    if schema != expected:
-        raise GeometryError(
-            f"unsupported {what} schema {schema!r}; expected {expected!r}")
-
-
 def space_to_dict(space: SpaceForm) -> dict:
     return {"kind": space.kind.value, "k1": space.k1}
 
@@ -138,7 +131,10 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     The tangent/normal arrays may be absent (curves from other tools); they
     are then recovered from the points, which must run counterclockwise.
     """
-    _check_schema(data, CURVE_SCHEMA, "curve")
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != CURVE_SCHEMA:
+        raise GeometryError(f"unsupported curve schema {schema!r}; "
+                            f"expected {CURVE_SCHEMA!r}")
     space = space_from_dict(data["space"])
     n = data["n"]
     if type(n) is not int or n < 1:

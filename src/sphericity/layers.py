@@ -18,10 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
-from .curves import (ClosedCurve, _angle_in_frame, _circle_arrays,
-                     _distance_extrema, _equidistant_points,
-                     max_distance_to_curve, min_distance_to_curve,
-                     winding_number)
+from .curves import (ClosedCurve, _distance_extrema, max_distance_to_curve,
+                     min_distance_to_curve, winding_number)
 from .errors import GeometryError, HypothesisViolation
 from .spaceforms import Kind, karcher_mean
 from .spindles import spindle_optimum
@@ -145,17 +143,17 @@ def incenter(curve: ClosedCurve):
     return p, r, _kkt_residual(u[f - r <= DEFAULT_MARGIN_TOL])
 
 
-def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
+def layer_width(curve: ClosedCurve,
                 margin_tol: float = DEFAULT_MARGIN_TOL) -> LayerReport:
     """Width of the incenter-centered annulus, checked against d0(kmin).
 
-    ``k0_used`` is the measured minimal curvature minus ``k0_guard``: the
+    ``k0_used`` is the measured minimal curvature minus DEFAULT_K0_GUARD: the
     curve genuinely is k0_used-convex, so d <= d0(k0_used) is an honest
     instance of the width bound even in the presence of estimator error.
     On the sphere the closed hemisphere is taken around the incenter.
     """
     space = curve.space
-    k0_used = curve.kmin - k0_guard
+    k0_used = curve.kmin - DEFAULT_K0_GUARD
     check_hypotheses(space, k0_used)
     if space.kind is Kind.SPHERE and k0_used <= 0.0:
         # the spindle family degenerates (r0 = 0) at k0 = 0
@@ -174,33 +172,3 @@ def layer_width(curve: ClosedCurve, k0_guard: float = DEFAULT_K0_GUARD,
                        margin=float(margin),
                        passed=bool(margin >= -margin_tol),
                        kkt_residual=kkt)
-
-
-def smaller_arcs_inside(curve: ClosedCurve, a, b, k0: float | None = None,
-                        samples: int = 256) -> bool:
-    """Do both smaller radius-R circular arcs through a and b stay inside?
-
-    R is the circle radius of ``k0`` (defaults to the measured kmin).  Used
-    as a generator sanity property of k0-convex bodies.
-    """
-    space = curve.space
-    k0 = curve.kmin if k0 is None else k0
-    radius = space.circle_radius_of_curvature(k0)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gap = float(space.distance(a, b))
-    if gap >= 2.0 * radius * (1 - 1e-12):
-        raise GeometryError("points are too far apart for a radius-R arc")
-    if gap < 1e-15:
-        return True
-    for c in _equidistant_points(space, a, b, gap, radius):
-        ang_a = _angle_in_frame(space, c, a)
-        ang_b = _angle_in_frame(space, c, b)
-        sweep = (ang_b - ang_a) % (2.0 * math.pi)
-        if sweep > math.pi:
-            ang_a, sweep = ang_b, 2.0 * math.pi - sweep
-        pts, _ = _circle_arrays(
-            space, c, radius, ang_a + sweep * np.arange(1, samples) / samples)
-        if any(winding_number(space, curve.points, p) != 1 for p in pts):
-            return False
-    return True

@@ -32,8 +32,6 @@ from .warped import make_warped, make_warped_curve, \
 
 PLOT_DIGITS = 17
 
-SUITES = ("angle", "width", "spindle-table", "warped", "sweep", "all")
-
 
 class ConfigError(ValueError):
     """Malformed run config; the message names the offending key."""
@@ -147,13 +145,13 @@ class SuiteResult:
 
     def add_check(self, name: str, measured: float, bound: float,
                   slack: float, passed: bool):
-        self.checks.append({
-            "name": name,
-            "measured": float(measured),
-            "bound": float(bound),
-            "slack": float(slack),
-            "verdict": "pass" if passed else "fail",
-        })
+        """Record one check; a non-finite value is refused, not judged."""
+        values = dict(measured=float(measured), bound=float(bound),
+                      slack=float(slack))
+        if not all(map(math.isfinite, values.values())):
+            raise GeometryError(f"check {name!r} is not finite: {values}")
+        self.checks.append({"name": name, **values,
+                            "verdict": "pass" if passed else "fail"})
 
     def to_dict(self) -> dict:
         return {
@@ -399,10 +397,11 @@ _RUNNERS = {
 
 
 def run(config: dict) -> SuiteResult:
-    """Execute the selected suite(s) for a config document."""
-    suite = _g(config, "suite", required=True)
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; valid: {SUITES}")
+    """Execute the selected suite for a config document."""
+    suite = _g(config, "suite", _text, required=True)
+    if suite not in _RUNNERS:
+        raise ConfigError(
+            f"unknown suite {suite!r}; valid: {tuple(_RUNNERS)}")
     seed = _g(config, "seed", _count(0, 2 ** 63 - 1), 0)
     result = SuiteResult(suite=suite)
     result.metadata = {
@@ -412,27 +411,9 @@ def run(config: dict) -> SuiteResult:
         "rng": "numpy.random.default_rng (PCG64)",
         "timestamp": None,
     }
-    names = [s for s in ("angle", "width", "spindle-table", "warped", "sweep")
-             if suite == "all" and s in _implied_suites(config)] \
-        if suite == "all" else [suite]
-    for name in names:
-        rng = np.random.default_rng(seed)
-        _RUNNERS[name](config, result, rng)
+    _RUNNERS[suite](config, result, np.random.default_rng(seed))
     result.metadata["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return result
-
-
-def _implied_suites(config: dict):
-    implied = []
-    if "generator" in config:
-        implied += ["angle", "width"]
-    if "spindle" in config:
-        implied.append("spindle-table")
-    if "warped" in config:
-        implied.append("warped")
-    if "sweep" in config:
-        implied.append("sweep")
-    return implied
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_HALF = 2                                     # samples each side of a centre
+#: samples on each side of the centre of a 5-sample window
+WINDOW_HALF = 2
+_GOLDEN_MAXITER = 400
 
 
-def golden_max(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
+def golden_max(f, a: float, b: float, tol: float = 1e-12):
     """Golden-section maximization of a unimodal f on [a, b].
 
     Returns (x, f(x)) once the bracket width drops below tol.
@@ -26,7 +28,7 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(maxiter):
+    for _ in range(_GOLDEN_MAXITER):
         if abs(b - a) <= tol:
             break
         if fc > fd:
@@ -41,14 +43,15 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
     return x, f(x)
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-12, maxiter: int = 400):
-    x, fneg = golden_max(lambda u: -f(u), a, b, tol=tol, maxiter=maxiter)
+def golden_min(f, a: float, b: float, tol: float = 1e-12):
+    x, fneg = golden_max(lambda u: -f(u), a, b, tol=tol)
     return x, -fneg
 
 
 def windows(n: int, index) -> np.ndarray:
     """Sample indices (k, 5) of the cyclic windows centred at each index."""
-    return (np.atleast_1d(index)[:, None] + np.arange(-_HALF, _HALF + 1)) % n
+    offsets = np.arange(-WINDOW_HALF, WINDOW_HALF + 1)
+    return (np.atleast_1d(index)[:, None] + offsets) % n
 
 
 def _poly(coef, z):
@@ -73,20 +76,20 @@ def refine_windows(s, win, values, mode: str, period: float):
     values at s_star), shaped (k,) and (k,) or (k, m).
     """
     cols = values if values.ndim == 3 else values[..., None]
-    centre = s[win[:, _HALF]]
+    centre = s[win[:, WINDOW_HALF]]
     x = s[win] - centre[:, None]
     # unwrap the period seam so the abscissae increase through a window
-    x[:, :_HALF] -= period * (x[:, :_HALF] >= 0.0)
-    x[:, _HALF + 1:] += period * (x[:, _HALF + 1:] <= 0.0)
-    h = 0.5 * (x[:, _HALF + 1] - x[:, _HALF - 1])
+    x[:, :WINDOW_HALF] -= period * (x[:, :WINDOW_HALF] >= 0.0)
+    x[:, WINDOW_HALF + 1:] += period * (x[:, WINDOW_HALF + 1:] <= 0.0)
+    h = 0.5 * (x[:, WINDOW_HALF + 1] - x[:, WINDOW_HALF - 1])
     z = x / h[:, None]
-    y0 = cols[:, _HALF]
+    y0 = cols[:, WINDOW_HALF]
     coef = np.linalg.solve(z[..., None] ** np.arange(5), cols - y0[:, None])
     coef = np.moveaxis(coef, 1, -1)                   # (k, m, 5)
     q = (1.0 if mode == "min" else -1.0) * coef[:, 0]
     dq = q[:, 1:] * np.arange(1, 5)
     ddq = dq[:, 1:] * np.arange(1, 4)
-    lo, hi = z[:, _HALF - 1], z[:, _HALF + 1]
+    lo, hi = z[:, WINDOW_HALF - 1], z[:, WINDOW_HALF + 1]
     zs = np.clip(np.divide(-q[:, 1], 2.0 * q[:, 2], out=np.zeros(len(q)),
                            where=q[:, 2] > 0.0), lo, hi)
     for _ in range(30):

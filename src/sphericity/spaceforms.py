@@ -54,8 +54,8 @@ class SpaceForm:
     """One of the three model geometries together with its scale k1.
 
     ``k1`` has units 1/length; it is 0 for the flat plane and > 0 otherwise.
-    The sectional curvature is derived: +k1^2 (sphere), -k1^2 (hyperbolic),
-    0 (flat).
+    The Gaussian curvature is +k1^2 (sphere), -k1^2 (hyperbolic) or 0
+    (flat).
     """
 
     kind: Kind
@@ -86,14 +86,6 @@ class SpaceForm:
         return cls(Kind.HYPERBOLIC, float(k1))
 
     # -- basic properties --------------------------------------------------
-
-    @property
-    def curvature(self) -> float:
-        if self.kind is Kind.SPHERE:
-            return self.k1 ** 2
-        if self.kind is Kind.HYPERBOLIC:
-            return -self.k1 ** 2
-        return 0.0
 
     @property
     def dim(self) -> int:
@@ -377,7 +369,10 @@ class SpaceForm:
                          self.metric_dot(origin, v, e2)], axis=-1)
 
 
-def karcher_mean(space: SpaceForm, points, iterations: int = 8) -> np.ndarray:
+_KARCHER_ITERATIONS = 8
+
+
+def karcher_mean(space: SpaceForm, points) -> np.ndarray:
     """Riemannian center of mass of a point cloud (fixed-point iteration).
 
     Converges quickly for clouds inside a convexity ball; used only as a
@@ -386,7 +381,7 @@ def karcher_mean(space: SpaceForm, points, iterations: int = 8) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     c = space.project(np.mean(points, axis=0)) if space.kind is not Kind.FLAT \
         else np.mean(points, axis=0)
-    for _ in range(iterations):
+    for _ in range(_KARCHER_ITERATIONS):
         v = space.log_map(c, points)
         step = np.mean(v, axis=0)
         c = space.exp_map(c, step)

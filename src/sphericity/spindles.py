@@ -36,8 +36,6 @@ from .spaceforms import Kind, SpaceForm
 class SpindleOptimum:
     """Closed-form maximizer of the spindle width."""
 
-    space: SpaceForm
-    k0: float
     R: float
     r0: float
     d0: float
@@ -109,12 +107,11 @@ def spindle_optimum(space: SpaceForm, k0: float) -> SpindleOptimum:
     if space.kind is Kind.FLAT:
         r0 = 1.0 / (k0 * (2.0 + math.sqrt(2.0)))
         d0 = (math.sqrt(2.0) - 1.0) / k0
-        return SpindleOptimum(space=space, k0=float(k0), R=radius,
-                              r0=r0, d0=d0)
+        return SpindleOptimum(R=radius, r0=r0, d0=d0)
     theta = _half_width_angle(space, radius)
     r0 = radius - theta / space.k1
     d0 = 2.0 * theta / space.k1 - radius
-    return SpindleOptimum(space=space, k0=float(k0), R=radius, r0=r0, d0=d0)
+    return SpindleOptimum(R=radius, r0=r0, d0=d0)
 
 
 def spindle_max_width_alt(space: SpaceForm, k0: float) -> float:
@@ -148,20 +145,20 @@ def spindle_max_width_alt(space: SpaceForm, k0: float) -> float:
     raise GeometryError("the rewritten width form exists for curved planes only")
 
 
-def numeric_spindle_optimum(space: SpaceForm, k0: float,
-                            tol: float = 1e-12) -> tuple[float, float]:
+def numeric_spindle_optimum(space: SpaceForm,
+                            k0: float) -> tuple[float, float]:
     """Independent golden-section oracle for the width maximum.
 
     Maximizes r -> spindle_width(space, k0, r) on [0, R] directly, to a
-    bracket of tol * R; used in tests against the closed forms, never as
-    the primary answer.
+    bracket of 1e-12 R; used against the closed forms, never as the
+    primary answer.
     """
     radius = space.circle_radius_of_curvature(k0)
 
     def width(r):
         return float(spindle_width(space, k0, r))
 
-    r_star, d_star = golden_max(width, 0.0, radius, tol=tol * radius)
+    r_star, d_star = golden_max(width, 0.0, radius, tol=1e-12 * radius)
     return r_star, d_star
 
 

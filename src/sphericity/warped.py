@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import (DEFAULT_H_GUARD, DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL,
                      DEFAULT_SLACK_TOL, check_hypotheses, cos_phi_lower_bound)
+from .curves import DEFAULT_SAMPLES
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
 from .spaceforms import SpaceForm
@@ -45,19 +46,12 @@ class WarpedMetric:
     band over the certification grid.
     """
 
-    family: str
-    params: dict
     T: float
     f: callable = field(repr=False)
     fp: callable = field(repr=False)
     fpp: callable = field(repr=False)
-    k_lo: float = 0.0
-    k_hi: float = 0.0
-
-    def curvature(self, t):
-        """Gaussian curvature K(t) = -f''/f."""
-        t = np.asarray(t, dtype=float)
-        return -self.fpp(t) / self.f(t)
+    k_lo: float
+    k_hi: float
 
     def mu(self, t):
         """Geodesic curvature f'/f of the coordinate circle of radius t."""
@@ -177,20 +171,27 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
 
     The curvature band is measured on a dense radius grid and must stay
     inside the family's declared band (with a small guard); the warp must
-    be positive on (0, T].  Violations are rejected with the offending
-    radius, never trusted.
+    be positive on (0, T], and f, f', f'' and K finite there.  Violations
+    are rejected with the offending radius, never trusted.
     """
     if T <= 0.0:
         raise CurveGenerationError("T must be positive")
     f, fp, fpp = _family_functions(family, params)
     lo_decl, hi_decl = _declared_band(family, params, T)
     t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
-    fv = f(t)
+    with np.errstate(all="ignore"):
+        fv, fpv, fppv = f(t), fp(t), fpp(t)
+        K = -fppv / fv
     if np.any(fv <= 0.0):
         bad = float(t[np.argmax(fv <= 0.0)])
         raise CurveGenerationError(
             f"warp vanishes inside (0, T] at t = {bad:.6f}", where=bad)
-    K = -fpp(t) / fv
+    finite = np.all(np.isfinite([fv, fpv, fppv, K]), axis=0)
+    if not np.all(finite):
+        bad = float(t[np.argmin(finite)])
+        raise CurveGenerationError(
+            f"warp, its derivatives or its curvature overflow at t = "
+            f"{bad:.6g}", where=bad)
     k_lo, k_hi = float(np.min(K)), float(np.max(K))
     if k_lo < lo_decl - BAND_GUARD or k_hi > hi_decl + BAND_GUARD:
         bad = float(t[int(np.argmin(K)) if k_lo < lo_decl - BAND_GUARD
@@ -198,8 +199,8 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
         raise CurveGenerationError(
             f"curvature band [{k_lo:.6g}, {k_hi:.6g}] leaves the declared "
             f"band [{lo_decl:.6g}, {hi_decl:.6g}] at t = {bad:.6f}", where=bad)
-    return WarpedMetric(family=family, params=dict(params), T=float(T),
-                        f=f, fp=fp, fpp=fpp, k_lo=k_lo, k_hi=k_hi)
+    return WarpedMetric(T=float(T), f=f, fp=fp, fpp=fpp, k_lo=k_lo,
+                        k_hi=k_hi)
 
 
 def circle_normal_curvature(metric: WarpedMetric, t):
@@ -221,7 +222,6 @@ class MuComparisonReport:
 
     comparison: str           # "spherical" or "hyperbolic" or "flat"
     k1_used: float
-    radii: np.ndarray
     slack: np.ndarray
     min_slack: float
     passed: bool
@@ -253,19 +253,24 @@ def verify_circle_curvature_comparison(
     """Check mu(t) <= mu0(t) on a uniform grid of radii in (0, T].
 
     mu0 is the circle curvature of the comparison plane; radii where mu0
-    is undefined (beyond pi/k1 on the sphere side) are skipped.
+    is undefined (beyond pi/k1 on the sphere side) are skipped.  Raises
+    GeometryError when mu or mu0 overflows on the grid.
     """
     space = comparison_space(metric)
     t_hi = metric.T
     if space.kind.value == "sphere":
         t_hi = min(t_hi, np.pi / space.k1 * (1 - 1e-9))
     radii = np.linspace(t_hi / _COMPARISON_RADII, t_hi, _COMPARISON_RADII)
-    mu = metric.mu(radii)
-    mu0 = np.asarray(space.mu0(radii), dtype=float)
+    with np.errstate(all="ignore"):
+        mu = metric.mu(radii)
+        mu0 = np.asarray(space.mu0(radii), dtype=float)
+    if not np.all(np.isfinite([mu, mu0])):
+        raise GeometryError(
+            "circle curvature mu or its comparison mu0 overflows on (0, T]")
     slack = mu0 - mu
     min_slack = float(np.min(slack))
     return MuComparisonReport(comparison=space.kind.value, k1_used=space.k1,
-                              radii=radii, slack=slack, min_slack=min_slack,
+                              slack=slack, min_slack=min_slack,
                               passed=bool(min_slack >= -DEFAULT_SLACK_TOL))
 
 
@@ -282,19 +287,13 @@ class WarpedCurve:
         kappa = (2 f' rho'^2 - f rho'' + f^2 f') / (rho'^2 + f^2)^(3/2)
 
     with f, f' evaluated at rho(theta); derivatives of rho are centered
-    differences on the uniform theta grid (the generator also knows the
-    analytic ones, used as an oracle in the tests).
+    differences on the uniform theta grid.
     """
 
-    metric: WarpedMetric
     theta: np.ndarray
     rho: np.ndarray
     kappa: np.ndarray
     kmin: float
-
-    @property
-    def n(self) -> int:
-        return len(self.theta)
 
 
 def _fd_derivatives(rho, dtheta):
@@ -310,13 +309,15 @@ def warped_graph_kappa(metric: WarpedMetric, rho, rho_p, rho_pp):
     return num / (rho_p ** 2 + f ** 2) ** 1.5
 
 
-def make_warped_curve(metric: WarpedMetric, rho0: float, harmonics=None,
-                      n: int = 4096) -> WarpedCurve:
+def make_warped_curve(metric: WarpedMetric, rho0: float,
+                      harmonics=None) -> WarpedCurve:
     """Graph curve rho(theta) = rho0 + sum (a_j cos j theta + b_j sin j theta).
 
-    Rejected unless 0 < rho(theta) <= T everywhere.
+    Rejected unless 0 < rho(theta) <= T and the curvature is finite
+    everywhere.
     """
     harmonics = dict(harmonics or {})
+    n = DEFAULT_SAMPLES
     theta = 2.0 * np.pi * np.arange(n) / n
     rho = np.full(n, float(rho0))
     for j, (aj, bj) in harmonics.items():
@@ -326,29 +327,17 @@ def make_warped_curve(metric: WarpedMetric, rho0: float, harmonics=None,
         raise CurveGenerationError(
             f"rho(theta) leaves (0, T] at theta = {bad:.6f}", where=bad)
     rho_p, rho_pp = _fd_derivatives(rho, theta[1] - theta[0])
-    kappa = warped_graph_kappa(metric, rho, rho_p, rho_pp)
+    with np.errstate(all="ignore"):
+        kappa = warped_graph_kappa(metric, rho, rho_p, rho_pp)
+    if not np.all(np.isfinite(kappa)):
+        bad = float(theta[int(np.argmin(np.isfinite(kappa)))])
+        raise CurveGenerationError(
+            f"graph curvature overflows at theta = {bad:.6f}", where=bad)
     idx = int(np.argmin(kappa))
     _, kmin = refine_extremum(theta, kappa, idx, mode="min",
                               period=2.0 * np.pi)
     kmin = min(kmin, float(np.min(kappa)))
-    return WarpedCurve(metric=metric, theta=theta, rho=rho, kappa=kappa,
-                       kmin=kmin)
-
-
-def warped_curve_kappa_analytic(metric: WarpedMetric, rho0: float,
-                                harmonics, theta) -> np.ndarray:
-    """Oracle: graph curvature with analytic rho', rho''."""
-    harmonics = dict(harmonics or {})
-    theta = np.asarray(theta, dtype=float)
-    rho = np.full_like(theta, float(rho0))
-    rho_p = np.zeros_like(theta)
-    rho_pp = np.zeros_like(theta)
-    for j, (aj, bj) in harmonics.items():
-        c, s = np.cos(j * theta), np.sin(j * theta)
-        rho += aj * c + bj * s
-        rho_p += j * (-aj * s + bj * c)
-        rho_pp += -j * j * (aj * c + bj * s)
-    return warped_graph_kappa(metric, rho, rho_p, rho_pp)
+    return WarpedCurve(theta=theta, rho=rho, kappa=kappa, kmin=kmin)
 
 
 # ---------------------------------------------------------------------------
@@ -360,41 +349,15 @@ class WarpedVerification:
     """Angle- and width-bound verdicts for a pole-centered warped curve."""
 
     comparison: str
-    k1_used: float
     k0_used: float
     h: float
     bound_cos: float
     min_angle_slack: float
     angle_passed: bool
-    r: float
-    rho1: float
     d: float
     d0: float
     width_margin: float
     width_passed: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.angle_passed and self.width_passed
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "warped_verification/1",
-            "comparison": self.comparison,
-            "k1_used": self.k1_used,
-            "k0_used": self.k0_used,
-            "h": self.h,
-            "bound_cos": self.bound_cos,
-            "min_angle_slack": self.min_angle_slack,
-            "angle_passed": bool(self.angle_passed),
-            "r": self.r,
-            "rho1": self.rho1,
-            "d": self.d,
-            "d0": self.d0,
-            "width_margin": self.width_margin,
-            "width_passed": bool(self.width_passed),
-            "passed": bool(self.passed),
-        }
 
 
 def verify_radial_bounds(metric: WarpedMetric,
@@ -439,9 +402,8 @@ def verify_radial_bounds(metric: WarpedMetric,
     d0 = spindle_optimum(space, k0_used).d0
     margin = d0 - d
     return WarpedVerification(
-        comparison=space.kind.value, k1_used=space.k1, k0_used=float(k0_used),
-        h=float(h), bound_cos=bound, min_angle_slack=min_slack,
-        angle_passed=bool(min_slack >= -DEFAULT_SLACK_TOL), r=float(h),
-        rho1=float(rho1), d=float(d), d0=float(d0),
-        width_margin=float(margin),
+        comparison=space.kind.value, k0_used=float(k0_used), h=float(h),
+        bound_cos=bound, min_angle_slack=min_slack,
+        angle_passed=bool(min_slack >= -DEFAULT_SLACK_TOL), d=float(d),
+        d0=float(d0), width_margin=float(margin),
         width_passed=bool(margin >= -DEFAULT_MARGIN_TOL))

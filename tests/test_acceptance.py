@@ -227,7 +227,7 @@ def test_10_warped_bounds_and_violation(tmp_path):
                 harmonics[j] = (amp * math.cos(ph), amp * math.sin(ph))
             curve = make_warped_curve(metric, rho0, harmonics)
             ver = verify_radial_bounds(metric, curve)
-            ok &= ver.passed
+            ok &= ver.angle_passed and ver.width_passed
             worst_slack = min(worst_slack, ver.min_angle_slack)
             worst_margin = min(worst_margin, ver.width_margin)
 

@@ -1,5 +1,6 @@
 """Sharp angle bounds: values, dominance, sharpness, verifier behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sphericity import (GeometryError, HypothesisViolation, SpaceForm,
                         circle_exact_angle, cos_phi_lower_bound,
                         cos_phi_weak_bound, make_circle, make_lune,
-                        mu0_decay_solution, radial_ode_residuals,
-                        verify_angle_bound)
+                        radial_ode_residuals, verify_angle_bound)
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -130,40 +130,6 @@ class TestCircleExactAngle:
         assert int(np.argmax(phis)) == 50
 
 
-class TestDecaySolution:
-    def test_initial_condition(self):
-        for space in (FLAT, SPH, HYP):
-            assert mu0_decay_solution(space, 0.7, 0.5, 0.5) == 0.7
-
-    def test_flat_inverse_decay(self):
-        assert abs(mu0_decay_solution(FLAT, 0.8, 0.4, 0.8) - 0.4) < 1e-15
-
-    def test_sphere_increasing_past_equator(self):
-        ts = np.linspace(np.pi / 2 + 0.01, np.pi - 0.05, 50)
-        vals = mu0_decay_solution(SPH, 0.3, 0.4, ts)
-        assert float(np.min(np.diff(vals))) > 0.0
-        assert float(np.min(vals)) > 0.0
-
-    @pytest.mark.parametrize("space", [FLAT, SPH, HYP])
-    def test_ode_residual(self, space):
-        # u' + mu0 u = 0; the closed form makes sn(t) * u(t) constant
-        ts = np.linspace(0.2, 1.4, 25)
-        vals = mu0_decay_solution(space, 0.9, 0.3, ts)
-        assert float(np.ptp(space.sn(ts) * vals)) < 1e-12
-        # finite-difference spot check of the ODE itself
-        t0, dt = 0.7, 2e-5
-        up = (mu0_decay_solution(space, 0.9, 0.3, t0 + dt)
-              - mu0_decay_solution(space, 0.9, 0.3, t0 - dt)) / (2 * dt)
-        u0 = mu0_decay_solution(space, 0.9, 0.3, t0)
-        assert abs(up + float(space.mu0(t0)) * u0) < 1e-8
-
-    def test_domain_errors(self):
-        with pytest.raises(GeometryError):
-            mu0_decay_solution(SPH, 1.0, 0.5, np.pi)
-        with pytest.raises(GeometryError):
-            mu0_decay_solution(FLAT, 1.0, 0.0, 0.5)
-
-
 class TestVerifier:
     def test_offset_circle_sharpness(self):
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=4096)
@@ -188,13 +154,13 @@ class TestVerifier:
         assert float(np.max(np.abs(rep.slack))) < 1e-9
 
     def test_hyperbolic_hypothesis_violation(self):
-        # kmin at or below k1 admits no comparison circle; an oversized
-        # curvature guard pushes the effective k0 below the threshold
+        # kmin at or below k1 admits no comparison circle
         curve = make_circle(HYP, HYP.origin(), 1.2, n=1024)
         rep = verify_angle_bound(curve, HYP.origin())
         assert rep.passed
         with pytest.raises(HypothesisViolation):
-            verify_angle_bound(curve, HYP.origin(), k0_guard=0.5)
+            verify_angle_bound(dataclasses.replace(curve, kmin=0.7),
+                               HYP.origin())
 
     def test_sphere_hemisphere_precondition(self):
         curve = make_circle(SPH, SPH.origin(), 0.0, n=1024)  # great circle
@@ -212,15 +178,6 @@ class TestVerifier:
         # two corners, each excluded with a band of 2 samples on both sides
         assert rep.excluded_corner_count == 10
         assert rep.passed
-
-    def test_report_rows_and_dict(self):
-        curve = make_circle(FLAT, FLAT.origin(), 1.0, n=512)
-        rep = verify_angle_bound(curve, np.array([0.4, 0.1]))
-        rows = list(rep.rows())
-        assert len(rows) == int(np.sum(rep.included))
-        doc = rep.to_dict()
-        assert doc["schema"] == "angle_report/1"
-        assert doc["passed"] is True
 
 
 class TestOdeIdentity:

@@ -20,8 +20,8 @@ from sphericity.cli import main
 from sphericity.curves import ClosedCurve
 from sphericity.io import (curve_from_dict, curve_to_dict, load_curve,
                            save_curve)
-from sphericity.reports import (ConfigError, config_hash, emit_plot_data,
-                                result_json, run)
+from sphericity.reports import (ConfigError, SuiteResult, config_hash,
+                                emit_plot_data, result_json, run)
 
 FLAT = SpaceForm.flat()
 
@@ -293,21 +293,6 @@ class TestSuiteRunner:
         with pytest.raises(ConfigError):
             run({"suite": "nonsense"})
 
-    def test_all_suite_runs_implied_sections(self):
-        cfg = {"suite": "all", "seed": 0,
-               "space": {"kind": "flat", "k1": 0.0},
-               "generator": {"provenance": "circle", "k0": 1.0, "n": 1024},
-               "base_point": {"mode": "offset", "distance": 0.6},
-               "spindle": {"k0": [1.0]},
-               "sweep": {"k0": 1.0}}
-        res = run(cfg)
-        assert res.exit_code == 0
-        names = {c["name"] for c in res.checks}
-        assert "angle_min_slack" in names
-        assert "width_margin" in names
-        assert any(n.startswith("spindle_oracle") for n in names)
-        assert any(n.startswith("euclidean_limit") for n in names)
-
     def test_missing_generator_rejected(self):
         with pytest.raises(ConfigError):
             run({"suite": "angle", "seed": 0,
@@ -438,6 +423,7 @@ CONFIG_CRASHERS = [
     ({"generator": {"provenance": "frame_ode", "k0": 1.0, "n": 64,
                     "terms": [[2, 0.1]]}}, "generator.terms"),
     ({"generator.k0": math.nan}, "generator.k0"),
+    ({"out": 5}, "out"),
 ]
 
 # One base config per fuzzed subcommand and the key paths the fuzz replaces.
@@ -490,13 +476,13 @@ def _configured(command, overrides):
     return config
 
 
-def _run_cli(tmp_dir, command, config):
+def _run_cli(tmp_dir, command, config, *args):
     path = tmp_dir / "fuzz.json"
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(path)])
+        code = main([command, "--config", str(path), *args])
     return code, err.getvalue()
 
 
@@ -508,6 +494,42 @@ def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert key in err
+
+
+# Warped configs whose warp, curvature or comparison circle curvature
+# overflows float64: refused with exit 1 before any check is judged.
+WARPED_OVERFLOWS = [("hyperbolic", {"k1": 1.0}, 1000.0),
+                    ("cubic", {"eps": 1e300}, 1e300),
+                    ("cubic", {"eps": 1e300}, 2.0),
+                    ("cubic", {"eps": 1e200}, 2.0),
+                    ("cubic", {"eps": 0.05}, 1e300)]
+
+
+@pytest.mark.parametrize("family,params,T", WARPED_OVERFLOWS)
+def test_warped_overflow_refused(tmp_path, family, params, T):
+    config = {"seed": 0, "warped": {"family": family, "params": params,
+                                    "T": T}}
+    code, err = _run_cli(tmp_path, "verify-warped", config,
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"],
+                         ids=["existing-file", "below-a-file"])
+def test_unwritable_out_exits_1(tmp_path, out):
+    (tmp_path / "taken").write_text("")
+    code, err = _run_cli(tmp_path, "sweep", FUZZ_BASE["sweep"][0],
+                         "--out", str(tmp_path / out))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_non_finite_check_refused_by_name():
+    with pytest.raises(GeometryError, match="angle_min_slack"):
+        SuiteResult("angle").add_check("angle_min_slack", math.nan, 0.0,
+                                       0.0, True)
 
 
 _fuzz_cases = st.sampled_from(sorted(FUZZ_BASE)).flatmap(

@@ -1,5 +1,6 @@
 """Incenter search, annulus widths, and the width-bound verifier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from scipy.optimize import linprog
 from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
                         make_circle, make_disc_intersection, make_lune,
                         max_distance_to_curve, min_distance_to_curve,
-                        smaller_arcs_inside, spindle_optimum)
+                        spindle_optimum)
 from sphericity.layers import _contacts, _model_step
 from sphericity.search import refine_extremum
 from tests.conftest import random_frame_ode_curve, random_support_curve
+from tests.oracles import smaller_arcs_inside
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -178,7 +180,7 @@ class TestLayerWidth:
         curve = make_circle(HYP, HYP.origin(), 1.2, n=1024)
         assert layer_width(curve).passed
         with pytest.raises(HypothesisViolation):
-            layer_width(curve, k0_guard=0.5)
+            layer_width(dataclasses.replace(curve, kmin=0.7))
 
     def test_report_dict(self):
         rep = layer_width(make_circle(FLAT, FLAT.origin(), 2.0, n=1024))

@@ -1,5 +1,6 @@
 """Warped metrics: curvature certification, comparison, bound verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from sphericity import (CurveGenerationError,
                         circle_normal_curvature,
                         verify_circle_curvature_comparison,
                         verify_radial_bounds)
-from sphericity.warped import comparison_space, warped_curve_kappa_analytic
+from sphericity.warped import comparison_space
+from tests.oracles import warped_curve_kappa_analytic
 
 
 class TestMakeWarped:
@@ -38,7 +40,7 @@ class TestMakeWarped:
         h = 1e-4
         fd = -(m.f(t + h) - 2 * m.f(t) + m.f(t - h)) / (h * h * m.f(t))
         assert float(np.max(np.abs(fd - analytic))) < 1e-7
-        assert float(np.max(np.abs(m.curvature(t) - analytic))) < 1e-13
+        assert float(np.max(np.abs(-m.fpp(t) / m.f(t) - analytic))) < 1e-13
 
     def test_cubic_mu_value(self):
         m = make_warped("cubic", T=2.0, eps=0.05)
@@ -95,8 +97,7 @@ class TestMuComparison:
 
     def test_mixed_band_has_no_comparison(self):
         m = make_warped("cubic", T=2.0, eps=0.05)
-        mixed = type(m)(family=m.family, params=m.params, T=m.T, f=m.f,
-                        fp=m.fp, fpp=m.fpp, k_lo=-0.1, k_hi=0.1)
+        mixed = dataclasses.replace(m, k_lo=-0.1, k_hi=0.1)
         with pytest.raises(HypothesisViolation):
             comparison_space(mixed)
 
@@ -106,7 +107,7 @@ class TestWarpedCurves:
         m = make_warped("cubic", T=2.0, eps=0.05)
         curve = make_warped_curve(m, 0.9, {})
         ver = verify_radial_bounds(m, curve)
-        assert ver.passed
+        assert ver.angle_passed and ver.width_passed
         assert abs(ver.d) < 1e-12
         assert abs(ver.min_angle_slack
                    - (1.0 - ver.bound_cos)) < 1e-12
@@ -122,6 +123,12 @@ class TestWarpedCurves:
         m = make_warped("perturbed_sin", T=1.5, delta=0.01)
         curve = make_warped_curve(m, 0.7, {})
         assert abs(curve.kmin - circle_normal_curvature(m, 0.7)) < 1e-9
+
+    def test_overflowing_curvature_refused(self):
+        # f^2 overflows in the graph curvature formula
+        metric = make_warped("cubic", T=2.0, eps=1e200)
+        with pytest.raises(CurveGenerationError):
+            make_warped_curve(metric, 0.8, {})
 
     def test_rho_domain_enforced(self):
         m = make_warped("cubic", T=2.0, eps=0.05)
@@ -162,10 +169,3 @@ class TestWarpedCurves:
             curve = make_warped_curve(metric, rho0, {})
             with pytest.raises(HypothesisViolation):
                 verify_radial_bounds(metric, curve)
-
-    def test_verification_dict(self):
-        metric = make_warped("cubic", T=2.0, eps=0.05)
-        curve = make_warped_curve(metric, 0.8, {2: (0.03, 0.01)})
-        doc = verify_radial_bounds(metric, curve).to_dict()
-        assert doc["schema"] == "warped_verification/1"
-        assert doc["passed"] is True
