@@ -517,9 +517,10 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
     composed by pairwise matrix products.  Every factor lies in the
     isometry group, so no projection back onto the model is needed.
 
-    ``lengths`` is scalar or (B,); returns final (p, T) of shape (B, dim)
-    and, when ``store_every`` is given, the (steps // store_every, B, dim)
-    samples taken every that many steps, starting with (p0, T0).
+    ``lengths`` is scalar or (B,); returns the body-frame period maps
+    d = F0^-1 F_end - I of shape (B, 3, 3) (see ``_period_rotation``) and,
+    when ``store_every`` is given, the (steps // store_every, B, dim) points
+    and tangents taken every that many steps, starting with (p0, T0).
     """
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
     h = u_end / steps
@@ -534,40 +535,21 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
     omega = (hl * (g0 + mean_kap * g1)
              + (_SQRT3 / 12.0) * hl ** 2 * dkap * (g0 @ g1 - g1 @ g0))
     incs = _expm1_traceless3(omega)
-
-    f0 = _frame_matrix(space, np.asarray(p0, dtype=float),
-                       np.asarray(t0, dtype=float))
-    dim = space.dim
-    scale = 1.0 if space.kind is Kind.FLAT else space.k1
-
-    def point_tangent(incs):
-        frames = f0 + f0 @ incs
-        return frames[..., :dim, 0] / scale, frames[..., :dim, 1]
-
     if store_every is None:
-        p, t_vec = point_tangent(_chain_product(incs))
-        return p, t_vec, None, None
+        return _chain_product(incs), None, None
+
     n_store = steps // store_every
     blocks = _chain_product(incs.reshape(
         len(lengths) * n_store, store_every, 3, 3))
     prefix = _prefix_products(blocks.reshape(len(lengths), n_store, 3, 3)
                               .transpose(1, 0, 2, 3))
-    p, t_vec = point_tangent(prefix[-1])
-    stored_p, stored_t = point_tangent(
-        np.concatenate([np.zeros_like(prefix[:1]), prefix[:-1]]))
-    return p, t_vec, stored_p, stored_t
-
-
-def _monodromy(space, p0, t0, p1, t1):
-    """Ambient matrix of the isometry mapping frame (p0,T0) to (p1,T1)."""
-    b0 = _frame_matrix(space, p0, t0)
-    b1 = _frame_matrix(space, p1, t1)
-    if space.kind is Kind.FLAT:
-        return b1 @ np.linalg.inv(b0)
-    if space.kind is Kind.SPHERE:
-        return b1 @ b0.T
-    eta = np.diag([-1.0, 1.0, 1.0])
-    return b1 @ (eta @ b0.T @ eta)
+    f0 = _frame_matrix(space, np.asarray(p0, dtype=float),
+                       np.asarray(t0, dtype=float))
+    frames = f0 + f0 @ np.concatenate([np.zeros_like(prefix[:1]),
+                                       prefix[:-1]])
+    scale = 1.0 if space.kind is Kind.FLAT else space.k1
+    return (prefix[-1], frames[..., :space.dim, 0] / scale,
+            frames[..., :space.dim, 1])
 
 
 def _apply_isometry(space, mat, points):
@@ -582,73 +564,42 @@ def _apply_isometry_linear(space, mat, vectors):
     return vectors @ mat.T
 
 
-def _rotation_cos(space, mat) -> float:
-    """cos of the rotation angle of an orientation-preserving isometry."""
-    if space.kind is Kind.FLAT:
-        return 0.5 * (mat[0, 0] + mat[1, 1])
-    return 0.5 * (np.trace(mat) - 1.0)
+_EPS = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0, Kind.FLAT: 0.0}
 
 
-def _fixed_point(space, mat, near):
-    """Fixed point of an elliptic isometry, the one a curve winds around.
+def _period_rotation(space, d):
+    """(sin, cos) of the rotation angle of each isometry I + d, and its
+    fixed point a, all read off in body coordinates (see ``_integrate_frame``).
 
-    On the sphere the two antipodal fixed points rotate with opposite signs;
-    the curve winds around the one nearer to ``near``.  Raises
-    np.linalg.LinAlgError or GeometryError when there is no fixed point.
+    There the start point is (1, 0, 0), its tangent (0, 1, 0) and its
+    inward normal (0, 0, 1), and the invariant form is
+    x0^2 + eps (x1^2 + x2^2), eps = +1, -1, 0 on the sphere, the hyperbolic
+    and the flat plane.  The fixed point spans the kernel of d: the largest
+    cross product of two of its rows, scaled to unit form, which puts it on
+    the model (the homogeneous a0 = 1 on the flat plane).  On the sphere,
+    whose two antipodal fixed points rotate with opposite signs, it is the
+    one on the inner side of the start point (a2 > 0); elsewhere the one on
+    the model (a0 > 0).  sin comes from the antisymmetric part of d against
+    a, which is linear in d, so it crosses zero transversally at the angle
+    pi.  All three are NaN where the isometry is too close to the identity
+    (1 - cos < 1e-10) or has no fixed point on the model.
     """
-    if space.kind is Kind.FLAT:
-        rot = mat[:2, :2]
-        return np.linalg.solve(np.eye(2) - rot, mat[:2, 2])
-    w, vecs = np.linalg.eig(mat)
-    idx = int(np.argmin(np.abs(w - 1.0)))
-    axis = np.real(vecs[:, idx])
-    if space.kind is Kind.SPHERE:
-        axis = axis / (np.linalg.norm(axis) * space.k1)
-        if float(space.distance(axis, near)) > np.pi / (2.0 * space.k1):
-            axis = -axis
-        return axis
-    q = axis[0] ** 2 - axis[1] ** 2 - axis[2] ** 2
-    if q <= 0.0:
-        raise GeometryError("isometry is not elliptic")
-    axis = axis / (space.k1 * math.sqrt(q))
-    if axis[0] < 0.0:
-        axis = -axis
-    return axis
-
-
-def _rotation_defect(space, mat, probe, target_angle: float):
-    """(sin, cos) of (rotation angle of mat) - target_angle.
-
-    The signed rotation angle is read off at the isometry's fixed point C:
-    it is the oriented angle at C between the directions to ``probe`` and
-    to its image.  The sine component crosses zero transversally at the
-    target, which keeps the closure solve well posed even when the target
-    is pi (where the trace alone folds).  Returns (nan, nan) when the
-    isometry is too close to the identity to carry a fixed point.
-    """
-    if _rotation_cos(space, mat) > 1.0 - 1e-10:
-        return math.nan, math.nan
-    try:
-        center = _fixed_point(space, mat, probe)
-    except (np.linalg.LinAlgError, GeometryError):
-        return math.nan, math.nan
-    x = probe
-    if float(space.distance(center, x)) < 1e-9:
-        e1, _ = space.frame(center)
-        x = space.exp_map(center, 0.1 * e1)
-    image = _apply_isometry(space, mat, x[None, :])[0]
-    try:
-        u = space.log_map(center, x)
-        v = space.log_map(center, image)
-    except GeometryError:
-        return math.nan, math.nan
-    u = u / space.norm(center, u)
-    v = v / space.norm(center, v)
-    ju = space.rotate90(center, u)
-    c_part = float(space.metric_dot(center, v, u))
-    s_part = float(space.metric_dot(center, v, ju))
-    ct, st = math.cos(target_angle), math.sin(target_angle)
-    return s_part * ct - c_part * st, c_part * ct + s_part * st
+    eps = _EPS[space.kind]
+    cos = 1.0 + 0.5 * np.trace(d, axis1=-2, axis2=-1)
+    kernels = np.cross(d[..., [1, 2, 0], :], d[..., [2, 0, 1], :])
+    pick = np.argmax(np.sum(kernels ** 2, axis=-1), axis=-1)
+    a = np.take_along_axis(kernels, pick[..., None, None], axis=-2)[..., 0, :]
+    form = a[..., 0] ** 2 + eps * (a[..., 1] ** 2 + a[..., 2] ** 2)
+    side = a[..., 2] if eps > 0.0 else a[..., 0]
+    ok = (form > 0.0) & (cos <= 1.0 - 1e-10)
+    a = a * (np.where(side < 0.0, -1.0, 1.0)
+             / np.sqrt(np.where(ok, form, np.nan)))[..., None]
+    w = 0.5 * np.stack([d[..., 2, 1] - d[..., 1, 2],
+                        eps * d[..., 0, 2] - d[..., 2, 0],
+                        d[..., 1, 0] - eps * d[..., 0, 1]], axis=-1)
+    sin = w[..., 0] * a[..., 0] + eps * (w[..., 1] * a[..., 1]
+                                         + w[..., 2] * a[..., 2])
+    return sin, np.where(ok, cos, np.nan), a
 
 
 def _detect_symmetry_order(profile):
@@ -679,15 +630,18 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     (the two corner-free closed-curve generators on the curved planes all
     have that form).  The total length is then the single unknown: the
     curve closes exactly when the isometry carrying the frame over one
-    period is a rotation by 2*pi/m, a scalar condition (the signed rotation
-    angle at the isometry's fixed point) solved by bracketed root finding.
-    The solved curve is built by integrating one period and replicating it
-    with powers of the period isometry, so the m-fold symmetry is exact.
+    period is a rotation by 2*pi/m, a scalar condition solved by bracketed
+    root finding.  Its sine and cosine, and the fixed point that becomes
+    ``hint_center``, are read in closed form off the period map in the
+    start frame's body coordinates (``_period_rotation``).  The solved curve
+    is built by integrating one period and replicating it with powers of
+    the period isometry, so the m-fold symmetry is exact.
 
-    Raises NonClosureError when the profile lacks the required symmetry or
-    the root search does not converge; the exception carries the best
-    closure residual seen (for a profile without symmetry, its smallest
-    relative mismatch under a shift by 1/m).
+    Raises NonClosureError when the profile lacks the required symmetry,
+    the root search does not converge, or the replicated curve misses its
+    start point by more than 1e-8; the exception carries the best closure
+    residual seen (for a profile without symmetry, its smallest relative
+    mismatch under a shift by 1/m).
     """
     m, mismatch = _detect_symmetry_order(kappa_profile)
     if m < 2:
@@ -722,65 +676,56 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
 
     p0 = space.origin()
     e1, _ = space.frame(p0)
-    target_angle = 2.0 * math.pi / m
+    ct, st = math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m)
 
-    def rotation_defects(lengths):
-        p1, t1, _, _ = _integrate_frame(space, p0, e1, kappa_profile,
-                                        lengths, 1.0 / m, _PERIOD_STEPS)
-        out = []
-        for row_p, row_t in zip(p1, t1):
-            mat = _monodromy(space, p0, e1, row_p, row_t)
-            out.append(_rotation_defect(space, mat, p0, target_angle))
-        return out
+    def closure_defects(lengths):
+        """(sin, cos) of each period's rotation angle minus 2 pi / m."""
+        d, _, _ = _integrate_frame(space, p0, e1, kappa_profile, lengths,
+                                   1.0 / m, _PERIOD_STEPS)
+        sin, cos, _ = _period_rotation(space, d)
+        return sin * ct - cos * st, cos * ct + sin * st
 
     def defect_sin(total_length: float) -> float:
-        return rotation_defects([total_length])[0][0]
+        return float(closure_defects(total_length)[0][0])
 
     # bracket the closure length around the mean-curvature circle length;
     # valid brackets have the defect cosine positive at both ends (right
     # branch of the angle) and a sign change in the defect sine
-    bracket = None
-    best_residual = math.inf
+    residuals = []
     for n_scan in (13, 41):
         scan = np.linspace(0.55 * length_guess, 1.8 * length_guess, n_scan)
-        vals = rotation_defects(scan)
-        for (a, b), ((sa, ca), (sb, cb)) in zip(zip(scan[:-1], scan[1:]),
-                                                zip(vals[:-1], vals[1:])):
-            if math.isnan(sa) or math.isnan(sb):
-                continue
-            if ca <= 0.0 or cb <= 0.0:
-                continue
-            best_residual = min(best_residual, abs(sa), abs(sb))
-            if sa == 0.0:
-                bracket = (a, a)
-                break
-            if sa * sb < 0.0:
-                bracket = (a, b)
-                break
-        if bracket is not None:
+        sin, cos = closure_defects(scan)
+        valid = (cos[:-1] > 0.0) & (cos[1:] > 0.0)
+        residuals.append(np.minimum(np.abs(sin[:-1]), np.abs(sin[1:]))[valid])
+        hit = np.flatnonzero(valid & ((sin[:-1] == 0.0)
+                                      | (sin[:-1] * sin[1:] < 0.0)))
+        if hit.size:
             break
-    if bracket is None:
+    else:
+        residuals = np.concatenate(residuals)
         raise NonClosureError(
             "no closure length found near the mean-curvature circle length",
-            residual=best_residual if math.isfinite(best_residual) else None)
-    if bracket[0] == bracket[1]:
-        length = float(bracket[0])
+            residual=float(residuals.min()) if residuals.size else None)
+    i = int(hit[0])
+    if sin[i] == 0.0:
+        length = float(scan[i])
     else:
-        length = float(brentq(defect_sin, bracket[0], bracket[1],
+        length = float(brentq(defect_sin, scan[i], scan[i + 1],
                               xtol=1e-13 * length_guess, rtol=1e-15,
                               maxiter=_ROOT_MAXITER))
 
-    # final pass: integrate one period finely and replicate by the isometry
+    # final pass: integrate one period finely and replicate it by the
+    # period isometry F0 (I + d) F0^-1
     samples_per_period = n // m
     n_eff = samples_per_period * m
     substeps = 2
-    p1, t1, pts_period, tan_period = _integrate_frame(
+    d, pts_period, tan_period = _integrate_frame(
         space, p0, e1, kappa_profile, length, 1.0 / m,
         samples_per_period * substeps, store_every=substeps)
-    p1, t1 = p1[0], t1[0]
     pts_period = pts_period[:, 0, :]
     tan_period = tan_period[:, 0, :]
-    mat = _monodromy(space, p0, e1, p1, t1)
+    f0 = _frame_matrix(space, p0, e1)
+    mat = f0 @ (np.eye(3) + d[0]) @ np.linalg.inv(f0)
 
     blocks_p = [pts_period]
     blocks_t = [tan_period]
@@ -792,8 +737,9 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     points = np.concatenate(blocks_p, axis=0)
     tangents = np.concatenate(blocks_t, axis=0)
 
+    # measured from p0, which lies on the model: p_back may have drifted off
     p_back = _apply_isometry(space, acc, p0[None, :])[0]
-    gap = float(space.distance(p_back, p0))
+    gap = float(space.distance(p0, p_back))
     if gap > 1e-8:
         raise NonClosureError(
             f"closure residual {gap:.3e} exceeds 1e-8 after root solve",
@@ -804,12 +750,10 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     corner = np.zeros(n_eff, dtype=bool)
     kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
                                            normals, corner, length)
-    try:
-        center = _fixed_point(space, mat, p0)
-        winds = winding_number(space, points, center) == 1
-    except (np.linalg.LinAlgError, GeometryError):
-        winds = False
-    if not winds:
+    scale = 1.0 if space.kind is Kind.FLAT else space.k1
+    center = (f0 @ _period_rotation(space, d)[2][0])[:space.dim] / scale
+    if not (np.all(np.isfinite(center))
+            and winding_number(space, points, center) == 1):
         center = karcher_mean(space, points)
     return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
                        normals_out=normals, kappa=kappa, corner=corner,

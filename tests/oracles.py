@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 
-from sphericity import karcher_mean, winding_number
-from sphericity.curves import (_angle_in_frame, _circle_arrays,
-                               _equidistant_points)
+from sphericity import GeometryError, Kind, karcher_mean, winding_number
+from sphericity.curves import (_angle_in_frame, _apply_isometry,
+                               _circle_arrays, _equidistant_points)
 from sphericity.warped import warped_graph_kappa
 
 
@@ -81,3 +81,76 @@ def warped_curve_kappa_analytic(metric, rho0: float, harmonics, theta):
         rho_p += j * (-aj * s + bj * c)
         rho_pp += -j * j * (aj * c + bj * s)
     return warped_graph_kappa(metric, rho, rho_p, rho_pp)
+
+
+# The fixed point and rotation angle of an ambient isometry matrix, by an
+# eigenvector and two log maps at the fixed point: the reference for the
+# closed-form body-frame reading of ``curves._period_rotation``.
+
+def _rotation_cos(space, mat) -> float:
+    """cos of the rotation angle of an orientation-preserving isometry."""
+    if space.kind is Kind.FLAT:
+        return 0.5 * (mat[0, 0] + mat[1, 1])
+    return 0.5 * (np.trace(mat) - 1.0)
+
+
+def _fixed_point(space, mat, near):
+    """Fixed point of an elliptic isometry, the one a curve winds around.
+
+    On the sphere the two antipodal fixed points rotate with opposite signs;
+    the curve winds around the one nearer to ``near``.  Raises
+    np.linalg.LinAlgError or GeometryError when there is no fixed point.
+    """
+    if space.kind is Kind.FLAT:
+        rot = mat[:2, :2]
+        return np.linalg.solve(np.eye(2) - rot, mat[:2, 2])
+    w, vecs = np.linalg.eig(mat)
+    idx = int(np.argmin(np.abs(w - 1.0)))
+    axis = np.real(vecs[:, idx])
+    if space.kind is Kind.SPHERE:
+        axis = axis / (np.linalg.norm(axis) * space.k1)
+        if float(space.distance(axis, near)) > np.pi / (2.0 * space.k1):
+            axis = -axis
+        return axis
+    q = axis[0] ** 2 - axis[1] ** 2 - axis[2] ** 2
+    if q <= 0.0:
+        raise GeometryError("isometry is not elliptic")
+    axis = axis / (space.k1 * math.sqrt(q))
+    if axis[0] < 0.0:
+        axis = -axis
+    return axis
+
+
+def _rotation_defect(space, mat, probe, target_angle: float):
+    """(sin, cos) of (rotation angle of mat) - target_angle.
+
+    The signed rotation angle is read off at the isometry's fixed point C:
+    it is the oriented angle at C between the directions to ``probe`` and
+    to its image.  The sine component crosses zero transversally at the
+    target, which keeps the closure solve well posed even when the target
+    is pi (where the trace alone folds).  Returns (nan, nan) when the
+    isometry is too close to the identity to carry a fixed point.
+    """
+    if _rotation_cos(space, mat) > 1.0 - 1e-10:
+        return math.nan, math.nan
+    try:
+        center = _fixed_point(space, mat, probe)
+    except (np.linalg.LinAlgError, GeometryError):
+        return math.nan, math.nan
+    x = probe
+    if float(space.distance(center, x)) < 1e-9:
+        e1, _ = space.frame(center)
+        x = space.exp_map(center, 0.1 * e1)
+    image = _apply_isometry(space, mat, x[None, :])[0]
+    try:
+        u = space.log_map(center, x)
+        v = space.log_map(center, image)
+    except GeometryError:
+        return math.nan, math.nan
+    u = u / space.norm(center, u)
+    v = v / space.norm(center, v)
+    ju = space.rotate90(center, u)
+    c_part = float(space.metric_dot(center, v, u))
+    s_part = float(space.metric_dot(center, v, ju))
+    ct, st = math.cos(target_angle), math.sin(target_angle)
+    return s_part * ct - c_part * st, c_part * ct + s_part * st

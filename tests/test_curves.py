@@ -1,5 +1,6 @@
 """Curve generators and measurement: oracles and structural invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from sphericity import (CurveGenerationError, GeometryError, NonClosureError,
                         make_frame_ode_curve, make_lune, make_support_curve,
                         measure_radial, min_distance_to_curve, spindle_optimum,
                         spindle_rho, winding_number)
-from sphericity.curves import _frame_matrix, _integrate_frame, corner_band
-from tests.oracles import validate_curve
+from sphericity.cli import main
+from sphericity.curves import (_PERIOD_STEPS, _expm1_traceless3,
+                               _frame_generators, _frame_matrix,
+                               _integrate_frame, _period_rotation, corner_band)
+from tests.oracles import _fixed_point, _rotation_defect, validate_curve
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -189,7 +193,11 @@ class TestFrameOde:
         radius = space.circle_radius_of_curvature(k0)
         length = float(space.circumference(radius))
         lengths = length * np.asarray(lengths_factor, dtype=float)
-        return _integrate_frame(space, p0, e1, profile, lengths, 1.0, steps)
+        d, _, _ = _integrate_frame(space, p0, e1, profile, lengths, 1.0,
+                                   steps)
+        frames = _frame_matrix(space, p0, e1) @ (np.eye(3) + d)
+        scale = 1.0 if space is FLAT else space.k1
+        return frames[:, :space.dim, 0] / scale, frames[:, :space.dim, 1]
 
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
                              ids=lambda s: s.kind.value)
@@ -205,7 +213,7 @@ class TestFrameOde:
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
                              ids=lambda s: s.kind.value)
     def test_end_frame_is_isometry(self, space):
-        p_end, t_end, _, _ = self._two_harmonic_run(space, [1.0, 7.3], 4096)
+        p_end, t_end = self._two_harmonic_run(space, [1.0, 7.3], 4096)
         for p, t in zip(p_end, t_end):
             frame = _frame_matrix(space, p, t)
             if space is FLAT:
@@ -217,6 +225,95 @@ class TestFrameOde:
                 eta = np.diag([-1.0, 1.0, 1.0])
                 defect = frame.T @ eta @ frame - eta
             assert float(np.max(np.abs(defect))) < 1e-12
+
+
+    @staticmethod
+    def _check_period_rotation(space, d):
+        """_period_rotation of the maps d against the eigenvector reference
+        on their ambient matrices; returns how many carried a rotation."""
+        p0 = space.origin()
+        e1, _ = space.frame(p0)
+        f0 = _frame_matrix(space, p0, e1)
+        scale = 1.0 if space is FLAT else space.k1
+        sin, cos, a = _period_rotation(space, d)
+        rotations = 0
+        for i in range(len(d)):
+            mat = f0 @ (np.eye(3) + d[i]) @ np.linalg.inv(f0)
+            ref_sin, ref_cos = _rotation_defect(space, mat, p0, 0.0)
+            if math.isnan(ref_sin):
+                assert np.isnan(sin[i]) and np.isnan(cos[i])
+                assert np.all(np.isnan(a[i]))
+                continue
+            rotations += 1
+            assert abs(sin[i] - ref_sin) <= 1e-12
+            assert abs(cos[i] - ref_cos) <= 1e-12
+            center = (f0 @ a[i])[:space.dim] / scale
+            ref_center = _fixed_point(space, mat, p0)
+            assert float(np.max(np.abs(center - ref_center))) <= 1e-12
+        return rotations
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("space,k0", [
+        (FLAT, 1.0), (SpaceForm.sphere(0.4), 0.5), (SPH, 1.0),
+        (SpaceForm.sphere(2.5), 1.5), (HYP, 2.0)],
+        ids=["flat", "sphere0.4", "sphere1", "sphere2.5", "hyperbolic"])
+    def test_period_rotation_matches_reference(self, space, k0, m):
+        # the closure scan's 41 candidate lengths around the mean-curvature
+        # circle length, read in closed form and by the eigenvector reference
+        def profile(u):
+            return k0 + 0.15 * k0 * np.cos(2 * np.pi * m * np.asarray(u))
+
+        guess = float(space.circumference(space.circle_radius_of_curvature(k0)))
+        p0 = space.origin()
+        e1, _ = space.frame(p0)
+        d, _, _ = _integrate_frame(space, p0, e1, profile,
+                                   np.linspace(0.55, 1.8, 41) * guess,
+                                   1.0 / m, _PERIOD_STEPS)
+        assert self._check_period_rotation(space, d) == 41
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_period_rotation_nan_without_rotation(self, space):
+        # maps within 1e-10 of the identity carry no rotation to read, and
+        # neither does a translation (a boost along T on the hyperbolic
+        # plane, a shift along T on the flat one)
+        g0, g1 = _frame_generators(space)
+        d = _expm1_traceless3(np.array([1e-10 * (g0 + g1), 1e-11 * g1,
+                                        0.7 * g0, 1e-10 * g0]))
+        if space is SPH:
+            d = d[[0, 1, 3]]                # a sphere "shift" is a rotation
+        assert self._check_period_rotation(space, d) == 0
+
+    @pytest.mark.parametrize("k1", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("k0", [0.0, 1e-12, 1e-6, 1e-3])
+    def test_great_circle_closure(self, k0, k1):
+        # near and at k0 = 0 the centre lies a quarter turn from the start
+        # point, where reading the angle through a0 = cos(distance) fails
+        curve = make_frame_ode_curve(SpaceForm.sphere(k1),
+                                     lambda u: k0 + 0.0 * np.asarray(u),
+                                     n=1024)
+        turns = curve.total_length * math.hypot(k0, k1) / (2 * math.pi)
+        assert abs(turns - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("k0,amp,m,n", [(1.001, 0.0009, 3, 1024),
+                                            (1.002, 0.001, 2, 4096)])
+    def test_hyperbolic_closure_gap_is_measured(self, tmp_path, capsys,
+                                                k0, amp, m, n):
+        # profiles barely above k1 on H^2(1): the replicated curve misses
+        # its start point by far more than 1e-8 (and leaves the hyperboloid)
+        def profile(u):
+            return k0 + amp * np.cos(2 * np.pi * m * np.asarray(u))
+
+        with pytest.raises(NonClosureError) as err:
+            make_frame_ode_curve(HYP, profile, n=n)
+        assert err.value.residual > 1e-8
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
+             "generator": {"provenance": "frame_ode", "k0": k0, "n": n,
+                           "terms": [[m, amp, 0.0]]}}))
+        assert main(["verify-angle", "--config", str(cfg)]) == 1
+        assert "residual=" in capsys.readouterr().err
 
 
 class TestDiscIntersection:
