@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, NonClosureError
-from .reports import ConfigError, _g, _text, emit_plot_data, result_json, run
+from .reports import (ConfigError, _g, _text, emit_plot_data, json_text,
+                      result_json, run)
 
 _SUBCOMMANDS = {
     "verify-angle": "angle",
@@ -94,7 +95,7 @@ def main(argv=None) -> int:
                 layer = result.metadata.get("layer_report")
                 if layer is not None:
                     (out_dir / "layer_report.json").write_text(
-                        json.dumps(layer, sort_keys=True, indent=2) + "\n")
+                        json_text(layer))
             if args.format in ("csv", "both"):
                 for kind in result.series:
                     emit_plot_data(result, kind, out_dir / f"{kind}.csv")

@@ -14,6 +14,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -420,39 +422,73 @@ def run(config: dict) -> SuiteResult:
 # Output
 # ---------------------------------------------------------------------------
 
+def json_text(doc) -> str:
+    """A report file's text: ``json.dumps(doc, sort_keys=True, indent=2)``
+    and a newline.  Each table, a list of equal-length rows of scalars, is
+    one %-template filled in by a single call, its cells ``float.__repr__``
+    when all are finite floats and ``json.dumps`` otherwise."""
+    return _json_text(doc, "\n") + "\n"
+
+
+def _block(items, indent: str, brackets: str = "[]") -> str:
+    inner = indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + indent \
+        + brackets[1]
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a non-string key is quoted."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _json_text(node, indent: str) -> str:
+    """The text of ``node``, whose line starts with ``indent``."""
+    inner = indent + "  "
+    if isinstance(node, dict) and node:
+        return _block([f"{_key(k)}: {_json_text(v, inner)}"
+                       for k, v in sorted(node.items())], indent, "{}")
+    if not isinstance(node, (list, tuple)) or not node:
+        return json.dumps(node)
+    rows = set(map(type, node)) <= {list, tuple}
+    widths = set(map(len, node)) if rows else set()
+    flat = list(chain.from_iterable(node)) if len(widths) == 1 else []
+    types = set(map(type, flat))
+    if not flat or any(issubclass(t, (list, tuple, dict)) for t in types):
+        return _block([_json_text(v, inner) for v in node], indent)
+    finite = all(issubclass(t, float) for t in types) \
+        and math.isfinite(sum(flat))
+    row = _block(["%s"] * widths.pop(), inner)
+    cells = map(float.__repr__ if finite else json.dumps, flat)
+    return _block([row] * len(node), indent) % tuple(cells)
+
+
 def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
     doc = result.to_dict()
     if drop_timestamp:
         doc["metadata"] = dict(doc["metadata"], timestamp=None)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_lines(rows):
-    """CSV lines: floats as %.17g, every other value as str().
-
-    Each row is formatted by one %-format string, built once per sequence
-    of cell types.
-    """
-    formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                f"%.{PLOT_DIGITS}g" if issubclass(t, float) else "%s"
-                for t in types)
-        yield fmt % tuple(row)
+    return json_text(doc)
 
 
 def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
-    """Write one series as CSV (header line, stable column order)."""
+    """Write one series as CSV (header line, stable column order).
+
+    Floats are written as %.17g and every other value as str(); each run of
+    rows with the same cell types is filled into one %-template.
+    """
     if kind not in result.series:
         raise GeometryError(
             f"result has no series {kind!r}; available: "
             f"{sorted(result.series)}")
     series = result.series[kind]
+    rows = series["rows"]
     lines = [",".join(series["columns"])]
-    lines.extend(_csv_lines(series["rows"]))
+    cells = chain.from_iterable(rows)
+    for types, group in groupby(map(tuple, map(partial(map, type), rows))):
+        count = len(list(group))
+        row = ",".join(f"%.{PLOT_DIGITS}g" if issubclass(t, float) else "%s"
+                       for t in types)
+        lines.append("\n".join([row] * count)
+                     % tuple(islice(cells, count * len(types))))
     text = "\n".join(lines) + "\n"
     with open(out_path, "w") as fh:
         fh.write(text)

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from sphericity.curves import ClosedCurve
 from sphericity.io import (curve_from_dict, curve_to_dict, load_curve,
                            save_curve)
 from sphericity.reports import (ConfigError, SuiteResult, config_hash,
-                                emit_plot_data, result_json, run)
+                                emit_plot_data, json_text, result_json, run)
 
 FLAT = SpaceForm.flat()
 
@@ -571,8 +572,8 @@ def _per_row_angle_rows(rep):
 
 
 # The CLI test configs: one base config per subcommand, the offset angle
-# witness at n=1024, and a flat lune, whose corner samples the angle series
-# leaves out.
+# witness at n=1024 on the flat plane and at the benchmark's n=4096 on S²,
+# and a flat lune, whose corner samples the angle series leaves out.
 CLI_OUTPUT_CONFIGS = [(command, config)
                       for command, (config, _) in sorted(FUZZ_BASE.items())]
 CLI_OUTPUT_CONFIGS += [
@@ -580,6 +581,10 @@ CLI_OUTPUT_CONFIGS += [
                       "generator": {"provenance": "circle", "k0": 1.0,
                                     "n": 1024},
                       "base_point": {"mode": "offset", "distance": 0.7}}),
+    ("verify-angle", {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
+                      "generator": {"provenance": "circle", "k0": 1.5,
+                                    "n": 4096},
+                      "base_point": {"mode": "offset", "distance": 0.3}}),
     ("verify-angle", {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
                       "generator": {"provenance": "lune", "k0": 1.0,
                                     "r": 0.3, "n": 256}}),
@@ -615,6 +620,11 @@ def test_cli_outputs_match_per_cell_formulas(tmp_path, monkeypatch, command,
         if config["generator"]["provenance"] == "lune":
             assert not rep.included.all()
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+    layer = doc["metadata"].get("layer_report")
+    assert (out / "layer_report.json").exists() == (layer is not None)
+    if layer is not None:
+        assert (out / "layer_report.json").read_text() \
+            == json.dumps(layer, sort_keys=True, indent=2) + "\n"
     assert doc["series"]
     written = {p.stem for p in out.glob("*.csv")}
     assert written == set(doc["series"])
@@ -636,3 +646,69 @@ def test_spindle_table_extreme_k0_passes(tmp_path, kind, k1, k0):
                          {"seed": 0, "space": {"kind": kind, "k1": k1},
                           "spindle": {"k0": [k0], "r_count": 5}})
     assert (code, err) == (0, "")
+
+
+# Floats json and %.17g write specially, and tables of floats whose row
+# template precondition breaks only in the last row.
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                   1.7976931348623157e308]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_json_scalars = (st.none() | st.booleans() | st.integers() | _floats
+                 | _floats.map(np.float64) | st.text()
+                 | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028😀'))
+
+
+def _break_last_row(rows, how):
+    last = list(rows[-1])
+    if how == "ragged":
+        last.append(1.0)
+    elif how in ("int", "bool", "empty list"):
+        last[-1] = {"int": 1, "bool": True, "empty list": []}[how]
+    elif how == "tuple":
+        last = tuple(last)
+    return rows[:-1] + [last]
+
+
+_float_tables = st.builds(
+    _break_last_row,
+    st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(_floats, min_size=width, max_size=width), min_size=1,
+        max_size=5)),
+    st.sampled_from(["none", "ragged", "int", "bool", "empty list", "tuple"]))
+_json_docs = st.recursive(
+    _json_scalars | _float_tables,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_docs)
+@example(doc={"rows": [[1.0, math.nan], [-0.0, -math.inf]], "e": [{}, []]})
+@example(doc=[[np.float64(0.1), 2.0], (3.0, 4.0)])
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_CSV_CELLS = {"float": _floats, "float64": _floats.map(np.float64),
+              "int": st.integers(), "bool": st.booleans(), "none": st.none(),
+              "text": st.text(max_size=3)}
+# runs of one to three rows with the same cell types
+_csv_runs = st.lists(st.sampled_from(sorted(_CSV_CELLS)), max_size=4).flatmap(
+    lambda kinds: st.lists(st.tuples(*map(_CSV_CELLS.get, kinds)).map(list),
+                           min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_csv_runs, max_size=4).map(
+    lambda runs: sum(runs, [])))
+@example(rows=[])
+@example(rows=[[1.0, math.nan, -math.inf], [2, "a", True], [], [],
+               [np.float64(-0.0), 5e-324, None]])
+def test_emit_plot_data_matches_per_cell_formulas(rows):
+    series = {"columns": ["a", "b"], "rows": rows}
+    text = emit_plot_data(SuiteResult("t", series={"t": series}), "t",
+                          os.devnull)
+    assert text == _per_cell_csv(series)
