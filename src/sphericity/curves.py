@@ -175,33 +175,34 @@ def winding_number(space: SpaceForm, points, origin) -> int:
 # Distance queries
 # ---------------------------------------------------------------------------
 
-def _distance_extrema(curve: ClosedCurve, p, mode: str, chart: bool = False):
+def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False):
     """Every refined local extremum of the distance from p that can win.
 
     Distance is 1-Lipschitz in arc length and a refined extremum lies
     within one gap of its sample, so only the local extrema whose sample is
     within ``curve.max_gap`` of the extreme sample are kept.  A window whose
     spread is at roundoff keeps its sample value: refining it would only
-    polish noise.  Returns (arc lengths, values (k, 1)); ``chart`` adds
-    the extrema's ``space.to_chart(p, ...)`` coordinates as columns 1-2,
-    charting only their windows.
+    polish noise.  Returns (arc lengths, values (k, 1)).  ``contacts``
+    keeps every local extremum and adds their ``space.to_chart(p, ...)``
+    coordinates (charting only their windows) and their samples' kappa.
     """
     space = curve.space
     t = space.distance(p, curve.points)
     v = t if mode == "min" else -t
     idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
-                         & (v <= np.min(v) + curve.max_gap))
+                         & (contacts | (v <= np.min(v) + curve.max_gap)))
     win = windows(len(t), idx)
     rough = ~_flat_window(np.ptp(t[win], axis=1), t[idx])
     s_star, vals = curve.s[idx].astype(float), t[idx, None]
     cols = t[win[rough], None]
-    if chart:
+    if contacts:
         vals = np.column_stack([vals, space.to_chart(p, curve.points[idx])])
         cols = np.concatenate(
             [cols, space.to_chart(p, curve.points[win[rough]])], axis=-1)
     s_star[rough], vals[rough] = refine_windows(
         curve.s, win[rough], cols, mode, curve.total_length)
-    return s_star, vals
+    return s_star, (np.column_stack([vals, curve.kappa[idx]]) if contacts
+                    else vals)
 
 
 def min_distance_to_curve(curve: ClosedCurve, p):

@@ -45,15 +45,24 @@ class LayerReport:
 
 
 def _contacts(curve: ClosedCurve, p):
-    """Refined local minima of the distance from p to the curve.
+    """Every refined local minimum of the distance from p to the curve.
 
-    Returns their values and the unit directions from p toward their foot
-    points in ``space.frame(p)`` coordinates, interpolated at the refined
-    foot points.
+    Returns their values f, the unit directions u from p toward their
+    refined foot points in ``space.frame(p)`` coordinates, and the
+    curvature h of the level curve through p of each foot point's
+    osculating circle, (kappa cs(f) + K sn(f)) / (cs(f) - kappa sn(f))
+    with K the Gaussian curvature.  A kappa error of DEFAULT_K0_GUARD moves
+    the denominator by that much times sn(f), so it is kept above that;
+    h is 0 where kappa is NaN (corners).
     """
-    _, vals = _distance_extrema(curve, p, "min", chart=True)
-    u = vals[:, 1:]
-    return vals[:, 0], u / np.linalg.norm(u, axis=1, keepdims=True)
+    space = curve.space
+    _, vals = _distance_extrema(curve, p, "min", contacts=True)
+    f, u, kappa = vals[:, 0], vals[:, 1:3], vals[:, 3]
+    sn, cs = space.sn(f), space.cs(f)
+    gauss = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}.get(space.kind, 0.0)
+    h = (kappa * cs + gauss * space.k1 ** 2 * sn) \
+        / np.maximum(cs - kappa * sn, DEFAULT_K0_GUARD * sn)
+    return f, u / np.linalg.norm(u, axis=1, keepdims=True), np.nan_to_num(h)
 
 
 def _model_step(u, b, radius):
@@ -84,6 +93,65 @@ def _model_step(u, b, radius):
         work.append(j)
 
 
+def _kkt_newton(u, t, b, h):
+    """Newton's method on the KKT system of max z s.t. g_c(delta) >= z,
+    g_c = b_c - <u_c, delta> - h_c <t_c, delta>^2 / 2, from delta = 0 and
+    equal multipliers lam.  Returns (delta, lam); NaN if singular.
+    """
+    m = len(b)
+    x = np.concatenate([np.zeros(2), [np.min(b)], np.full(m, 1.0 / m)])
+    jac = np.zeros((m + 3, m + 3))
+    jac[2, 3:] = jac[3:, 2] = -1.0
+    for _ in range(20):
+        delta, z, lam = x[:2], x[2], x[3:]
+        s = t @ delta
+        grad = -u - (h * s)[:, None] * t
+        res = np.concatenate([grad.T @ lam, [1.0 - np.sum(lam)],
+                              b - u @ delta - 0.5 * h * s * s - z])
+        jac[:2, :2] = -(t.T * (lam * h)) @ t
+        jac[:2, 3:], jac[3:, :2] = grad.T, grad
+        try:
+            step = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            return np.full(2, np.nan), lam
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15 * max(1.0, np.max(np.abs(x))):
+            break
+    return x[:2], x[3:]
+
+
+def _second_order_step(space, u, b, h, radius):
+    """(delta, predicted gain) on the osculating-circle contact models.
+
+    The LP step picks the active contacts, whose linear model is within
+    1e-9 radius of the least.  Two or three take the Newton step, one steps
+    along -u_c to the centre of its level curve, at most radius away.  The
+    step is kept if it is finite, within 2 radius, with lam >= 0 and every
+    model g_c >= 0, the least being the predicted gain; else the LP step.
+    """
+    delta, predicted = _model_step(u, b, radius)
+    linear = b - u @ delta
+    act = np.flatnonzero(linear <= np.min(linear) + 1e-9 * radius)
+    t = np.column_stack([-u[:, 1], u[:, 0]])
+    if len(act) == 1:
+        try:
+            length = min(radius, space.circle_radius_of_curvature(h[act[0]]))
+        except GeometryError:
+            length = radius
+        step, lam = -length * u[act[0]], np.ones(1)
+    elif len(act) <= 3:
+        step, lam = _kkt_newton(u[act], t[act], b[act] / radius,
+                                h[act] * radius)
+        step = radius * step
+    else:
+        return delta, predicted
+    quad = np.min(b - u @ step - 0.5 * h * (t @ step) ** 2)
+    if (np.all(np.isfinite(step)) and np.linalg.norm(step) <= 2.0 * radius
+            and np.all(lam >= 0.0) and quad >= 0.0):
+        return step, float(quad)
+    return delta, predicted
+
+
 def _kkt_residual(u) -> float:
     """Norm of the smallest convex combination of unit vectors u.
 
@@ -99,16 +167,19 @@ def _kkt_residual(u) -> float:
 def incenter(curve: ClosedCurve):
     """Incenter and inradius: a maximizer of p -> min_s dist(p, curve).
 
-    Trust-region ascent on the contacts (Madsen's minimax SLP): at p, the
-    linear model of each contact c is f_c - <u_c, delta>; an exact LP solve
-    maximizes their minimum over the box |delta|_inf <= Delta, and that
-    minimum at the step is the predicted gain.  The step is taken with
-    exp_map; Delta grows or shrinks with the ratio of actual to predicted
-    gain; the ascent stops when either reaches roundoff.  Returns (point,
-    r, kkt_residual): r is the least refined contact at the point, and
-    the residual is the norm of the smallest convex combination of the
-    directions of the contacts within DEFAULT_MARGIN_TOL of r, which the
-    width verdict cannot tell apart (zero at an exact maximizer).
+    Trust-region ascent on the contacts (Hald and Madsen's combined LP and
+    Newton minimax method).  Contact c is modelled by its osculating
+    circle, g_c(delta) = f_c - r - <u_c, delta> - h_c <t_c, delta>^2 / 2
+    with t_c = u_c turned by 90 degrees.  An exact LP on the linear parts
+    over the box |delta|_inf <= Delta picks the active contacts; two or
+    three take a Newton step on max min g_c, one steps to the centre of
+    its level curve, and the LP step is the fallback.  The step is taken
+    with exp_map; Delta grows or shrinks with the ratio of actual to
+    predicted gain; the ascent stops when either reaches roundoff.
+    Returns (point, r, kkt_residual): r is the least refined contact at the
+    point, and the residual is the norm of the smallest convex combination
+    of the directions of the contacts within DEFAULT_MARGIN_TOL of r, which
+    the width verdict cannot tell apart (zero at an exact maximizer).
     """
     space = curve.space
     p = curve.hint_center
@@ -116,7 +187,7 @@ def incenter(curve: ClosedCurve):
         p = karcher_mean(space, curve.points)
         if winding_number(space, curve.points, p) != 1:
             raise GeometryError("found no interior seed point for the curve")
-    f, u = _contacts(curve, p)
+    f, u, h = _contacts(curve, p)
     r = float(np.min(f))
     if r <= 0.0:
         raise GeometryError("degenerate (zero-area) curve")
@@ -125,19 +196,25 @@ def incenter(curve: ClosedCurve):
     for _ in range(200):
         # contacts farther than 2 sqrt(2) Delta above r never bind in the box
         near = f - r <= 3.0 * radius
-        delta, predicted = _model_step(u[near], f[near] - r, radius)
+        delta, predicted = _second_order_step(space, u[near], f[near] - r,
+                                              h[near], radius)
         if predicted <= tiny:
             break
         e1, e2 = space.frame(p)
         q = space.exp_map(p, delta[0] * e1 + delta[1] * e2)
-        f_q, u_q = _contacts(curve, q)
+        f_q, u_q, h_q = _contacts(curve, q)
         gain = float(np.min(f_q)) - r
         if gain > 0.0:
-            p, f, u, r = q, f_q, u_q, float(np.min(f_q))
+            p, f, u, h, r = q, f_q, u_q, h_q, float(np.min(f_q))
         if gain >= 0.75 * predicted:
             radius = min(2.0 * radius, 0.5 * r)
         elif gain < 0.25 * predicted:
-            radius *= 0.25
+            # shrink below a second-order step, which ignores Delta; past
+            # the centre of a level curve distance falls at the rate it
+            # rose, so the centre was (predicted + gain) / 2 along the step
+            radius = 0.25 * min(radius, float(np.max(np.abs(delta))))
+            if gain > -predicted:
+                radius = min(radius, 0.5 * (predicted + gain))
         if radius <= tiny:
             break
     return p, r, _kkt_residual(u[f - r <= DEFAULT_MARGIN_TOL])

@@ -5,6 +5,7 @@ so the generator tests do not rest on the code paths under test.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -67,6 +68,54 @@ def smaller_arcs_inside(curve, a, b, k0: float, samples: int = 256) -> bool:
         if any(winding_number(space, curve.points, p) != 1 for p in pts):
             return False
     return True
+
+
+def _circumcentre(space, a, b, c):
+    """The point equidistant from a, b and c, or None where there is none.
+
+    Flat: the intersection of two perpendicular bisectors.  Sphere: the
+    normalised (b - a) x (c - a) on the side of the points.  Hyperbolic:
+    its Minkowski analogue diag(-1, 1, 1) (b - a) x (c - a), which exists
+    when that vector is timelike.
+    """
+    if space.kind is Kind.FLAT:
+        lhs = 2.0 * np.array([b - a, c - a])
+        rhs = np.array([b @ b - a @ a, c @ c - a @ a])
+        if abs(np.linalg.det(lhs)) < 1e-300:
+            return None
+        return np.linalg.solve(lhs, rhs)
+    n = np.cross(b - a, c - a)
+    if space.kind is Kind.SPHERE:
+        norm = np.linalg.norm(n)
+        if norm == 0.0:
+            return None
+        return math.copysign(1.0, n @ a) * n / (norm * space.k1)
+    n = n * [-1.0, 1.0, 1.0]
+    q = n[0] ** 2 - n[1] ** 2 - n[2] ** 2
+    if q <= 0.0:
+        return None
+    return math.copysign(1.0, n[0]) * n / (math.sqrt(q) * space.k1)
+
+
+def disc_intersection_inradius(space, centers, radius: float) -> float:
+    """Inradius of the intersection of the radius-R discs about ``centers``.
+
+    A disc of radius r about x lies in every disc iff each centre is within
+    R - r of x, so the inradius is R minus the radius of the smallest
+    geodesic circle enclosing the centres.  That circle's centre is the
+    midpoint of two centres or the circumcentre of three, so the least
+    farthest-centre distance over those candidates is its radius.
+    """
+    centers = np.asarray(centers, dtype=float)
+    candidates = [centers[0]]
+    for a, b in combinations(centers, 2):
+        candidates.append(space.exp_map(a, 0.5 * space.log_map(a, b)))
+    for a, b, c in combinations(centers, 3):
+        x = _circumcentre(space, a, b, c)
+        if x is not None:
+            candidates.append(x)
+    return radius - min(float(np.max(space.distance(x, centers)))
+                        for x in candidates)
 
 
 def warped_curve_kappa_analytic(metric, rho0: float, harmonics, theta):

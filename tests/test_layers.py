@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
                         make_circle, make_disc_intersection, make_lune,
                         max_distance_to_curve, min_distance_to_curve,
                         spindle_optimum)
+from sphericity import layers
 from sphericity.layers import _contacts, _model_step
 from sphericity.search import refine_extremum
 from tests.conftest import random_frame_ode_curve, random_support_curve
-from tests.oracles import smaller_arcs_inside
+from tests.oracles import disc_intersection_inradius, smaller_arcs_inside
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -127,11 +129,106 @@ class TestModelStep:
     @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 2.0), (HYP, 2.0)])
     def test_centred_circle_has_thousands_of_contacts(self, space, k0):
         curve = make_circle(space, space.origin(), k0, n=4096)
-        f, u = _contacts(curve, curve.hint_center)
+        f, u, _ = _contacts(curve, curve.hint_center)
         assert len(f) > 2000
         r = float(np.min(f))
         for radius in (1e-6, 0.25 * r):
             self._agrees(u, f - r, radius)
+
+
+PLANES = [(FLAT, 1.0), (SPH, 1.0), (HYP, 2.0)]
+
+
+def _disc_body(space, k0, offsets, n):
+    """Intersection of the k0-discs about exp_origin(R * offset)."""
+    radius = space.circle_radius_of_curvature(k0)
+    origin = space.origin()
+    e1, e2 = space.frame(origin)
+    centers = np.array([space.exp_map(origin, radius * (a * e1 + b * e2))
+                        for a, b in offsets])
+    return make_disc_intersection(space, centers, k0, n=n), centers, radius
+
+
+@pytest.fixture
+def contact_calls(monkeypatch):
+    """Counts the contact evaluations of every incenter search."""
+    calls = [0]
+
+    def counted(curve, p):
+        calls[0] += 1
+        return _contacts(curve, p)
+
+    monkeypatch.setattr(layers, "_contacts", counted)
+    return calls
+
+
+class TestSecondOrderSteps:
+    @pytest.mark.parametrize("space,k0", PLANES)
+    def test_level_curve_curvature_on_circles(self, space, k0):
+        rho = space.circle_radius_of_curvature(k0)
+        curve = make_circle(space, space.origin(), k0, n=4096)
+        e1, e2 = space.frame(curve.hint_center)
+        p = space.exp_map(curve.hint_center, 0.4 * rho * (0.6 * e1 + 0.8 * e2))
+        f, u, h = _contacts(curve, p)
+        assert len(f) == 1
+        assert h[0] == pytest.approx(float(space.mu0(rho - f[0])), rel=1e-6)
+        # the distance falls off along t_c as -h s^2 / 2 (5-point stencil)
+        q1, q2 = space.frame(p)
+        tangent = -u[0, 1] * q1 + u[0, 0] * q2
+        eps = 1e-2 * rho
+        m = [min_distance_to_curve(curve, space.exp_map(p, k * eps * tangent))[0]
+             for k in (-2, -1, 0, 1, 2)]
+        second = (-m[0] + 16 * m[1] - 30 * m[2] + 16 * m[3] - m[4]) \
+            / (12 * eps ** 2)
+        assert -second == pytest.approx(h[0], rel=1e-6)
+        nan_kappa = dataclasses.replace(curve, kappa=np.full(curve.n, np.nan))
+        assert np.all(_contacts(nan_kappa, p)[2] == 0.0)
+
+    @pytest.mark.parametrize("space,k0,bound", [
+        (FLAT, 1.0, 15), (SPH, 1.0, 15), (SPH, 2.0, 15), (HYP, 2.0, 30),
+        (HYP, 1.5, 30)])
+    def test_off_centre_circle_converges(self, contact_calls, space, k0,
+                                         bound):
+        radius = space.circle_radius_of_curvature(k0)
+        curve = make_circle(space, space.origin(), k0, n=4096)
+        center = curve.hint_center
+        e1, e2 = space.frame(center)
+        for offset in (0.05, 0.3):
+            for a in 0.1 + np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+                hint = space.exp_map(
+                    center, offset * radius * (np.cos(a) * e1 + np.sin(a) * e2))
+                contact_calls[0] = 0
+                p, r, kkt = incenter(
+                    dataclasses.replace(curve, hint_center=hint))
+                assert contact_calls[0] <= bound, (offset, a)
+                assert abs(r - radius) <= 1e-12 * max(1.0, radius)
+                assert float(space.distance(p, center)) <= 1e-12
+                assert kkt <= 1e-6
+
+    @pytest.mark.parametrize("space,k0", PLANES)
+    def test_three_disc_bodies_converge(self, contact_calls, space, k0):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            body, centers, radius = _disc_body(
+                space, k0, rng.uniform(-0.3, 0.3, (3, 2)), 4096)
+            contact_calls[0] = 0
+            _, r, kkt = incenter(body)
+            assert contact_calls[0] <= 12
+            assert kkt <= 1e-6
+            assert abs(r - disc_intersection_inradius(space, centers, radius)) \
+                <= 1e-12 * max(1.0, radius)
+
+    @pytest.mark.parametrize("space,k0", PLANES)
+    @settings(max_examples=20, deadline=None)
+    @given(grid=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                         min_size=2, max_size=4))
+    def test_disc_intersection_inradius_is_exact(self, space, k0, grid):
+        body, centers, radius = _disc_body(space, k0,
+                                           0.01 * np.array(grid), 2048)
+        _, r, kkt = incenter(body)
+        assert abs(r - disc_intersection_inradius(space, centers, radius)) \
+            <= 1e-12 * max(1.0, radius)
+        assert kkt <= 1e-6
 
 
 class TestLayerWidth:
@@ -162,15 +259,9 @@ class TestLayerWidth:
         bodies = [random_support_curve(rng, n=2048) for _ in range(4)]
         for space in (SPH, HYP):
             bodies.append(random_frame_ode_curve(space, rng, n=2048))
-        for space, k0 in ((FLAT, 1.0), (SPH, 1.0), (HYP, 2.0)):
-            radius = space.circle_radius_of_curvature(k0)
-            origin = space.origin()
-            e1, e2 = space.frame(origin)
-            offsets = rng.uniform(-0.3 * radius, 0.3 * radius, (3, 2))
-            centers = [space.exp_map(origin, o[0] * e1 + o[1] * e2)
-                       for o in offsets]
-            bodies.append(make_disc_intersection(space, np.array(centers),
-                                                 k0, n=2048))
+        for space, k0 in PLANES:
+            bodies.append(_disc_body(space, k0, rng.uniform(-0.3, 0.3, (3, 2)),
+                                     2048)[0])
         for body in bodies:
             rep = layer_width(body)
             assert rep.passed, (body.provenance, rep.margin)
