@@ -62,13 +62,17 @@ def check_hypotheses(space: SpaceForm, k0: float, t_max: float | None = None,
     return radius
 
 
-def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
-    """Sharp lower bound for cos(phi); 0 at h = 0, 1 at h = R, nondecreasing."""
+def _radius_and_h(space: SpaceForm, k0: float, h):
     radius = space.circle_radius_of_curvature(k0)
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr < -1e-12) or np.any(h_arr > radius * (1 + 1e-12)):
         raise GeometryError(f"h must lie in [0, R={radius}]")
-    h_arr = np.clip(h_arr, 0.0, radius)
+    return radius, np.clip(h_arr, 0.0, radius)
+
+
+def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
+    """Sharp lower bound for cos(phi); 0 at h = 0, 1 at h = R, nondecreasing."""
+    radius, h_arr = _radius_and_h(space, k0, h)
     val = np.sqrt(np.maximum(space.sn(h_arr) * space.sn(2.0 * radius - h_arr),
                              0.0)) / space.sn(radius)
     out = np.clip(val, 0.0, 1.0)
@@ -77,11 +81,7 @@ def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
 
 def cos_phi_weak_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
     """Rough lower bound sn(h)/sn(R); dominated by the sharp bound."""
-    radius = space.circle_radius_of_curvature(k0)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < -1e-12) or np.any(h_arr > radius * (1 + 1e-12)):
-        raise GeometryError(f"h must lie in [0, R={radius}]")
-    h_arr = np.clip(h_arr, 0.0, radius)
+    radius, h_arr = _radius_and_h(space, k0, h)
     out = np.clip(space.sn(h_arr) / space.sn(radius), 0.0, 1.0)
     return float(out) if np.isscalar(h) or np.ndim(h) == 0 else out
 
@@ -135,9 +135,7 @@ def radial_ode_residuals(curve: ClosedCurve, base):
     dt = (np.roll(t, -1) - np.roll(t, 1)) / span
     sgn = np.sign(dt)
     flips = sgn != np.roll(sgn, 1)
-    near_extremum = flips.copy()
-    for off in range(1, _ODE_EXCLUSION + 1):
-        near_extremum |= np.roll(flips, off) | np.roll(flips, -off)
+    near_extremum = corner_band(flips, _ODE_EXCLUSION)
     included = np.isfinite(curve.kappa) & ~near_extremum & (sgn != 0)
     mu0 = np.asarray(space.mu0(t), dtype=float)
     resid = np.abs(curve.kappa - (mu0 * np.cos(phi) - sgn * dphi))

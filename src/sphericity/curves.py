@@ -26,11 +26,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, permutations
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CurveGenerationError, GeometryError, NonClosureError
+from .errors import (AntipodalPointsError, CurveGenerationError,
+                     GeometryError, NonClosureError)
 from .search import (WINDOW_HALF, golden_min, refine_extremum,
                      refine_windows, windows)
 from .spaceforms import Kind, SpaceForm, karcher_mean
@@ -85,46 +87,57 @@ class ClosedCurve:
 # Curvature estimation (geodesic normal coordinate fit)
 # ---------------------------------------------------------------------------
 
+def _graph_coefficients(x, y):
+    """(c1, c2) of the quartic graph through 0 and the nodes on axis 0."""
+    lag = np.ones_like(x)                                 # l_j(0)
+    for j, k in permutations(range(len(x)), 2):
+        lag[j] *= x[k] / (x[k] - x[j])
+    inv = 1.0 / x
+    zl = lag * (y * inv)                                  # l_j(0) z_j
+    return (np.sum(zl, axis=0),
+            2.0 * np.sum(zl * (inv - np.sum(inv, axis=0)), axis=0))
+
+
 def _window_fit_kappa(space, points, tangents, normals_out):
     """Measured geodesic curvature at every sample.
 
-    Each sample's neighbors (two on each side) are mapped into geodesic
-    normal coordinates at the sample, with x along the tangent and y along
-    the inward normal; the local graph y(x) through the origin is
-    interpolated by a quartic and the curvature c2/(1+c1^2)^(3/2) is read
-    off at the origin.  In normal coordinates the Christoffel symbols vanish
-    at the center, so this equals the geodesic curvature there.
+    Each sample's four neighbours are mapped into geodesic normal
+    coordinates at the sample (x along the tangent, y along the inward
+    normal), where the Christoffel symbols vanish; the quartic graph
+    y = c1 x + c2 x^2/2 + ... through the origin and them gives the
+    curvature c2/(1+c1^2)^(3/2).  With y = x q(x), q the cubic through
+    (x_j, y_j / x_j), c1 = q(0) and c2 = 2 q'(0) are closed-form Lagrange
+    (Fornberg) sums, l_j(0) = prod_{k != j} x_k/(x_k - x_j) and
+    l_j'(0) = l_j(0) sum_{k != j} -1/x_k: no ``pow`` (slow for negative
+    bases, CPU-dispatch dependent for positive ones) and no 4x4 solve.
     """
-    n = len(points)
-    offsets = [o for o in range(-WINDOW_HALF, WINDOW_HALF + 1) if o != 0]
-    inward = -normals_out
-    xs = np.empty((n, len(offsets)))
-    ys = np.empty((n, len(offsets)))
-    for col, off in enumerate(offsets):
-        neigh = np.roll(points, -off, axis=0)
-        v = space.log_map(points, neigh)
-        xs[:, col] = space.metric_dot(points, v, tangents)
-        ys[:, col] = space.metric_dot(points, v, inward)
-    a = np.empty((n, len(offsets), 4))
-    a[:, :, 0] = xs
-    a[:, :, 1] = xs ** 2 / 2.0
-    a[:, :, 2] = xs ** 3 / 6.0
-    a[:, :, 3] = xs ** 4 / 24.0
-    try:
-        coeffs = np.linalg.solve(a, ys[..., None])[..., 0]
-    except np.linalg.LinAlgError:
+    offsets = np.r_[-WINDOW_HALF:0, 1:WINDOW_HALF + 1]
+    nodes = (np.arange(len(points)) + offsets[:, None]) % len(points)
+    v = space.log_map(points, np.take(points, nodes, axis=0))  # (4, n, dim)
+    x = space.metric_dot(points, v, tangents)
+    y = -space.metric_dot(points, v, normals_out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c1, c2 = _graph_coefficients(x, y)
+        t = 1.0 + c1 * c1
+        x4 = np.max(x * x * x * x, axis=0) / 24.0
+        # the LAPACK fit this replaces read NaN where its x^4/24 column
+        # overflowed and refused a window where it underflowed to zero (a
+        # singular matrix); this form measures both, so keep those
+        # outcomes, and refuse a window whose finite nodes coincide
+        kappa = np.where(x4 < np.inf, c2 / (t * np.sqrt(t)), np.nan)
+        singular = (x4 == 0.0) | (~np.isfinite(kappa) & np.isfinite(x4)
+                                  & np.isfinite(y).all(axis=0))
+    if np.any(singular):
         raise CurveGenerationError(
             "curvature window fit is singular (samples too close together "
-            "for float64)") from None
-    c1 = coeffs[:, 0]
-    c2 = coeffs[:, 1]
-    return c2 / (1.0 + c1 ** 2) ** 1.5
+            "for float64)")
+    return kappa
 
 
-def corner_band(corner) -> np.ndarray:
-    """True on the samples whose curvature window spans a flagged corner."""
+def corner_band(corner, half=WINDOW_HALF) -> np.ndarray:
+    """True within ``half`` samples (a window by default) of a corner."""
     band = np.array(corner, dtype=bool)
-    for off in range(1, WINDOW_HALF + 1):
+    for off in range(1, half + 1):
         band |= np.roll(corner, off) | np.roll(corner, -off)
     return band
 
@@ -149,9 +162,9 @@ def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
         raise CurveGenerationError("no corner-free window to measure curvature")
     kmin = float(np.nanmin(kappa))
     idx = int(np.nanargmin(kappa))
-    window_idx = [(idx + j) % n for j in range(-WINDOW_HALF, WINDOW_HALF + 1)]
-    if all(finite[i] for i in window_idx):
-        if not _flat_window(np.ptp(kappa[window_idx]), kmin):
+    win = windows(n, idx)[0]
+    if np.all(finite[win]):
+        if not _flat_window(np.ptp(kappa[win]), kmin):
             _, refined = refine_extremum(s, np.nan_to_num(kappa, nan=np.inf),
                                          idx, mode="min", period=total_length)
             kmin = min(kmin, refined)
@@ -163,11 +176,21 @@ def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
 # ---------------------------------------------------------------------------
 
 def winding_number(space: SpaceForm, points, origin) -> int:
-    """Winding of a closed sample loop around origin (+1 = counterclockwise)."""
-    xy = space.to_chart(origin, points)
-    ang = np.arctan2(xy[:, 1], xy[:, 0])
-    d = np.roll(ang, -1) - ang
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    """Winding of a closed sample loop around origin (+1 = counterclockwise).
+
+    Reads each sample's azimuth atan2(<p, e2>, <p, e1>) in the frame at
+    origin (p - origin on the flat plane), which the log map would only
+    rescale; raises AntipodalPointsError where the log map would (sphere).
+    """
+    origin = np.asarray(origin, dtype=float)
+    rel = points - origin if space.kind is Kind.FLAT else points
+    x, y = (space.metric_dot(origin, rel, e) for e in space.frame(origin))
+    if space.kind is Kind.SPHERE and np.any((rel @ origin < 0.0) & (
+            space.k1 * np.hypot(x, y) < math.sin(math.pi * 1e-9))):
+        raise AntipodalPointsError(
+            "log map is undefined for antipodal points on the sphere")
+    ang = np.arctan2(y, x)
+    d = (np.roll(ang, -1) - ang + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(float(np.sum(d)) / (2.0 * np.pi)))
 
 
@@ -308,10 +331,8 @@ def make_circle(space: SpaceForm, center, k0: float,
 # ---------------------------------------------------------------------------
 
 def _angle_in_frame(space, center, point):
-    e1, e2 = space.frame(center)
-    v = space.log_map(center, point)
-    return math.atan2(space.metric_dot(center, v, e2),
-                      space.metric_dot(center, v, e1))
+    x, y = space.to_chart(center, point)
+    return math.atan2(y, x)
 
 
 def _arc(space, center, radius, ang_from, ang_to, count):
@@ -388,11 +409,9 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
 
     dense = np.linspace(0.0, 2.0 * np.pi, 8 * max(n, 1024), endpoint=False)
     _, _, rho_dense, _ = h_rho_s(dense)
-    bad_low = rho_dense <= 0.0
-    bad_high = rho_dense > 1.0 / k0_target + 1e-12
-    if np.any(bad_low) or np.any(bad_high):
-        which = bad_low | bad_high
-        theta_bad = float(dense[np.argmax(which)])
+    bad = (rho_dense <= 0.0) | (rho_dense > 1.0 / k0_target + 1e-12)
+    if np.any(bad):
+        theta_bad = float(dense[np.argmax(bad)])
         raise CurveGenerationError(
             "support function violates 0 < h + h'' <= 1/k0_target "
             f"(first violation at theta = {theta_bad:.6f})", where=theta_bad)
@@ -553,16 +572,12 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
             frames[..., :space.dim, 1])
 
 
-def _apply_isometry(space, mat, points):
-    if space.kind is Kind.FLAT:
-        return points @ mat[:2, :2].T + mat[:2, 2]
-    return points @ mat.T
-
-
-def _apply_isometry_linear(space, mat, vectors):
-    if space.kind is Kind.FLAT:
-        return vectors @ mat[:2, :2].T
-    return vectors @ mat.T
+def _apply_isometry(space, mat, points, linear=False):
+    """Image of points (of tangent vectors if ``linear``) under mat."""
+    if space.kind is not Kind.FLAT:
+        return points @ mat.T
+    out = points @ mat[:2, :2].T
+    return out if linear else out + mat[:2, 2]
 
 
 _EPS = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0, Kind.FLAT: 0.0}
@@ -608,18 +623,20 @@ def _detect_symmetry_order(profile):
 
     ``mismatch`` is the relative max |profile(u + 1/m) - profile(u)| of the
     returned m, or, when no order qualifies (m = 0), the smallest one seen.
+    All 63 shifted grids go through one profile call.
     """
     u = np.linspace(0.0, 1.0, 257, endpoint=False)
     base = np.asarray(profile(u), dtype=float)
     scale = max(1.0, float(np.max(np.abs(base))))
-    best = math.inf
-    for m in range(64, 1, -1):
-        shifted = np.asarray(profile((u + 1.0 / m) % 1.0), dtype=float)
-        mismatch = float(np.max(np.abs(shifted - base))) / scale
-        if mismatch <= 1e-10:
-            return m, mismatch
-        best = min(best, mismatch)
-    return 0, best
+    orders = np.arange(64, 1, -1)
+    grid = (u + 1.0 / orders[:, None]) % 1.0
+    shifted = np.broadcast_to(np.asarray(profile(grid.ravel()), dtype=float),
+                              grid.size).reshape(grid.shape)
+    mismatch = np.max(np.abs(shifted - base), axis=1) / scale
+    hit = np.flatnonzero(mismatch <= 1e-10)
+    if hit.size:
+        return int(orders[hit[0]]), float(mismatch[hit[0]])
+    return 0, float(np.fmin.reduce(mismatch, initial=math.inf))  # skips NaN
 
 
 def make_frame_ode_curve(space: SpaceForm, kappa_profile,
@@ -723,17 +740,15 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     d, pts_period, tan_period = _integrate_frame(
         space, p0, e1, kappa_profile, length, 1.0 / m,
         samples_per_period * substeps, store_every=substeps)
-    pts_period = pts_period[:, 0, :]
-    tan_period = tan_period[:, 0, :]
+    pts_period, tan_period = pts_period[:, 0, :], tan_period[:, 0, :]
     f0 = _frame_matrix(space, p0, e1)
     mat = f0 @ (np.eye(3) + d[0]) @ np.linalg.inv(f0)
 
-    blocks_p = [pts_period]
-    blocks_t = [tan_period]
+    blocks_p, blocks_t = [pts_period], [tan_period]
     acc = np.array(mat)
     for _ in range(1, m):
         blocks_p.append(_apply_isometry(space, acc, pts_period))
-        blocks_t.append(_apply_isometry_linear(space, acc, tan_period))
+        blocks_t.append(_apply_isometry(space, acc, tan_period, linear=True))
         acc = acc @ mat
     points = np.concatenate(blocks_p, axis=0)
     tangents = np.concatenate(blocks_t, axis=0)
@@ -847,13 +862,10 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     for a in range(len(corners)):
         xa = corners[a]
         xb = corners[(a + 1) % len(corners)]
-        on_a = np.nonzero(np.abs(space.distance(xa, centers) - radius)
-                          <= 1e-9 * max(radius, 1.0))[0]
-        on_b = np.nonzero(np.abs(space.distance(xb, centers) - radius)
-                          <= 1e-9 * max(radius, 1.0))[0]
-        shared = [i for i in on_a if i in on_b]
+        on_a, on_b = (np.abs(space.distance(x, centers) - radius)
+                      <= 1e-9 * max(radius, 1.0) for x in (xa, xb))
         arc_choice = None
-        for i in shared:
+        for i in np.flatnonzero(on_a & on_b):
             ang_a = _angle_in_frame(space, centers[i], xa)
             ang_b = _angle_in_frame(space, centers[i], xb)
             sweep = (ang_b - ang_a) % (2.0 * np.pi)
@@ -871,31 +883,19 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
         arcs.append((i, ang_a, sweep, arc_len))
         total += arc_len
 
-    pts_list, tan_list, corner_list, s_list = [], [], [], []
-    s_acc = 0.0
-    for (i, ang_a, sweep, arc_len) in arcs:
-        count = max(4, int(round(n * arc_len / total)))
-        pts, tans = _arc(space, centers[i], radius, ang_a, ang_a + sweep,
-                         count)
-        flags = np.zeros(count, dtype=bool)
-        flags[0] = True
-        pts_list.append(pts)
-        tan_list.append(tans)
-        corner_list.append(flags)
-        s_list.append(s_acc + arc_len * np.arange(count) / count)
-        s_acc += arc_len
-
-    points = np.concatenate(pts_list, axis=0)
-    tangents = np.concatenate(tan_list, axis=0)
-    corner = np.concatenate(corner_list)
-    s = np.concatenate(s_list)
+    counts = [max(4, int(round(n * arc[3] / total))) for arc in arcs]
+    pieces = [_arc(space, centers[i], radius, ang_a, ang_a + sweep, count)
+              for (i, ang_a, sweep, _), count in zip(arcs, counts)]
+    points = np.concatenate([pts for pts, _ in pieces], axis=0)
+    tangents = np.concatenate([tans for _, tans in pieces], axis=0)
+    corner = np.concatenate([np.arange(count) == 0 for count in counts])
+    starts = accumulate([arc[3] for arc in arcs[:-1]], initial=0.0)
+    s = np.concatenate([start + arc[3] * np.arange(count) / count
+                        for start, arc, count in zip(starts, arcs, counts)])
 
     # corner tangents: bisector of adjacent arc directions
-    n_eff = len(points)
-    for idx in np.nonzero(corner)[0]:
-        before = tangents[(idx - 1) % n_eff]
-        after = tangents[(idx + 1) % n_eff]
-        bis = before + after
+    for idx in np.flatnonzero(corner):
+        bis = tangents[idx - 1] + tangents[(idx + 1) % len(points)]
         norm = space.norm(points[idx], bis)
         if norm > 1e-12:
             tangents[idx] = space.project_tangent(points[idx], bis) / norm

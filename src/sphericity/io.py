@@ -84,9 +84,8 @@ def curve_to_dict(curve: ClosedCurve) -> dict:
 
 def _frames_from_differences(space, points):
     """Tangents/normals recovered from the sampled points alone."""
-    fwd = np.roll(points, -1, axis=0)
-    bwd = np.roll(points, 1, axis=0)
-    chord = space.log_map(points, fwd) - space.log_map(points, bwd)
+    chord = (space.log_map(points, np.roll(points, -1, axis=0))
+             - space.log_map(points, np.roll(points, 1, axis=0)))
     tangents = space.project_tangent(points, chord)
     tangents = tangents / space.norm(points, tangents)[:, None]
     normals = -space.rotate90(points, tangents)

@@ -224,6 +224,9 @@ def _base_point(space: SpaceForm, curve, config: dict):
     if mode == "offset":
         center = curve.hint_center
         dist = _g(config, "base_point.distance", _number, required=True)
+        # refused beyond the farthest sample, before exp_map can overflow
+        if not abs(dist) <= np.max(space.distance(center, curve.points)):
+            raise GeometryError("base point is not strictly inside the curve")
         e1, _ = space.frame(center)
         return space.exp_map(center, dist * e1)
     raise ConfigError(f"unknown base point mode {mode!r}")

@@ -243,9 +243,9 @@ class SpaceForm:
             coeff = -_mdot(target, base) * self.k1 ** 2
             w = target - coeff[..., None] * base
             wn = np.sqrt(np.maximum(_mdot(w, w), 0.0))
-        wn_safe = np.where(wn == 0.0, 1.0, wn)
-        out = (d / wn_safe)[..., None] * w
-        return np.where(wn[..., None] == 0.0, np.zeros_like(out), out)
+        w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
+        w[wn == 0.0] = 0.0
+        return w
 
     # -- oriented tangent structure -----------------------------------------
 

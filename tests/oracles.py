@@ -12,6 +12,7 @@ import numpy as np
 from sphericity import GeometryError, Kind, karcher_mean, winding_number
 from sphericity.curves import (_angle_in_frame, _apply_isometry,
                                _circle_arrays, _equidistant_points)
+from sphericity.search import WINDOW_HALF
 from sphericity.warped import warped_graph_kappa
 
 
@@ -203,3 +204,49 @@ def _rotation_defect(space, mat, probe, target_angle: float):
     s_part = float(space.metric_dot(center, v, ju))
     ct, st = math.cos(target_angle), math.sin(target_angle)
     return s_part * ct - c_part * st, c_part * ct + s_part * st
+
+
+# The formulations the library replaced with closed forms: the references
+# for ``curves._window_fit_kappa``, ``winding_number`` and
+# ``curves._detect_symmetry_order``.
+
+def window_fit_kappa_lapack(space, points, tangents, normals_out):
+    """Window curvature by a batched 4x4 solve for the quartic's c1..c4.
+
+    The four neighbours of each sample, in normal coordinates at it, give
+    rows (x, x^2/2, x^3/6, x^4/24) . c = y; kappa = c2 / (1 + c1^2)^(3/2).
+    """
+    offsets = [o for o in range(-WINDOW_HALF, WINDOW_HALF + 1) if o != 0]
+    xs = np.empty((len(points), len(offsets)))
+    ys = np.empty_like(xs)
+    for col, off in enumerate(offsets):
+        v = space.log_map(points, np.roll(points, -off, axis=0))
+        xs[:, col] = space.metric_dot(points, v, tangents)
+        ys[:, col] = -space.metric_dot(points, v, normals_out)
+    a = np.stack([xs, xs ** 2 / 2.0, xs ** 3 / 6.0, xs ** 4 / 24.0], axis=-1)
+    coeffs = np.linalg.solve(a, ys[..., None])[..., 0]
+    return coeffs[:, 1] / (1.0 + coeffs[:, 0] ** 2) ** 1.5
+
+
+def winding_number_chart(space, points, origin) -> int:
+    """Winding number from the angles of the geodesic normal coordinates."""
+    xy = space.to_chart(origin, points)
+    ang = np.arctan2(xy[:, 1], xy[:, 0])
+    d = np.roll(ang, -1) - ang
+    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(float(np.sum(d)) / (2.0 * np.pi)))
+
+
+def detect_symmetry_order_loop(profile):
+    """(m, mismatch) with one profile call per candidate order m."""
+    u = np.linspace(0.0, 1.0, 257, endpoint=False)
+    base = np.asarray(profile(u), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(base))))
+    best = math.inf
+    for m in range(64, 1, -1):
+        shifted = np.asarray(profile((u + 1.0 / m) % 1.0), dtype=float)
+        mismatch = float(np.max(np.abs(shifted - base))) / scale
+        if mismatch <= 1e-10:
+            return m, mismatch
+        best = min(best, mismatch)
+    return 0, best

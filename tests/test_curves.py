@@ -6,16 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from sphericity import (CurveGenerationError, GeometryError, NonClosureError,
-                        SpaceForm, make_circle, make_disc_intersection,
-                        make_frame_ode_curve, make_lune, make_support_curve,
-                        measure_radial, min_distance_to_curve, spindle_optimum,
-                        spindle_rho, winding_number)
+from sphericity import (AntipodalPointsError, CurveGenerationError,
+                        GeometryError, NonClosureError, SpaceForm, make_circle,
+                        make_disc_intersection, make_frame_ode_curve,
+                        make_lune, make_support_curve, measure_radial,
+                        min_distance_to_curve, spindle_optimum, spindle_rho,
+                        winding_number)
 from sphericity.cli import main
-from sphericity.curves import (_PERIOD_STEPS, _expm1_traceless3,
-                               _frame_generators, _frame_matrix,
-                               _integrate_frame, _period_rotation, corner_band)
-from tests.oracles import _fixed_point, _rotation_defect, validate_curve
+from sphericity.curves import (_PERIOD_STEPS, _detect_symmetry_order,
+                               _expm1_traceless3, _frame_generators,
+                               _frame_matrix, _graph_coefficients,
+                               _integrate_frame, _period_rotation,
+                               _window_fit_kappa, corner_band)
+from tests.oracles import (_fixed_point, _rotation_defect,
+                           detect_symmetry_order_loop, validate_curve,
+                           window_fit_kappa_lapack, winding_number_chart)
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -432,3 +437,178 @@ class TestOrientationHelpers:
             ratio = float(space.sn(radius - h) / space.sn(radius))
             err = np.abs(np.sin(m.phi) - ratio * np.sin(alpha))
             assert float(np.max(err)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Closed-form curvature window fit, azimuth winding number, one-call
+# symmetry detection: each against the formulation it replaced
+# ---------------------------------------------------------------------------
+
+def _cos_profile(k0, terms):
+    def profile(u):
+        u = np.asarray(u, dtype=float)
+        out = np.full_like(u, k0)
+        for mult, amp, ph in terms:
+            out = out + amp * np.cos(2.0 * np.pi * mult * u + ph)
+        return out
+    return profile
+
+
+def _generated(space, kind, phase, n):
+    """One curve of each generator; ``phase`` turns its construction."""
+    k0 = 2.0 if space is HYP else 1.2
+    radius = space.circle_radius_of_curvature(k0)
+    if kind == "circle":
+        return make_circle(space, space.origin(), k0, n=n, phase=phase)
+    if kind == "lune":
+        return make_lune(space, k0, (0.5 + 0.1 * phase) * radius, n=n)
+    if kind == "frame_ode":
+        return make_frame_ode_curve(
+            space, _cos_profile(k0 + 0.1, [(3, 0.1, phase)]), n=n)
+    if kind == "disc_intersection":
+        e1, e2 = space.frame(space.origin())
+        angles = phase + np.array([0.0, 2.1, 4.0])
+        centers = [space.exp_map(space.origin(), 0.2 * radius
+                                 * (math.cos(a) * e1 + math.sin(a) * e2))
+                   for a in angles]
+        return make_disc_intersection(space, np.array(centers), k0, n=n)
+    return make_support_curve(
+        1.0, {2: (0.03 * math.cos(phase), 0.03 * math.sin(phase)),
+              3: (-0.008, 0.012)}, k0_target=0.8, n=n)
+
+
+_FIT_CASES = [(space, kind) for space in (FLAT, SPH, HYP)
+              for kind in ("circle", "lune", "frame_ode", "disc_intersection")]
+_FIT_CASES.append((FLAT, "support"))
+
+
+class TestWindowFit:
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize(
+        "space,kind", _FIT_CASES,
+        ids=[f"{s.kind.value}-{k}" for s, k in _FIT_CASES])
+    def test_matches_lapack_oracle(self, space, kind, n):
+        for phase in (0.0, 0.7, 2.3):
+            curve = _generated(space, kind, phase, n)
+            args = (space, curve.points, curve.tangents, curve.normals_out)
+            oracle = window_fit_kappa_lapack(*args)
+            rel = np.abs(_window_fit_kappa(*args) - oracle) / np.abs(oracle)
+            assert float(np.max(rel)) <= 1e-13, (phase, float(np.max(rel)))
+
+    @pytest.mark.parametrize("h", [1e-1, 1e-3, 1e-6])
+    def test_exact_quartic_recovered(self, h):
+        # nodes of y = c1 x + c2 x^2/2 + c3 x^3/6 + c4 x^4/24 in flat normal
+        # coordinates, unevenly spaced: the cubic through (x, y/x) is exact
+        rng = np.random.default_rng(7)
+        c = rng.uniform(-2.0, 2.0, size=(4, 50))
+        x = h * (np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
+                 + rng.uniform(-0.3, 0.3, size=(4, 50)))
+        y = x * (c[0] + x * (c[1] / 2 + x * (c[2] / 6 + x * c[3] / 24)))
+        c1, c2 = _graph_coefficients(x, y)
+        eps = np.finfo(float).eps
+        # roundoff of y (relative eps) reaches c1 through z = y / x, about
+        # |y| / h, and c2 through one more factor 1 / h
+        scale = np.max(np.abs(y), axis=0) / h
+        assert np.all(np.abs(c1 - c[0]) <= 16 * eps * scale)
+        assert np.all(np.abs(c2 - c[1]) <= 16 * eps * scale / h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "space,k0,n", test_degenerate_sampling_refused.pytestmark[0].args[1])
+    def test_degenerate_sampling_refused_without_warnings(self, space, k0, n):
+        # that test, unedited and on its own cases, with warnings as errors
+        test_degenerate_sampling_refused(space, k0, n)
+
+    def test_underflowing_window_refused_though_measurable(self):
+        # at k0 = 1e100 the closed form still reads the curvature, but the
+        # LAPACK fit found its x^4/24 column zero and refused the circle
+        radius = 1.0 / 1e100
+        alphas = 2.0 * np.pi * np.arange(64) / 64
+        dirs = np.stack([np.cos(alphas), np.sin(alphas)], axis=-1)
+        tangents = np.stack([-dirs[:, 1], dirs[:, 0]], axis=-1)
+        x = radius * np.sin(alphas[[-2, -1, 1, 2]])[:, None]
+        y = radius * (1.0 - np.cos(alphas[[-2, -1, 1, 2]]))[:, None]
+        _, c2 = _graph_coefficients(x, y)
+        assert abs(float(c2[0]) / 1e100 - 1.0) < 1e-3
+        with pytest.raises(CurveGenerationError, match="singular"):
+            _window_fit_kappa(FLAT, radius * dirs, tangents, dirs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refusal_set_unchanged(self):
+        # flat circles at n = 64: the LAPACK fit measured k0 = 1e10 and
+        # 1e79, refused 1e80 (x^4/24 underflows) and read NaN in every
+        # window at 1e-300 (x^4/24 overflows), which left none to measure
+        for k0 in (1e10, 1e79):
+            curve = make_circle(FLAT, FLAT.origin(), k0, n=64)
+            assert abs(curve.kmin / k0 - 1.0) < 1e-4
+        with pytest.raises(CurveGenerationError, match="singular"):
+            make_circle(FLAT, FLAT.origin(), 1e80, n=64)
+        with pytest.raises(CurveGenerationError, match="no corner-free"):
+            make_circle(FLAT, FLAT.origin(), 1e-300, n=64)
+
+
+class TestAzimuthWinding:
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_matches_chart_oracle(self, space):
+        rng = np.random.default_rng(11)
+        k0 = 2.0 if space is HYP else 1.2
+        radius = space.circle_radius_of_curvature(k0)
+        curves = [make_circle(space, space.origin(), k0, n=1024),
+                  make_lune(space, k0, 0.4 * radius, n=1024)]
+        e1, e2 = space.frame(space.origin())
+        for curve in curves:
+            # inside, just outside and far from the curve
+            for lo, hi in ((0.0, 0.35), (1.05, 1.5), (2.0, 2.5)):
+                r = radius * rng.uniform(lo, hi, size=50)
+                a = rng.uniform(0.0, 2.0 * np.pi, size=50)
+                for p in space.exp_map(space.origin(), r[:, None] * (
+                        np.cos(a)[:, None] * e1 + np.sin(a)[:, None] * e2)):
+                    assert winding_number(space, curve.points, p) == \
+                        winding_number_chart(space, curve.points, p)
+
+    def test_antipodal_point_refused_on_sphere(self):
+        curve = make_circle(SPH, SPH.origin(), 1.2, n=256)
+        antipode = -curve.points[17]
+        for chart in (winding_number, winding_number_chart):
+            with pytest.raises(AntipodalPointsError):
+                chart(SPH, curve.points, antipode)
+        nearby = SPH.exp_map(antipode, 1e-6 * SPH.frame(antipode)[0])
+        assert winding_number(SPH, curve.points, nearby) == \
+            winding_number_chart(SPH, curve.points, nearby)
+
+
+class TestSymmetryOrder:
+    @pytest.mark.parametrize("terms,order", [
+        ([(2, 0.3, 0.1)], 2), ([(3, 0.2, 0.0), (6, 0.05, 1.0)], 3),
+        ([(7, 0.1, 2.0)], 7), ([(64, 0.01, 0.5)], 64),
+        ([(3, 0.2, 0.0), (7, 0.1, 0.4)], 0)], ids=["m2", "m3", "m7", "m64",
+                                                  "none"])
+    def test_matches_loop_with_two_calls(self, terms, order):
+        calls = []
+        profile = _cos_profile(1.5, terms)
+
+        def counted(u):
+            calls.append(np.shape(u))
+            return profile(u)
+
+        found = _detect_symmetry_order(counted)
+        assert found == detect_symmetry_order_loop(profile)
+        assert found[0] == order
+        assert len(calls) == 2
+
+    def test_constant_scalar_profile(self):
+        # a profile may return one scalar for the whole grid
+        assert _detect_symmetry_order(lambda u: 1.5) == (64, 0.0) \
+            == detect_symmetry_order_loop(lambda u: 1.5)
+
+    def test_near_symmetric_profiles_match_loop(self):
+        # a 1-fold term of size eps breaks the 3-fold symmetry by a relative
+        # mismatch of about eps * sqrt(3) / 1.6, around the 1e-10 threshold
+        found = set()
+        for eps in np.geomspace(3e-11, 3e-10, 12):
+            profile = _cos_profile(1.5, [(3, 0.1, 0.0), (1, eps, 0.3)])
+            m, mismatch = _detect_symmetry_order(profile)
+            assert (m, mismatch) == detect_symmetry_order_loop(profile)
+            found.add(m)
+        assert found == {0, 3}

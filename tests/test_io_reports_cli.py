@@ -555,6 +555,17 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
     assert "Traceback" not in err
 
 
+# Offsets beyond the farthest sample: refused as outside the curve before
+# exp_map, whose norm overflowed at 1e300 with a RuntimeWarning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("distance", [1e300, -1e300, 1.5])
+def test_far_offset_base_point_refused(tmp_path, distance):
+    code, err = _run_cli(tmp_path, "verify-angle", _configured(
+        "verify-angle", {"base_point.distance": distance}))
+    assert code == 1
+    assert err == "error: base point is not strictly inside the curve\n"
+
+
 def _per_cell_csv(series) -> str:
     """Oracle: the CSV text as one format() / str() call per cell."""
     def cell(v):
