@@ -162,15 +162,15 @@ class AngleReport:
     passed: bool
 
 
-def verify_angle_bound(curve: ClosedCurve, base,
-                       slack_tol: float = DEFAULT_SLACK_TOL) -> AngleReport:
+def verify_angle_bound(curve: ClosedCurve, base) -> AngleReport:
     """Check every sample's cos(phi) against the sharp lower bound.
 
     The curvature entering the bound is the refined measured minimum minus
     DEFAULT_K0_GUARD, so estimator error cannot produce spurious failures; the
     refined minimum distance loses DEFAULT_H_GUARD for the same reason.  Both
     guards only slacken the bound.  Samples whose curvature window spans a
-    corner are excluded.
+    corner are excluded.  The check passes when the smallest slack is at
+    least -DEFAULT_SLACK_TOL.
 
     Raises HypothesisViolation when the curve does not satisfy the
     hypotheses for its geometry (see :func:`check_hypotheses`; on the
@@ -196,4 +196,4 @@ def verify_angle_bound(curve: ClosedCurve, base,
     return AngleReport(bound_cos=bound, s=curve.s, t=meas.t, phi=meas.phi,
                        cos_phi=cos_phi, slack=slack, included=included,
                        min_slack=min_slack, excluded_corner_count=excluded,
-                       passed=bool(min_slack >= -slack_tol))
+                       passed=bool(min_slack >= -DEFAULT_SLACK_TOL))

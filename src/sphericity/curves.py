@@ -10,10 +10,12 @@ Generators
 
 Every generator returns an immutable :class:`ClosedCurve` sampled densely
 enough that the acceptance tolerances hold, positively oriented
-(counterclockwise), with exact per-sample tangents and outward normals where
-the construction provides them.  Geodesic curvature is always *measured*
-with the window estimator rather than copied from the construction, so the
-stored ``kappa``/``kmin`` are honest observations.
+(counterclockwise), with exact per-sample tangents where the construction
+provides them.  Each one ends in :meth:`ClosedCurve.from_samples`, the one
+place that derives the outward normals and *measures* the geodesic curvature
+with the window estimator (as the curve-file loader does too), so
+``kappa``/``kmin`` are observations of the samples, never a construction's
+claim.
 
 Measurement
 -----------
@@ -52,7 +54,8 @@ class ClosedCurve:
     successor of sample n-1 is sample 0).  ``kappa`` holds the measured
     geodesic curvature; entries are NaN where the measurement window would
     span a flagged corner.  ``kmin`` is the refined minimum of the measured
-    curvature away from corners.
+    curvature away from corners.  Build curves with :meth:`from_samples`,
+    which derives the normals, ``kappa`` and ``kmin`` from the samples.
     """
 
     space: SpaceForm
@@ -65,13 +68,45 @@ class ClosedCurve:
     total_length: float
     kmin: float
     provenance: str
-    k0_declared: float | None = None
     closure_gap: float = 0.0
     hint_center: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("points", "s", "tangents", "normals_out", "kappa", "corner"):
             getattr(self, name).setflags(write=False)
+
+    @classmethod
+    def from_samples(cls, space, points, s, tangents, corner, total_length,
+                     provenance, hint_center=None, closure_gap=0.0):
+        """The curve of these samples, with its outward normals
+        -rotate90(tangents), its window-fit ``kappa`` (NaN within a window
+        of a corner) and ``kmin``, the refined minimum of that ``kappa``."""
+        n = len(points)
+        if n < 2 * WINDOW_HALF + 1:
+            raise CurveGenerationError(
+                f"{n} samples are fewer than the {2 * WINDOW_HALF + 1}-sample "
+                "curvature window", where=n)
+        normals = -space.rotate90(points, tangents)
+        kappa = _window_fit_kappa(space, points, tangents, normals)
+        kappa = np.where(corner_band(corner), np.nan, kappa)
+        finite = np.isfinite(kappa)
+        if not np.any(finite):
+            raise CurveGenerationError(
+                "no corner-free window to measure curvature")
+        kmin = float(np.nanmin(kappa))
+        idx = int(np.nanargmin(kappa))
+        win = windows(n, idx)[0]
+        if np.all(finite[win]):
+            if not _flat_window(np.ptp(kappa[win]), kmin):
+                _, refined = refine_extremum(
+                    s, np.nan_to_num(kappa, nan=np.inf), idx, mode="min",
+                    period=total_length)
+                kmin = min(kmin, refined)
+        return cls(space=space, points=points, s=s, tangents=tangents,
+                   normals_out=normals, kappa=kappa, corner=corner,
+                   total_length=float(total_length), kmin=kmin,
+                   provenance=provenance, closure_gap=closure_gap,
+                   hint_center=hint_center)
 
     @property
     def n(self) -> int:
@@ -146,29 +181,6 @@ def _flat_window(spread, value):
     """True where a sample window is constant up to roundoff: refining it
     would only polish noise."""
     return spread <= 1e-8 * np.maximum(1.0, np.abs(value))
-
-
-def _measured_kappa_and_kmin(space, points, s, tangents, normals_out, corner,
-                             total_length):
-    n = len(points)
-    if n < 2 * WINDOW_HALF + 1:
-        raise CurveGenerationError(
-            f"{n} samples are fewer than the {2 * WINDOW_HALF + 1}-sample "
-            "curvature window", where=n)
-    kappa = _window_fit_kappa(space, points, tangents, normals_out)
-    kappa = np.where(corner_band(corner), np.nan, kappa)
-    finite = np.isfinite(kappa)
-    if not np.any(finite):
-        raise CurveGenerationError("no corner-free window to measure curvature")
-    kmin = float(np.nanmin(kappa))
-    idx = int(np.nanargmin(kappa))
-    win = windows(n, idx)[0]
-    if np.all(finite[win]):
-        if not _flat_window(np.ptp(kappa[win]), kmin):
-            _, refined = refine_extremum(s, np.nan_to_num(kappa, nan=np.inf),
-                                         idx, mode="min", period=total_length)
-            kmin = min(kmin, refined)
-    return kappa, kmin
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +326,10 @@ def make_circle(space: SpaceForm, center, k0: float,
     radius = space.circle_radius_of_curvature(k0)
     alphas = phase + 2.0 * np.pi * np.arange(n) / n
     points, tangents = _circle_arrays(space, center, radius, alphas)
-    normals = -space.rotate90(points, tangents)
     ring = float(space.circumference(radius))
-    s = ring * np.arange(n) / n
-    corner = np.zeros(n, dtype=bool)
-    kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
-                                           normals, corner, ring)
-    return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
-                       normals_out=normals, kappa=kappa, corner=corner,
-                       total_length=ring, kmin=kmin, provenance="circle",
-                       k0_declared=float(k0), hint_center=center)
+    return ClosedCurve.from_samples(
+        space, points, ring * (np.arange(n) / n), tangents,
+        np.zeros(n, dtype=bool), ring, "circle", hint_center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +428,9 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
     points = np.stack([h * np.cos(theta) - hp * np.sin(theta),
                        h * np.sin(theta) + hp * np.cos(theta)], axis=-1)
     tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    normals = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    s = arc - arc0[0]
-    total = 2.0 * np.pi * float(a0)
-    corner = np.zeros(n, dtype=bool)
-    kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
-                                           normals, corner, total)
-    return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
-                       normals_out=normals, kappa=kappa, corner=corner,
-                       total_length=total, kmin=kmin,
-                       provenance="support_function",
-                       k0_declared=float(k0_target),
-                       hint_center=np.zeros(2))
+    return ClosedCurve.from_samples(
+        space, points, arc - arc0[0], tangents, np.zeros(n, dtype=bool),
+        2.0 * np.pi * float(a0), "support_function", hint_center=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +671,8 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     u_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
     prof_vals = np.asarray(kappa_profile(u_grid), dtype=float)
     k_mean = float(np.mean(prof_vals))
-    # the declared curvature floor is the profile's true minimum, not the
-    # grid minimum (which overshoots it by O(grid spacing squared))
+    # the refusals below test the profile's true minimum, not the grid
+    # minimum (which overshoots it by O(grid spacing squared))
     i_min = int(np.argmin(prof_vals))
     _, k_min_profile = golden_min(
         lambda u: float(kappa_profile(u % 1.0)),
@@ -761,22 +758,15 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
             f"closure residual {gap:.3e} exceeds 1e-8 after root solve",
             residual=gap)
 
-    normals = -space.rotate90(points, tangents)
-    s = length * np.arange(n_eff) / n_eff
-    corner = np.zeros(n_eff, dtype=bool)
-    kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
-                                           normals, corner, length)
     scale = 1.0 if space.kind is Kind.FLAT else space.k1
     center = (f0 @ _period_rotation(space, d)[2][0])[:space.dim] / scale
     if not (np.all(np.isfinite(center))
             and winding_number(space, points, center) == 1):
         center = karcher_mean(space, points)
-    return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
-                       normals_out=normals, kappa=kappa, corner=corner,
-                       total_length=float(length), kmin=kmin,
-                       provenance="frame_ode",
-                       k0_declared=k_min_profile, closure_gap=gap,
-                       hint_center=center)
+    return ClosedCurve.from_samples(
+        space, points, length * np.arange(n_eff) / n_eff, tangents,
+        np.zeros(n_eff, dtype=bool), length, "frame_ode", hint_center=center,
+        closure_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -900,11 +890,6 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
         if norm > 1e-12:
             tangents[idx] = space.project_tangent(points[idx], bis) / norm
 
-    normals = -space.rotate90(points, tangents)
-    kappa, kmin = _measured_kappa_and_kmin(space, points, s, tangents,
-                                           normals, corner, total)
-    return ClosedCurve(space=space, points=points, s=s, tangents=tangents,
-                       normals_out=normals, kappa=kappa, corner=corner,
-                       total_length=float(total), kmin=kmin,
-                       provenance="disc_intersection",
-                       k0_declared=float(k0), hint_center=seed)
+    return ClosedCurve.from_samples(space, points, s, tangents, corner,
+                                    total, "disc_intersection",
+                                    hint_center=seed)

@@ -1,10 +1,13 @@
 """JSON serialization of curves.
 
-Curve files carry the space-form header and one array per sample field:
-coords, arc length, measured curvature, optionally the exact
-tangent/outward normal, and the list of corner indices.  Each sample array
-is written as the base64 text of its little-endian float64 bytes, so the
-round trip is bit-identical (NaNs, signed zeros and subnormals included).
+A curve file is its samples: the space-form header, coords, arc length,
+optionally the exact tangents, and the list of corner indices.  Each sample
+array is written as the base64 text of its little-endian float64 bytes, so
+the round trip is bit-identical (NaNs, signed zeros and subnormals
+included).  The loader derives the outward normals, ``kappa`` and ``kmin``
+from the samples with :meth:`ClosedCurve.from_samples`, as the generators
+do, and refuses any field the schema does not list, so no stored claim can
+decide a verdict.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ import math
 
 import numpy as np
 
-from .curves import ClosedCurve
+from .curves import ClosedCurve, winding_number
 from .errors import GeometryError
-from .spaceforms import SpaceForm
+from .spaceforms import SpaceForm, karcher_mean
 
-CURVE_SCHEMA = "closed_curve/3"
+CURVE_SCHEMA = "closed_curve/4"
+_FIELDS = frozenset({"schema", "space", "provenance", "total_length",
+                     "closure_gap", "hint_center", "n", "coords", "s",
+                     "corners", "tangent"})
 _FLOAT64 = np.dtype("<f8")
 
 
@@ -44,7 +50,7 @@ def _encode(array) -> str:
     return base64.b64encode(raw).decode("ascii")
 
 
-def _decode(data: dict, name: str, shape: tuple, finite: bool = True):
+def _decode(data: dict, name: str, shape: tuple):
     """C-contiguous float64 array of ``shape`` from the field ``name``."""
     try:
         raw = base64.b64decode(data[name], validate=True)
@@ -56,7 +62,7 @@ def _decode(data: dict, name: str, shape: tuple, finite: bool = True):
         raise GeometryError(
             f"{name}: {len(raw)} bytes, expected {expected} for shape {shape}")
     array = np.frombuffer(raw, dtype=_FLOAT64).astype(float, copy=False)
-    if finite and not np.all(np.isfinite(array)):
+    if not np.all(np.isfinite(array)):
         raise GeometryError(f"{name}: non-finite values")
     return array.reshape(shape)
 
@@ -66,30 +72,24 @@ def curve_to_dict(curve: ClosedCurve) -> dict:
         "schema": CURVE_SCHEMA,
         "space": space_to_dict(curve.space),
         "provenance": curve.provenance,
-        "k0_declared": curve.k0_declared,
         "total_length": curve.total_length,
-        "kmin": curve.kmin,
         "closure_gap": curve.closure_gap,
         "hint_center": None if curve.hint_center is None
         else curve.hint_center.tolist(),
         "n": curve.n,
         "coords": _encode(curve.points),
         "s": _encode(curve.s),
-        "kappa": _encode(curve.kappa),
         "corners": np.flatnonzero(curve.corner).tolist(),
         "tangent": _encode(curve.tangents),
-        "normal_out": _encode(curve.normals_out),
     }
 
 
-def _frames_from_differences(space, points):
-    """Tangents/normals recovered from the sampled points alone."""
+def _tangents_from_differences(space, points):
+    """Unit tangents recovered from the sampled points alone."""
     chord = (space.log_map(points, np.roll(points, -1, axis=0))
              - space.log_map(points, np.roll(points, 1, axis=0)))
     tangents = space.project_tangent(points, chord)
-    tangents = tangents / space.norm(points, tangents)[:, None]
-    normals = -space.rotate90(points, tangents)
-    return tangents, normals
+    return tangents / space.norm(points, tangents)[:, None]
 
 
 def _corner_mask(data: dict, n: int):
@@ -125,27 +125,28 @@ def _hint_center(data: dict, dim: int):
 
 
 def curve_from_dict(data: dict) -> ClosedCurve:
-    """Curve from a ``closed_curve/3`` document.
+    """Curve from a ``closed_curve/4`` document.
 
-    The tangent/normal arrays may be absent (curves from other tools); they
-    are then recovered from the points, which must run counterclockwise.
+    The normals, ``kappa`` and ``kmin`` are measured from the samples.  The
+    tangent array may be absent (curves from other tools); it is then
+    recovered from the points, which must run counterclockwise.
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != CURVE_SCHEMA:
         raise GeometryError(f"unsupported curve schema {schema!r}; "
                             f"expected {CURVE_SCHEMA!r}")
+    unknown = sorted(data.keys() - _FIELDS)
+    if unknown:
+        raise GeometryError(f"{unknown[0]}: not a {CURVE_SCHEMA} field")
     space = space_from_dict(data["space"])
     n = data["n"]
     if type(n) is not int or n < 1:
         raise GeometryError(f"n: expected a positive integer, got {n!r}")
     points = _decode(data, "coords", (n, space.dim))
-    if "tangent" in data and "normal_out" in data:
+    if "tangent" in data:
         tangents = _decode(data, "tangent", (n, space.dim))
-        normals = _decode(data, "normal_out", (n, space.dim))
     else:
-        from .curves import winding_number
-        from .spaceforms import karcher_mean
-        tangents, normals = _frames_from_differences(space, points)
+        tangents = _tangents_from_differences(space, points)
         seed = karcher_mean(space, points)
         if winding_number(space, points, seed) != 1:
             raise GeometryError("stored curves must be positively oriented")
@@ -154,17 +155,10 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     if not (np.all(np.diff(s) > 0.0)
             and np.all(s[-1:] - s[:1] < total_length)):
         raise GeometryError("arc lengths must increase within total_length")
-    return ClosedCurve(
-        space=space, points=points, s=s,
-        tangents=tangents, normals_out=normals,
-        kappa=_decode(data, "kappa", (n,), finite=False),
-        corner=_corner_mask(data, n),
-        total_length=total_length, kmin=_finite(data, "kmin"),
-        provenance=data["provenance"],
-        k0_declared=None if data.get("k0_declared") is None
-        else float(data["k0_declared"]),
-        closure_gap=float(data.get("closure_gap", 0.0)),
-        hint_center=_hint_center(data, space.dim))
+    return ClosedCurve.from_samples(
+        space, points, s, tangents, _corner_mask(data, n), total_length,
+        data["provenance"], hint_center=_hint_center(data, space.dim),
+        closure_gap=float(data.get("closure_gap", 0.0)))
 
 
 def save_curve(curve: ClosedCurve, path):

@@ -220,14 +220,14 @@ def incenter(curve: ClosedCurve):
     return p, r, _kkt_residual(u[f - r <= DEFAULT_MARGIN_TOL])
 
 
-def layer_width(curve: ClosedCurve,
-                margin_tol: float = DEFAULT_MARGIN_TOL) -> LayerReport:
+def layer_width(curve: ClosedCurve) -> LayerReport:
     """Width of the incenter-centered annulus, checked against d0(kmin).
 
     ``k0_used`` is the measured minimal curvature minus DEFAULT_K0_GUARD: the
     curve genuinely is k0_used-convex, so d <= d0(k0_used) is an honest
     instance of the width bound even in the presence of estimator error.
-    On the sphere the closed hemisphere is taken around the incenter.
+    The check passes when d0 - d >= -DEFAULT_MARGIN_TOL.  On the sphere the
+    closed hemisphere is taken around the incenter.
     """
     space = curve.space
     k0_used = curve.kmin - DEFAULT_K0_GUARD
@@ -247,5 +247,5 @@ def layer_width(curve: ClosedCurve,
     return LayerReport(incenter=center, r=r, rho1=float(rho1), d=float(d),
                        k0_used=float(k0_used), d0=float(d0),
                        margin=float(margin),
-                       passed=bool(margin >= -margin_tol),
+                       passed=bool(margin >= -DEFAULT_MARGIN_TOL),
                        kkt_residual=kkt)

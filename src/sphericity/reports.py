@@ -20,7 +20,7 @@ from itertools import chain, groupby, islice
 import numpy as np
 
 from . import __version__
-from .bounds import DEFAULT_MARGIN_TOL, DEFAULT_SLACK_TOL, verify_angle_bound
+from .bounds import DEFAULT_SLACK_TOL, verify_angle_bound
 from .curves import (make_circle, make_disc_intersection, make_frame_ode_curve,
                      make_lune, make_support_curve)
 from .errors import GeometryError, HypothesisViolation
@@ -238,16 +238,15 @@ def _base_point(space: SpaceForm, curve, config: dict):
 
 def _run_angle(config, result, rng):
     space = _space_from_config(config)
-    tol = _g(config, "tolerances.slack_tol", _number, DEFAULT_SLACK_TOL)
     curve = build_curve(space, config)
     base = _base_point(space, curve, config)
     try:
-        rep = verify_angle_bound(curve, base, slack_tol=tol)
+        rep = verify_angle_bound(curve, base)
     except HypothesisViolation as exc:
         result.hypothesis_violations.append(str(exc))
         return
-    result.add_check("angle_min_slack", rep.min_slack, -tol,
-                     rep.min_slack + tol, rep.passed)
+    result.add_check("angle_min_slack", rep.min_slack, -DEFAULT_SLACK_TOL,
+                     rep.min_slack + DEFAULT_SLACK_TOL, rep.passed)
     table = np.column_stack((rep.s, rep.t, rep.phi,
                              np.full(rep.s.shape, rep.bound_cos), rep.slack))
     result.series["angle"] = {
@@ -257,7 +256,6 @@ def _run_angle(config, result, rng):
 
 
 def _run_width(config, result, rng):
-    tol = _g(config, "tolerances.margin_tol", _number, DEFAULT_MARGIN_TOL)
     curve_file = _g(config, "curve_file", _text)
     if curve_file is not None:
         try:
@@ -268,7 +266,7 @@ def _run_width(config, result, rng):
     else:
         curve = build_curve(_space_from_config(config), config)
     try:
-        rep = layer_width(curve, margin_tol=tol)
+        rep = layer_width(curve)
     except HypothesisViolation as exc:
         result.hypothesis_violations.append(str(exc))
         return
@@ -401,8 +399,19 @@ _RUNNERS = {
 }
 
 
+#: the top-level keys of a run config; any other key is refused
+_CONFIG_KEYS = frozenset({"suite", "seed", "space", "generator",
+                          "base_point", "curve_file", "spindle", "warped",
+                          "sweep", "out"})
+
+
 def run(config: dict) -> SuiteResult:
     """Execute the selected suite for a config document."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(config.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     suite = _g(config, "suite", _text, required=True)
     if suite not in _RUNNERS:
         raise ConfigError(

@@ -14,6 +14,12 @@ from sphericity import SpaceForm, make_frame_ode_curve, make_support_curve
 
 def random_support_curve(rng, n=4096):
     """Flat convex curve with curvature-radius wiggle drawn from the seed."""
+    return support_curve_and_floor(rng, n)[0]
+
+
+def support_curve_and_floor(rng, n=4096):
+    """A random support curve and the curvature floor it was drawn to meet,
+    its ``k0_target``."""
     a0 = 1.0
     wiggle = rng.uniform(0.05, 0.35)
     orders = rng.choice([2, 3, 4, 5], size=2, replace=False)
@@ -24,11 +30,18 @@ def random_support_curve(rng, n=4096):
         phase = rng.uniform(0.0, 2.0 * np.pi)
         harmonics[int(m)] = (amp * math.cos(phase), amp * math.sin(phase))
     k0_target = 1.0 / (a0 + wiggle)
-    return make_support_curve(a0, harmonics, k0_target=k0_target, n=n)
+    return (make_support_curve(a0, harmonics, k0_target=k0_target, n=n),
+            k0_target)
 
 
 def random_frame_ode_curve(space, rng, n=4096):
     """Curvature-profile curve on a curved plane, m-fold symmetric."""
+    return frame_ode_curve_and_floor(space, rng, n)[0]
+
+
+def frame_ode_curve_and_floor(space, rng, n=4096):
+    """A random frame-ODE curve and the curvature floor it was drawn to
+    meet, its profile's minimum (on a grid of 2^16 points)."""
     if space.kind.value == "hyperbolic":
         k0 = rng.uniform(1.7, 2.6)
         amp_total = rng.uniform(0.05, min(0.25, k0 - 1.3))
@@ -47,7 +60,9 @@ def random_frame_ode_curve(space, rng, n=4096):
             out = out + amp * np.cos(2.0 * np.pi * mult * u + ph)
         return out
 
-    return make_frame_ode_curve(space, profile, n=n)
+    floor = float(np.min(profile(np.linspace(0.0, 1.0, 1 << 16,
+                                             endpoint=False))))
+    return make_frame_ode_curve(space, profile, n=n), floor
 
 
 def interior_base_point(curve, rng, pull=0.3):
@@ -63,29 +78,42 @@ def interior_base_point(curve, rng, pull=0.3):
 
 
 @pytest.fixture(scope="session")
-def support_suite():
-    """100 seeded support-function curves with base points (criterion suite)."""
+def support_draws():
+    """100 seeded (support-function curve, base point, curvature floor)."""
     rng = np.random.default_rng(20240501)
     out = []
     for _ in range(100):
-        curve = random_support_curve(rng)
+        curve, floor = support_curve_and_floor(rng)
         base = interior_base_point(curve, rng)
-        out.append((curve, base))
+        out.append((curve, base, floor))
     return out
 
 
 @pytest.fixture(scope="session")
-def frame_ode_suite():
-    """30 sphere + 30 hyperbolic seeded frame-ODE curves with base points."""
+def frame_ode_draws():
+    """30 sphere + 30 hyperbolic seeded (frame-ODE curve, base point,
+    curvature floor)."""
     out = []
     for space, seed in ((SpaceForm.sphere(1.0), 20240502),
                         (SpaceForm.hyperbolic(1.0), 20240503)):
         rng = np.random.default_rng(seed)
         for _ in range(30):
-            curve = random_frame_ode_curve(space, rng)
+            curve, floor = frame_ode_curve_and_floor(space, rng)
             base = interior_base_point(curve, rng)
-            out.append((curve, base))
+            out.append((curve, base, floor))
     return out
+
+
+@pytest.fixture(scope="session")
+def support_suite(support_draws):
+    """100 seeded support-function curves with base points (criterion suite)."""
+    return [(curve, base) for curve, base, _ in support_draws]
+
+
+@pytest.fixture(scope="session")
+def frame_ode_suite(frame_ode_draws):
+    """30 sphere + 30 hyperbolic seeded frame-ODE curves with base points."""
+    return [(curve, base) for curve, base, _ in frame_ode_draws]
 
 
 @pytest.fixture(scope="session")

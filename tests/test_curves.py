@@ -379,16 +379,16 @@ class TestMeasurement:
         with pytest.raises(Exception):
             measure_radial(curve, np.array([1.5, 0.0]))
 
-    def test_generated_suite_structure(self, angle_suite):
+    def test_generated_suite_structure(self, support_draws, frame_ode_draws):
         # every generated smooth curve: closed, simple-convex, positively
-        # oriented, measured kmin above the declared curvature
-        for curve, _ in angle_suite:
+        # oriented, measured kmin above the floor it was drawn to meet
+        for curve, _, floor in support_draws + frame_ode_draws:
             v = validate_curve(curve)
             assert v["winding"] == 1
             assert v["closure_gap"] < 1e-8
             assert v["max_tangent_normal_dot"] < 1e-9
             assert v["hemisphere_ok"]
-            assert curve.kmin >= curve.k0_declared - 1e-6
+            assert curve.kmin >= floor - 1e-6
 
     def test_h_matches_dense_resampling_oracle(self):
         # 10x denser regeneration, discrete minimum

@@ -3,6 +3,7 @@
 import base64
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -16,11 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 import sphericity.reports
 from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
                         make_disc_intersection, make_frame_ode_curve,
-                        make_lune, make_support_curve)
+                        make_lune, make_support_curve, spindle_optimum)
 from sphericity.cli import main
 from sphericity.curves import ClosedCurve
-from sphericity.io import (curve_from_dict, curve_to_dict, load_curve,
-                           save_curve)
+from sphericity.io import (_decode, curve_from_dict, curve_to_dict,
+                           load_curve, save_curve)
 from sphericity.reports import (ConfigError, SuiteResult, config_hash,
                                 emit_plot_data, json_text, result_json, run)
 
@@ -45,7 +46,7 @@ _FINITE = st.one_of(st.sampled_from(_EDGE_FLOATS),
 
 @st.composite
 def _extreme_curves(draw):
-    """Curves whose arrays hold edge-case floats (and NaN/inf in kappa)."""
+    """Curves whose stored arrays and header floats are edge-case floats."""
     space = draw(st.sampled_from([FLAT, SpaceForm.sphere(1.0),
                                   SpaceForm.hyperbolic(2.0)]))
     n = draw(st.integers(1, 6))
@@ -60,68 +61,87 @@ def _extreme_curves(draw):
         st.one_of(st.sampled_from(_EDGE_FLOATS[:6]),
                   st.floats(-1e300, 1e300)),
         min_size=n, max_size=n, unique=True))))
-    kappa = array(st.one_of(_FINITE, st.floats()), (n,))
     hint = draw(st.none() | st.lists(_FINITE, min_size=space.dim,
                                      max_size=space.dim))
     return ClosedCurve(
         space=space, points=array(_FINITE, (n, space.dim)), s=s,
         tangents=array(_FINITE, (n, space.dim)),
-        normals_out=array(_FINITE, (n, space.dim)), kappa=kappa,
+        normals_out=np.zeros((n, space.dim)), kappa=np.zeros(n),
         corner=np.array(draw(st.lists(st.booleans(), min_size=n,
                                       max_size=n)), dtype=bool),
-        total_length=sys.float_info.max, kmin=draw(_FINITE),
-        provenance="circle", k0_declared=draw(st.none() | _FINITE),
+        total_length=sys.float_info.max, kmin=0.0, provenance="circle",
         closure_gap=draw(_FINITE),
         hint_center=None if hint is None else np.array(hint))
 
 
+# Every generator, on the curved planes where it serves them, with corners
+# (lunes, a 3-disc body) and without; the frame-ODE curves carry a closure
+# gap.
+ROUND_TRIP_CURVES = {
+    "lune-S2": lambda: make_lune(SpaceForm.sphere(1.0), 1.0, 0.15, n=512),
+    "lune-H2": lambda: make_lune(SpaceForm.hyperbolic(1.0), 2.0, 0.1, n=512),
+    "circle-S2": lambda: make_circle(SpaceForm.sphere(1.0),
+                                     SpaceForm.sphere(1.0).origin(), 1.5,
+                                     n=256),
+    "circle-H2": lambda: make_circle(SpaceForm.hyperbolic(1.0),
+                                     SpaceForm.hyperbolic(1.0).origin(), 2.0,
+                                     n=256),
+    "support": lambda: make_support_curve(1.0, {2: (0.05, 0.0)},
+                                          k0_target=0.8, n=256),
+    "frame_ode-S2": lambda: make_frame_ode_curve(
+        SpaceForm.sphere(1.0),
+        lambda u: 1.0 + 0.1 * np.cos(6 * np.pi * np.asarray(u)), n=256),
+    "frame_ode-H2": lambda: make_frame_ode_curve(
+        SpaceForm.hyperbolic(1.0),
+        lambda u: 2.0 + 0.1 * np.cos(4 * np.pi * np.asarray(u)), n=256),
+    "disc_intersection": lambda: make_disc_intersection(
+        FLAT, [[0.0, 0.0], [0.5, 0.2], [0.1, 0.6]], 1.0, n=256),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 class TestCurveSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
-        sph, hyp = SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)
-        curves = [
-            make_lune(sph, 1.0, 0.15, n=512),
-            make_circle(hyp, hyp.origin(), 2.0, n=256),
-            make_support_curve(1.0, {2: (0.05, 0.0)}, k0_target=0.8, n=256),
-            make_frame_ode_curve(
-                sph, lambda u: 1.0 + 0.1 * np.cos(6 * np.pi * np.asarray(u)),
-                n=256),
-            make_disc_intersection(FLAT, [[0.0, 0.0], [0.5, 0.2], [0.1, 0.6]],
-                                   1.0, n=256),
-        ]
         path = tmp_path / "curve.json"
-        for curve in curves:
+        for name, make in ROUND_TRIP_CURVES.items():
+            curve = make()
             save_curve(curve, path)
             loaded = load_curve(path)
-            for name in ("points", "s", "tangents", "normals_out", "corner",
-                         "hint_center"):
-                assert np.array_equal(getattr(loaded, name),
-                                      getattr(curve, name)), name
-            assert np.array_equal(loaded.kappa, curve.kappa, equal_nan=True)
-            for name in ("total_length", "kmin", "closure_gap", "provenance",
-                         "k0_declared"):
-                assert getattr(loaded, name) == getattr(curve, name), name
+            # the loader derives normals_out, kappa and kmin as the
+            # generator did, bit for bit
+            for field in ("points", "s", "tangents", "normals_out", "kappa",
+                          "hint_center", "kmin", "total_length",
+                          "closure_gap"):
+                assert np.array_equal(_bits(getattr(loaded, field)),
+                                      _bits(getattr(curve, field))), \
+                    (name, field)
+            assert np.array_equal(loaded.corner, curve.corner), name
+            assert loaded.provenance == curve.provenance, name
             # a second dump reproduces the same document byte for byte
             assert json.dumps(curve_to_dict(loaded)) \
-                == json.dumps(curve_to_dict(curve))
+                == json.dumps(curve_to_dict(curve)), name
 
     @settings(max_examples=60, deadline=None)
     @given(curve=_extreme_curves())
     def test_edge_case_floats_round_trip_bit_exact(self, curve):
-        loaded = curve_from_dict(json.loads(json.dumps(curve_to_dict(curve))))
-        for name in ("points", "s", "tangents", "normals_out", "kappa"):
-            a, b = getattr(loaded, name), getattr(curve, name)
+        # the loader would refuse most of these sample sets (it measures
+        # them), so the encode -> JSON -> decode path is checked on its own
+        doc = json.loads(json.dumps(curve_to_dict(curve)))
+        shape = curve.points.shape
+        for field, name, dims in (("points", "coords", shape),
+                                  ("s", "s", (curve.n,)),
+                                  ("tangents", "tangent", shape)):
+            a, b = _decode(doc, name, dims), getattr(curve, field)
             assert a.dtype == np.float64 and a.flags.c_contiguous, name
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-        assert np.array_equal(loaded.corner, curve.corner)
-        if curve.hint_center is None:
-            assert loaded.hint_center is None
-        else:
-            assert np.array_equal(loaded.hint_center.view(np.uint64),
-                                  curve.hint_center.view(np.uint64))
-        for name in ("total_length", "kmin", "closure_gap", "k0_declared"):
-            a, b = getattr(loaded, name), getattr(curve, name)
+        assert doc["corners"] == np.flatnonzero(curve.corner).tolist()
+        for name in ("total_length", "closure_gap", "hint_center"):
+            a, b = doc[name], getattr(curve, name)
             assert (a is None and b is None) or \
-                np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+                np.array_equal(_bits(a), _bits(b)), name
 
     @pytest.mark.parametrize("index", [1, -1])
     def test_non_increasing_arc_length_refused(self, index):
@@ -135,7 +155,7 @@ class TestCurveSerialization:
     def test_frames_recovered_when_absent(self):
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=2048)
         doc = curve_to_dict(curve)
-        del doc["tangent"], doc["normal_out"]
+        del doc["tangent"]
         loaded = curve_from_dict(doc)
         dots = np.sum(loaded.tangents * curve.tangents, axis=-1)
         assert float(np.min(dots)) > 1.0 - 1e-9
@@ -147,16 +167,18 @@ class TestCurveSerialization:
         with pytest.raises(GeometryError):
             curve_from_dict({"schema": "something_else/9"})
         doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
-        for old in ("closed_curve/1", "closed_curve/2"):
+        for old in ("closed_curve/1", "closed_curve/2", "closed_curve/3"):
             doc["schema"] = old
             with pytest.raises(GeometryError, match=old):
                 curve_from_dict(doc)
 
 
 def _spoil(doc, field, how):
-    """A copy of a curve document with one field made invalid."""
+    """A copy of a curve document with one field made invalid (or added:
+    a field the document lacks starts as n encoded zeros)."""
     doc = dict(doc)
-    n, text = doc["n"], doc.get(field)
+    n = doc["n"]
+    text = doc.get(field, _b64(np.zeros(n)))
     if how == "truncated":
         doc[field] = text[:-1]
     elif how == "non_alphabet":
@@ -177,6 +199,8 @@ def _spoil(doc, field, how):
 
 
 # (field, how it is spoiled): each must be refused naming the field.
+# ``kappa``, ``kmin`` and ``normal_out`` are derived on load, so a file that
+# stores them is refused for the unknown field, whatever its value.
 CURVE_FILE_REFUSALS = [
     ("coords", "truncated"), ("tangent", "truncated"),
     ("s", "non_alphabet"), ("kappa", "non_alphabet"),
@@ -261,13 +285,13 @@ class TestSuiteRunner:
                        - (np.sqrt(2.0) - 1.0) / row[k0_col]) < 1e-14
 
     def test_failed_check_exit_code_2(self):
-        cfg = {"suite": "angle", "seed": 0,
-               "space": {"kind": "flat", "k1": 0.0},
-               "generator": {"provenance": "circle", "k0": 1.0, "n": 512},
-               "base_point": {"mode": "offset", "distance": 0.7},
-               "tolerances": {"slack_tol": -1.0}}   # unreachable demand
+        # at k1 = 0.5 both d0 rows are far from the flat d0: no tolerance
+        # this tight can call them the Euclidean limit
+        cfg = {"suite": "sweep", "seed": 0,
+               "sweep": {"k0": 1.0, "k1": [0.5], "limit_tol": 1e-12}}
         res = run(cfg)
         assert res.exit_code == 2
+        assert [c["verdict"] for c in res.checks] == ["fail", "fail"]
 
     def test_hypothesis_violation_exit_code_3(self):
         cfg = {"suite": "warped", "seed": 1,
@@ -435,13 +459,13 @@ FUZZ_BASE = {
          "base_point": {"mode": "offset", "distance": 0.3}},
         ["seed", "space", "space.k1", "generator.k0", "generator.n",
          "generator.phase", "generator.center", "base_point",
-         "base_point.distance", "tolerances.slack_tol"]),
+         "base_point.distance", "tolerances"]),
     "verify-width": (
         {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
          "generator": {"provenance": "lune", "k0": 1.0, "r": 0.3, "n": 64}},
         ["space.kind", "generator.provenance", "generator.k0", "generator.r",
          "generator.n", "generator.terms", "generator.harmonics",
-         "generator.centers", "curve_file", "tolerances.margin_tol"]),
+         "generator.centers", "curve_file", "tolerances"]),
     "spindle-table": (
         {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
          "spindle": {"k0": [1.5, 2.0], "r_count": 9}},
@@ -553,6 +577,8 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
                          _configured(command, overrides))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    if "tolerances" in overrides:   # not a run config key: refused
+        assert code == 1 and "'tolerances'" in err
 
 
 # Offsets beyond the farthest sample: refused as outside the curve before
@@ -564,6 +590,89 @@ def test_far_offset_base_point_refused(tmp_path, distance):
         "verify-angle", {"base_point.distance": distance}))
     assert code == 1
     assert err == "error: base point is not strictly inside the curve\n"
+
+
+# A flat circle whose ring length times n overflowed float64 in the arc
+# lengths, with a RuntimeWarning, before the curve was refused.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_k0_circle_refused_without_warning(tmp_path):
+    code, err = _run_cli(tmp_path, "verify-angle", _configured(
+        "verify-angle", {"generator.k0": 1e-306, "base_point.mode": "hint"}))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make,kmin", [
+    (lambda: make_lune(FLAT, 1.0, spindle_optimum(FLAT, 1.0).r0), 3.0),
+    (lambda: make_circle(FLAT, FLAT.origin(), 1.0), 0.2)],
+    ids=["optimal-lune", "unit-circle"])
+def test_verify_width_judges_curve_file_by_its_samples(tmp_path, make, kmin):
+    curve = make()
+    path = tmp_path / "curve.json"
+    save_curve(curve, path)
+    config = {"seed": 0, "curve_file": str(path),
+              "out": str(tmp_path / "out")}
+    assert _run_cli(tmp_path, "verify-width", config) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"][0]["bound"] == layer_width(curve).d0
+    # a stored kmin once replaced the measured one and moved the bound
+    doc = json.loads(path.read_text())
+    for schema, named in (("closed_curve/3", "closed_curve/3"),
+                          (doc["schema"], "kmin: ")):
+        path.write_text(json.dumps(dict(doc, schema=schema, kmin=kmin)))
+        code, err = _run_cli(tmp_path, "verify-width", config)
+        assert code == 1 and named in err and len(err.splitlines()) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _saved(name):
+    """(curve, its saved document) of a ROUND_TRIP_CURVES entry."""
+    curve = ROUND_TRIP_CURVES[name]()
+    return curve, curve_to_dict(curve)
+
+
+_JSON_VALUES = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+                | st.lists(st.floats(), max_size=3))
+
+
+@st.composite
+def _claims(draw):
+    """A saved curve with derived fields added, or a config with a
+    ``tolerances`` block: (command, config, curve document or None, the
+    field the refusal must name)."""
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(["verify-angle", "verify-width"]))
+        block = draw(_JSON_VALUES | st.dictionaries(
+            st.sampled_from(["slack_tol", "margin_tol"]), st.floats()))
+        return (command, dict(FUZZ_BASE[command][0], tolerances=block), None,
+                "'tolerances'")
+    curve, doc = _saved(draw(st.sampled_from(sorted(ROUND_TRIP_CURVES))))
+    doc = dict(doc)
+    arrays = {"kappa": curve.kappa, "normal_out": curve.normals_out}
+    fields = draw(st.lists(st.sampled_from(
+        ["kmin", "kappa", "k0_declared", "normal_out"]), min_size=1,
+        max_size=4, unique=True))
+    for field in fields:
+        if field in arrays and draw(st.booleans()):
+            # the true array, or the true array rescaled
+            doc[field] = _b64(arrays[field] * draw(st.floats(-1e3, 1e3)))
+        else:
+            doc[field] = draw(_JSON_VALUES)
+    return "verify-width", {"seed": 0}, doc, f"{min(fields)}: "
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_claims())
+def test_stored_claims_are_refused_never_judged(tmp_path_factory, case):
+    command, config, doc, named = case
+    tmp = tmp_path_factory.mktemp("claims")
+    if doc is not None:
+        (tmp / "curve.json").write_text(json.dumps(doc))
+        config = dict(config, curve_file=str(tmp / "curve.json"))
+    code, err = _run_cli(tmp, command, config)
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert named in err
 
 
 def _per_cell_csv(series) -> str:
