@@ -37,7 +37,7 @@ from .errors import (AntipodalPointsError, CurveGenerationError,
                      GeometryError, NonClosureError)
 from .search import (WINDOW_HALF, golden_min, refine_extremum,
                      refine_windows, windows)
-from .spaceforms import Kind, SpaceForm, karcher_mean
+from .spaceforms import MODEL_TOL, Kind, SpaceForm, karcher_mean
 
 DEFAULT_SAMPLES = 4096
 
@@ -80,7 +80,9 @@ class ClosedCurve:
                      provenance, hint_center=None, closure_gap=0.0):
         """The curve of these samples, with its outward normals
         -rotate90(tangents), its window-fit ``kappa`` (NaN within a window
-        of a corner) and ``kmin``, the refined minimum of that ``kappa``."""
+        of a corner) and ``kmin``, the refined minimum of that ``kappa``;
+        refuses tangents that are not unit vectors between the chords from
+        the previous sample and to the next."""
         n = len(points)
         if n < 2 * WINDOW_HALF + 1:
             raise CurveGenerationError(
@@ -152,6 +154,16 @@ def _window_fit_kappa(space, points, tangents, normals_out):
     x = space.metric_dot(points, v, tangents)
     y = -space.metric_dot(points, v, normals_out)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # refuse tangents the samples contradict: one of length a would
+        # measure kappa / a, a turned one would turn the normal (node 1, the
+        # previous sample, must lie behind along it, node 2 ahead, one side)
+        frame = np.stack([tangents, normals_out])
+        ambient = np.einsum("kij,kij->ki", frame, frame)
+        unit = (np.abs(space.metric_dot(points, frame, frame) - 1.0)
+                <= MODEL_TOL * ambient) & (ambient < np.inf)
+        side = np.sign(y[1:3]) * (np.abs(y[1:3]) > MODEL_TOL * np.abs(x[1:3]))
+        astray = ((x[1] >= 0.0) | (x[2] <= 0.0) | (side[0] * side[1] < 0.0)
+                  | ~unit.all(axis=0))
         c1, c2 = _graph_coefficients(x, y)
         t = 1.0 + c1 * c1
         x4 = np.max(x * x * x * x, axis=0) / 24.0
@@ -162,6 +174,11 @@ def _window_fit_kappa(space, points, tangents, normals_out):
         kappa = np.where(x4 < np.inf, c2 / (t * np.sqrt(t)), np.nan)
         singular = (x4 == 0.0) | (~np.isfinite(kappa) & np.isfinite(x4)
                                   & np.isfinite(y).all(axis=0))
+    if np.any(astray):
+        i = int(np.argmax(astray))
+        raise CurveGenerationError(
+            "tangent: not a unit vector between the chords to the "
+            f"neighbouring samples at sample {i}", where=i)
     if np.any(singular):
         raise CurveGenerationError(
             "curvature window fit is singular (samples too close together "
@@ -885,10 +902,11 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
 
     # corner tangents: bisector of adjacent arc directions
     for idx in np.flatnonzero(corner):
-        bis = tangents[idx - 1] + tangents[(idx + 1) % len(points)]
+        bis = space.project_tangent(
+            points[idx], tangents[idx - 1] + tangents[(idx + 1) % len(points)])
         norm = space.norm(points[idx], bis)
         if norm > 1e-12:
-            tangents[idx] = space.project_tangent(points[idx], bis) / norm
+            tangents[idx] = bis / norm
 
     return ClosedCurve.from_samples(space, points, s, tangents, corner,
                                     total, "disc_intersection",

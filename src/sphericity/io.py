@@ -5,9 +5,10 @@ optionally the exact tangents, and the list of corner indices.  Each sample
 array is written as the base64 text of its little-endian float64 bytes, so
 the round trip is bit-identical (NaNs, signed zeros and subnormals
 included).  The loader derives the outward normals, ``kappa`` and ``kmin``
-from the samples with :meth:`ClosedCurve.from_samples`, as the generators
-do, and refuses any field the schema does not list, so no stored claim can
-decide a verdict.
+from the samples with :meth:`ClosedCurve.from_samples` (which refuses
+tangents the points contradict), as the generators do, and refuses any
+field the schema does not list.  A file still claims its arc lengths ``s``,
+its corners and where each tangent lies between its neighbouring chords.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ _FIELDS = frozenset({"schema", "space", "provenance", "total_length",
                      "closure_gap", "hint_center", "n", "coords", "s",
                      "corners", "tangent"})
 _FLOAT64 = np.dtype("<f8")
-
-
-def space_to_dict(space: SpaceForm) -> dict:
-    return {"kind": space.kind.value, "k1": space.k1}
 
 
 def space_from_dict(d: dict) -> SpaceForm:
@@ -70,7 +67,7 @@ def _decode(data: dict, name: str, shape: tuple):
 def curve_to_dict(curve: ClosedCurve) -> dict:
     return {
         "schema": CURVE_SCHEMA,
-        "space": space_to_dict(curve.space),
+        "space": {"kind": curve.space.kind.value, "k1": curve.space.k1},
         "provenance": curve.provenance,
         "total_length": curve.total_length,
         "closure_gap": curve.closure_gap,
@@ -106,12 +103,6 @@ def _corner_mask(data: dict, n: int):
 def _is_finite_number(x) -> bool:
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and math.isfinite(x))
-
-
-def _finite(data: dict, name: str) -> float:
-    if not _is_finite_number(data[name]):
-        raise GeometryError(f"{name}: must be a finite number")
-    return float(data[name])
 
 
 def _hint_center(data: dict, dim: int):
@@ -151,7 +142,9 @@ def curve_from_dict(data: dict) -> ClosedCurve:
         if winding_number(space, points, seed) != 1:
             raise GeometryError("stored curves must be positively oriented")
     s = _decode(data, "s", (n,))
-    total_length = _finite(data, "total_length")
+    total_length = data["total_length"]
+    if not _is_finite_number(total_length):
+        raise GeometryError("total_length: must be a finite number")
     if not (np.all(np.diff(s) > 0.0)
             and np.all(s[-1:] - s[:1] < total_length)):
         raise GeometryError("arc lengths must increase within total_length")

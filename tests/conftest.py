@@ -78,8 +78,9 @@ def interior_base_point(curve, rng, pull=0.3):
 
 
 @pytest.fixture(scope="session")
-def support_draws():
-    """100 seeded (support-function curve, base point, curvature floor)."""
+def support_suite():
+    """100 seeded (support-function curve, base point, curvature floor)
+    triples (criterion suite)."""
     rng = np.random.default_rng(20240501)
     out = []
     for _ in range(100):
@@ -90,9 +91,9 @@ def support_draws():
 
 
 @pytest.fixture(scope="session")
-def frame_ode_draws():
+def frame_ode_suite():
     """30 sphere + 30 hyperbolic seeded (frame-ODE curve, base point,
-    curvature floor)."""
+    curvature floor) triples."""
     out = []
     for space, seed in ((SpaceForm.sphere(1.0), 20240502),
                         (SpaceForm.hyperbolic(1.0), 20240503)):
@@ -105,17 +106,6 @@ def frame_ode_draws():
 
 
 @pytest.fixture(scope="session")
-def support_suite(support_draws):
-    """100 seeded support-function curves with base points (criterion suite)."""
-    return [(curve, base) for curve, base, _ in support_draws]
-
-
-@pytest.fixture(scope="session")
-def frame_ode_suite(frame_ode_draws):
-    """30 sphere + 30 hyperbolic seeded frame-ODE curves with base points."""
-    return [(curve, base) for curve, base, _ in frame_ode_draws]
-
-
-@pytest.fixture(scope="session")
 def angle_suite(support_suite, frame_ode_suite):
-    return support_suite + frame_ode_suite
+    return [(curve, base)
+            for curve, base, _ in support_suite + frame_ode_suite]

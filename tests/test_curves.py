@@ -379,10 +379,10 @@ class TestMeasurement:
         with pytest.raises(Exception):
             measure_radial(curve, np.array([1.5, 0.0]))
 
-    def test_generated_suite_structure(self, support_draws, frame_ode_draws):
+    def test_generated_suite_structure(self, support_suite, frame_ode_suite):
         # every generated smooth curve: closed, simple-convex, positively
         # oriented, measured kmin above the floor it was drawn to meet
-        for curve, _, floor in support_draws + frame_ode_draws:
+        for curve, _, floor in support_suite + frame_ode_suite:
             v = validate_curve(curve)
             assert v["winding"] == 1
             assert v["closure_gap"] < 1e-8

@@ -185,6 +185,9 @@ def _spoil(doc, field, how):
         doc[field] = text[:8] + "*" + text[9:]
     elif how == "short":
         doc[field] = _b64(_unb64(text)[:-1])
+    elif how in ("scaled", "negated", "overflowing"):
+        factor = {"scaled": 3.0, "negated": -1.0, "overflowing": 1e200}[how]
+        doc[field] = _b64(_unb64(text) * factor)
     elif how in ("nan", "inf"):
         values = _unb64(text)
         values[n // 2] = math.nan if how == "nan" else -math.inf
@@ -200,9 +203,11 @@ def _spoil(doc, field, how):
 
 # (field, how it is spoiled): each must be refused naming the field.
 # ``kappa``, ``kmin`` and ``normal_out`` are derived on load, so a file that
-# stores them is refused for the unknown field, whatever its value.
+# stores them is refused for the unknown field, whatever its value; a stored
+# tangent must be a unit vector between the chords to its neighbours.
 CURVE_FILE_REFUSALS = [
     ("coords", "truncated"), ("tangent", "truncated"),
+    ("tangent", "scaled"), ("tangent", "negated"), ("tangent", "overflowing"),
     ("s", "non_alphabet"), ("kappa", "non_alphabet"),
     ("coords", "short"), ("normal_out", "short"), ("kappa", "short"),
     ("coords", "nan"), ("coords", "inf"), ("s", "nan"),
@@ -615,11 +620,14 @@ def test_verify_width_judges_curve_file_by_its_samples(tmp_path, make, kmin):
     assert _run_cli(tmp_path, "verify-width", config) == (0, "")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"][0]["bound"] == layer_width(curve).d0
-    # a stored kmin once replaced the measured one and moved the bound
+    # a stored kmin once replaced the measured one and moved the bound, and
+    # tangents rescaled by 1/kmin divided the measured kappa by it
     doc = json.loads(path.read_text())
-    for schema, named in (("closed_curve/3", "closed_curve/3"),
-                          (doc["schema"], "kmin: ")):
-        path.write_text(json.dumps(dict(doc, schema=schema, kmin=kmin)))
+    for edited, named in (
+            (dict(doc, schema="closed_curve/3", kmin=kmin), "closed_curve/3"),
+            (dict(doc, kmin=kmin), "kmin: "),
+            (dict(doc, tangent=_b64(curve.tangents / kmin)), "tangent: ")):
+        path.write_text(json.dumps(edited))
         code, err = _run_cli(tmp_path, "verify-width", config)
         assert code == 1 and named in err and len(err.splitlines()) == 1
 
@@ -637,10 +645,12 @@ _JSON_VALUES = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
 
 @st.composite
 def _claims(draw):
-    """A saved curve with derived fields added, or a config with a
-    ``tolerances`` block: (command, config, curve document or None, the
-    field the refusal must name)."""
-    if draw(st.booleans()):
+    """A config with a ``tolerances`` block, a saved curve with derived
+    fields added, or a saved curve with its tangents rescaled or turned:
+    (command, config, curve document or None, the field the refusal must
+    name)."""
+    kind = draw(st.sampled_from(["tolerances", "derived", "tangent"]))
+    if kind == "tolerances":
         command = draw(st.sampled_from(["verify-angle", "verify-width"]))
         block = draw(_JSON_VALUES | st.dictionaries(
             st.sampled_from(["slack_tol", "margin_tol"]), st.floats()))
@@ -648,6 +658,20 @@ def _claims(draw):
                 "'tolerances'")
     curve, doc = _saved(draw(st.sampled_from(sorted(ROUND_TRIP_CURVES))))
     doc = dict(doc)
+    if kind == "tangent" and draw(st.booleans()):
+        # turned in the tangent plane by more than any of these curves turns
+        # between two samples
+        angle = draw(st.floats(0.05, math.pi)) * draw(st.sampled_from(
+            [-1.0, 1.0]))
+        turned = curve.space.rotate90(curve.points, curve.tangents)
+        doc["tangent"] = _b64(math.cos(angle) * curve.tangents
+                              + math.sin(angle) * turned)
+        return "verify-width", {"seed": 0}, doc, "tangent: "
+    if kind == "tangent":
+        scale = draw(st.sampled_from([-1.0, 0.0]) | st.floats(
+            -1e3, 1e3).filter(lambda a: abs(a - 1.0) > 1e-9))
+        doc["tangent"] = _b64(curve.tangents * scale)
+        return "verify-width", {"seed": 0}, doc, "tangent: "
     arrays = {"kappa": curve.kappa, "normal_out": curve.normals_out}
     fields = draw(st.lists(st.sampled_from(
         ["kmin", "kappa", "k0_declared", "normal_out"]), min_size=1,
