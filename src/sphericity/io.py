@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .curves import ClosedCurve, winding_number
-from .errors import GeometryError
+from .errors import ConstraintViolation, GeometryError
 from .spaceforms import SpaceForm, karcher_mean
 
 CURVE_SCHEMA = "closed_curve/4"
@@ -118,9 +118,10 @@ def _hint_center(data: dict, dim: int):
 def curve_from_dict(data: dict) -> ClosedCurve:
     """Curve from a ``closed_curve/4`` document.
 
-    The normals, ``kappa`` and ``kmin`` are measured from the samples.  The
-    tangent array may be absent (curves from other tools); it is then
-    recovered from the points, which must run counterclockwise.
+    The normals, ``kappa`` and ``kmin`` are measured from the samples,
+    whose coords must lie on the model surface.  The tangent array may be
+    absent (curves from other tools); it is then recovered from the points,
+    which must run counterclockwise.
     """
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != CURVE_SCHEMA:
@@ -134,6 +135,10 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     if type(n) is not int or n < 1:
         raise GeometryError(f"n: expected a positive integer, got {n!r}")
     points = _decode(data, "coords", (n, space.dim))
+    try:
+        space.check_point(points)
+    except ConstraintViolation as exc:
+        raise GeometryError(f"coords: {exc}") from None
     if "tangent" in data:
         tangents = _decode(data, "tangent", (n, space.dim))
     else:
@@ -148,10 +153,16 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     if not (np.all(np.diff(s) > 0.0)
             and np.all(s[-1:] - s[:1] < total_length)):
         raise GeometryError("arc lengths must increase within total_length")
+    provenance = data.get("provenance")
+    if not isinstance(provenance, str):
+        raise GeometryError("provenance: must be a string")
+    closure_gap = data.get("closure_gap", 0.0)
+    if not (_is_finite_number(closure_gap) and closure_gap >= 0.0):
+        raise GeometryError("closure_gap: must be a finite number >= 0")
     return ClosedCurve.from_samples(
         space, points, s, tangents, _corner_mask(data, n), total_length,
-        data["provenance"], hint_center=_hint_center(data, space.dim),
-        closure_gap=float(data.get("closure_gap", 0.0)))
+        provenance, hint_center=_hint_center(data, space.dim),
+        closure_gap=float(closure_gap))
 
 
 def save_curve(curve: ClosedCurve, path):

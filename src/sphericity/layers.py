@@ -21,7 +21,7 @@ from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
 from .curves import (ClosedCurve, _distance_extrema, max_distance_to_curve,
                      min_distance_to_curve, winding_number)
 from .errors import GeometryError, HypothesisViolation
-from .spaceforms import Kind, karcher_mean
+from .spaceforms import Kind, _dot, karcher_mean
 from .spindles import spindle_optimum
 
 
@@ -62,7 +62,7 @@ def _contacts(curve: ClosedCurve, p):
     gauss = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}.get(space.kind, 0.0)
     h = (kappa * cs + gauss * space.k1 ** 2 * sn) \
         / np.maximum(cs - kappa * sn, DEFAULT_K0_GUARD * sn)
-    return f, u / np.linalg.norm(u, axis=1, keepdims=True), np.nan_to_num(h)
+    return f, u / np.sqrt(_dot(u, u))[:, None], np.nan_to_num(h)
 
 
 def _model_step(u, b, radius):

@@ -13,6 +13,12 @@ All operations are pure functions of immutable value types; every method
 broadcasts over leading axes, so a single call handles whole sample arrays.
 Points and tangents are plain float arrays whose last axis holds the ambient
 coordinates (2 for flat, 3 otherwise).
+
+Inner products and lengths are summed component by component over that
+axis, left to right, which is the order ``np.sum`` and ``np.linalg.norm`` use
+on it, so the results keep their bits at a fraction of the cost.  A product
+of two different vectors starts its sum from +0.0, because ``np.sum`` never
+returns -0.0; a sum of squares cannot be -0.0.
 """
 
 from __future__ import annotations
@@ -33,6 +39,15 @@ class Kind(Enum):
     FLAT = "flat"
     SPHERE = "sphere"
     HYPERBOLIC = "hyperbolic"
+
+
+def _dot(u, v):
+    """Euclidean inner product over the last axis, bit for bit
+    ``np.sum(u * v, axis=-1)``: left to right, from +0.0."""
+    out = 0.0 + u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
 
 
 def _mdot(u, v):
@@ -109,7 +124,7 @@ class SpaceForm:
             return np.zeros(p.shape[:-1])
         r2 = 1.0 / self.k1 ** 2
         if self.kind is Kind.SPHERE:
-            return np.abs(np.sum(p * p, axis=-1) - r2) / r2
+            return np.abs(_dot(p, p) - r2) / r2
         return np.abs(_mdot(p, p) + r2) / r2
 
     def check_point(self, p) -> np.ndarray:
@@ -135,10 +150,9 @@ class SpaceForm:
         if self.kind is Kind.FLAT:
             return p
         if self.kind is Kind.SPHERE:
-            scale = 1.0 / (self.k1 * np.linalg.norm(p, axis=-1, keepdims=True))
-            return p * scale
-        q = -_mdot(p, p)
-        scale = 1.0 / (self.k1 * np.sqrt(q))
+            scale = 1.0 / (self.k1 * np.sqrt(_dot(p, p)))
+        else:
+            scale = 1.0 / (self.k1 * np.sqrt(-_mdot(p, p)))
         return p * scale[..., None]
 
     def project_tangent(self, base, v) -> np.ndarray:
@@ -146,7 +160,7 @@ class SpaceForm:
         if self.kind is Kind.FLAT:
             return np.asarray(v, dtype=float)
         if self.kind is Kind.SPHERE:
-            coeff = np.sum(v * base, axis=-1) * self.k1 ** 2
+            coeff = _dot(v, base) * self.k1 ** 2
         else:
             coeff = -_mdot(v, base) * self.k1 ** 2
         return v - coeff[..., None] * base
@@ -163,7 +177,7 @@ class SpaceForm:
         v = np.asarray(v, dtype=float)
         if self.kind is Kind.HYPERBOLIC:
             return _mdot(u, v)
-        return np.sum(u * v, axis=-1)
+        return _dot(u, v)
 
     def norm(self, base, v) -> np.ndarray:
         g = self.metric_dot(base, v, v)
@@ -185,12 +199,13 @@ class SpaceForm:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind is Kind.FLAT:
-            return np.linalg.norm(b - a, axis=-1)
+            ab = b - a
+            return np.sqrt(_dot(ab, ab))
         if self.kind is Kind.SPHERE:
             k = self.k1
-            dot = np.sum(a * b, axis=-1) * k * k
-            cross = np.linalg.norm(_cross(a, b), axis=-1) * k * k
-            return np.arctan2(cross, dot) / k
+            c = _cross(a, b)
+            return np.arctan2(np.sqrt(_dot(c, c)) * k * k,
+                              _dot(a, b) * k * k) / k
         # tangential part of b at a has Minkowski norm sinh(k d)/k, which is
         # far better conditioned near zero than the arccosh form
         k2 = self.k1 ** 2
@@ -229,20 +244,21 @@ class SpaceForm:
         target = np.asarray(target, dtype=float)
         if self.kind is Kind.FLAT:
             return target - base
-        d = self.distance(base, target)
         if self.kind is Kind.SPHERE:
-            coeff = np.sum(target * base, axis=-1) * self.k1 ** 2
-            w = target - coeff[..., None] * base
-            wn = np.linalg.norm(w, axis=-1)
+            d = self.distance(base, target)
+            w = target - (_dot(target, base) * self.k1 ** 2)[..., None] * base
+            wn = np.sqrt(_dot(w, w))
             antipodal = (d > (np.pi / self.k1) * (1.0 - 1e-9)) | (
                 (wn == 0.0) & (d > 0.0))
             if np.any(antipodal):
                 raise AntipodalPointsError(
                     "log map is undefined for antipodal points on the sphere")
         else:
-            coeff = -_mdot(target, base) * self.k1 ** 2
-            w = target - coeff[..., None] * base
+            # the tangential part w of target and d from its length: the
+            # operations distance runs, so d has its bits
+            w = target + (self.k1 ** 2 * _mdot(target, base))[..., None] * base
             wn = np.sqrt(np.maximum(_mdot(w, w), 0.0))
+            d = np.arcsinh(self.k1 * wn) / self.k1
         w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
         w[wn == 0.0] = 0.0
         return w

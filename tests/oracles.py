@@ -250,3 +250,83 @@ def detect_symmetry_order_loop(profile):
             return m, mismatch
         best = min(best, mismatch)
     return 0, best
+
+
+# The kernel methods as written with numpy reductions over the coordinate
+# axis (``np.sum``, ``np.linalg.norm``) and with the hyperbolic log map
+# through ``distance``: the references for the component-wise sums of
+# ``spaceforms._dot``.
+
+def _minkowski(u, v):
+    return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+class ReductionKernel:
+    """The SpaceForm methods that sum over the coordinate axis, by reduction.
+
+    The sphere's log map omits the antipodal refusal: it is a reference for
+    values, and callers pass points less than pi/k1 apart.
+    """
+
+    def __init__(self, space):
+        self.kind, self.k1 = space.kind, space.k1
+
+    def metric_dot(self, base, u, v):
+        if self.kind is Kind.HYPERBOLIC:
+            return _minkowski(u, v)
+        return np.sum(u * v, axis=-1)
+
+    def norm(self, base, v):
+        return np.sqrt(np.maximum(self.metric_dot(base, v, v), 0.0))
+
+    def constraint_defect(self, p):
+        if self.kind is Kind.FLAT:
+            return np.zeros(p.shape[:-1])
+        r2 = 1.0 / self.k1 ** 2
+        if self.kind is Kind.SPHERE:
+            return np.abs(np.sum(p * p, axis=-1) - r2) / r2
+        return np.abs(_minkowski(p, p) + r2) / r2
+
+    def project(self, p):
+        if self.kind is Kind.FLAT:
+            return p
+        if self.kind is Kind.SPHERE:
+            return p * (1.0 / (self.k1 * np.linalg.norm(p, axis=-1,
+                                                         keepdims=True)))
+        return p * (1.0 / (self.k1 * np.sqrt(-_minkowski(p, p))))[..., None]
+
+    def project_tangent(self, base, v):
+        if self.kind is Kind.FLAT:
+            return v
+        if self.kind is Kind.SPHERE:
+            coeff = np.sum(v * base, axis=-1) * self.k1 ** 2
+        else:
+            coeff = -_minkowski(v, base) * self.k1 ** 2
+        return v - coeff[..., None] * base
+
+    def distance(self, a, b):
+        if self.kind is Kind.FLAT:
+            return np.linalg.norm(b - a, axis=-1)
+        k = self.k1
+        if self.kind is Kind.SPHERE:
+            dot = np.sum(a * b, axis=-1) * k * k
+            cross = np.linalg.norm(np.cross(a, b), axis=-1) * k * k
+            return np.arctan2(cross, dot) / k
+        w = b + (k ** 2 * _minkowski(b, a))[..., None] * a
+        return np.arcsinh(k * np.sqrt(np.maximum(_minkowski(w, w), 0.0))) / k
+
+    def log_map(self, base, target):
+        if self.kind is Kind.FLAT:
+            return target - base
+        d = self.distance(base, target)
+        if self.kind is Kind.SPHERE:
+            coeff = np.sum(target * base, axis=-1) * self.k1 ** 2
+            w = target - coeff[..., None] * base
+            wn = np.linalg.norm(w, axis=-1)
+        else:
+            coeff = -_minkowski(target, base) * self.k1 ** 2
+            w = target - coeff[..., None] * base
+            wn = np.sqrt(np.maximum(_minkowski(w, w), 0.0))
+        w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
+        w[wn == 0.0] = 0.0
+        return w

@@ -206,7 +206,7 @@ def _spoil(doc, field, how):
 # stores them is refused for the unknown field, whatever its value; a stored
 # tangent must be a unit vector between the chords to its neighbours.
 CURVE_FILE_REFUSALS = [
-    ("coords", "truncated"), ("tangent", "truncated"),
+    ("coords", "truncated"), ("coords", "scaled"), ("tangent", "truncated"),
     ("tangent", "scaled"), ("tangent", "negated"), ("tangent", "overflowing"),
     ("s", "non_alphabet"), ("kappa", "non_alphabet"),
     ("coords", "short"), ("normal_out", "short"), ("kappa", "short"),
@@ -630,6 +630,52 @@ def test_verify_width_judges_curve_file_by_its_samples(tmp_path, make, kmin):
         path.write_text(json.dumps(edited))
         code, err = _run_cli(tmp_path, "verify-width", config)
         assert code == 1 and named in err and len(err.splitlines()) == 1
+
+
+# Coordinates off the model surface were refused only through the tangent
+# check, naming ``tangent``; a hyperboloid file without tangents first
+# printed a RuntimeWarning from the tangents derived from them.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("space,k0,keep_tangent", [
+    (SpaceForm.hyperbolic(1.0), 2.0, False),
+    (SpaceForm.sphere(1.0), 1.0, True)], ids=["H2-no-tangent", "S2"])
+def test_off_model_coords_refused_naming_coords(tmp_path, space, k0,
+                                                keep_tangent):
+    doc = curve_to_dict(make_circle(space, space.origin(), k0, n=256))
+    doc["coords"] = _b64(_unb64(doc["coords"]) * 1.01)
+    if not keep_tangent:
+        del doc["tangent"]
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_cli(tmp_path, "verify-width",
+                         {"seed": 0, "curve_file": str(path)})
+    assert code == 1 and len(err.splitlines()) == 1
+    assert "coords: " in err and "model constraint" in err
+
+
+# Header fields of a curve file: neither enters a verdict, but a wrong type
+# or value is refused naming the field, not converted or stored as is.
+HEADER_REFUSALS = [("closure_gap", "abc"), ("closure_gap", math.nan),
+                   ("closure_gap", True), ("closure_gap", -1e-3),
+                   ("closure_gap", math.inf), ("provenance", [1]),
+                   ("provenance", None), ("provenance", 3),
+                   ("provenance", "missing")]
+
+
+@pytest.mark.parametrize("field,value", HEADER_REFUSALS,
+                         ids=[f"{f}-{v}" for f, v in HEADER_REFUSALS])
+def test_curve_file_header_refused_naming_the_field(tmp_path, field, value):
+    doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
+    if field == "provenance" and value == "missing":
+        del doc["provenance"]
+    else:
+        doc[field] = value
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_cli(tmp_path, "verify-width",
+                         {"seed": 0, "curve_file": str(path)})
+    assert code == 1 and len(err.splitlines()) == 1
+    assert f"{field}: " in err and "Traceback" not in err
 
 
 @functools.lru_cache(maxsize=None)

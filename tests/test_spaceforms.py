@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphericity import (AntipodalPointsError, ConstraintViolation,
-                        GeometryError, Kind, SpaceForm)
+                        GeometryError, Kind, SpaceForm, spaceforms)
+from tests.oracles import ReductionKernel
 
 ALL_SPACES = [SpaceForm.flat(), SpaceForm.sphere(1.0), SpaceForm.sphere(0.6),
               SpaceForm.hyperbolic(1.0), SpaceForm.hyperbolic(1.7)]
@@ -233,3 +234,104 @@ def test_sphere_exp_log_property(k1, r, ang):
     q = space.exp_map(origin, v)
     assert abs(float(space.distance(origin, q)) - r) < 1e-11
     assert float(np.max(np.abs(space.log_map(origin, q) - v))) < 1e-9
+
+
+# -- the component-wise sums against numpy's reductions -------------------
+
+def _same_bits(x, y) -> bool:
+    """Equal shapes and equal bits, so the sign of zero counts."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint64),
+        np.ascontiguousarray(y).view(np.uint64))
+
+
+def _kernel_mismatches(space, a, b, u, v) -> list[str]:
+    """The kernel calls whose results differ from ReductionKernel's."""
+    ref = ReductionKernel(space)
+    calls = [("metric_dot", (b, u, v)), ("norm", (b, u)),
+             ("constraint_defect", (a,)), ("project", (a,)),
+             ("project_tangent", (b, u)), ("distance", (a, b)),
+             ("distance", (b, a)), ("log_map", (a, b)), ("log_map", (b, a))]
+    return [name for name, args in calls
+            if not _same_bits(getattr(space, name)(*args),
+                              getattr(ref, name)(*args))]
+
+
+def _zero_heavy(rng, shape, zeros):
+    """Values over six decades, a share ``zeros`` of them +0.0 or -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    mask = rng.random(shape) < zeros
+    x[mask] = rng.choice([0.0, -0.0], int(np.sum(mask)))
+    return x
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(space, a, b, u, v): points a and b on the model, some coincident,
+    and tangent-like u and v of their shapes, with many exact zeros."""
+    kind = draw(st.sampled_from(list(Kind)))
+    k1 = 0.0 if kind is Kind.FLAT else 10.0 ** draw(st.floats(-3.0, 3.0))
+    space = SpaceForm(kind, k1)
+    n = draw(st.integers(1, 9))
+    lead_a = draw(st.sampled_from([(), (n,), (4, n)]))
+    zeros = draw(st.floats(0.0, 1.0))
+    coincident = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    origin = space.origin()
+    e1, e2 = space.frame(origin)
+
+    def points(lead):
+        # within sqrt(2)/k1 < pi/(2 k1) of the origin, so no two sphere
+        # points are antipodal; the rescaling keeps exact zeros
+        c = _zero_heavy(rng, lead + (2,), zeros)
+        reach = np.max(np.abs(c), axis=-1, keepdims=True) * max(k1, 1e-3)
+        c = c / np.maximum(reach, 1.0)
+        return space.exp_map(origin, c[..., :1] * e1 + c[..., 1:] * e2)
+
+    a, b = points(lead_a), points((n,))
+    if lead_a:
+        same = rng.random(a.shape[:-1]) < coincident
+        a[same] = np.broadcast_to(b, a.shape)[same]
+    else:
+        b[rng.random(n) < coincident] = a
+    u = _zero_heavy(rng, a.shape, zeros)
+    v = _zero_heavy(rng, b.shape, zeros)
+    return space, a, b, u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_inputs())
+def test_kernel_sums_match_numpy_reductions(case):
+    assert _kernel_mismatches(*case) == []
+
+
+def _dot_right_to_left(u, v):
+    out = 0.0 + u[..., -1] * v[..., -1]
+    for i in range(u.shape[-1] - 2, -1, -1):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
+def _dot_from_first_product(u, v):
+    out = u[..., 0] * v[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * v[..., i]
+    return out
+
+
+# Each wrong summation differs from np.sum on its products below:
+# (1 + 1e-16) + 1e-16 rounds to 1 where 1 + 2e-16 does not, and np.sum of
+# products that are all -0.0 is +0.0.
+@pytest.mark.parametrize("wrong_dot,u", [
+    (_dot_right_to_left, [1.0, 1e-16, 1e-16]),
+    (_dot_from_first_product, [-0.0, -0.0, -0.0])])
+def test_kernel_check_catches_a_different_summation(monkeypatch, wrong_dot,
+                                                    u):
+    space = SpaceForm.sphere(1.0)
+    a = space.origin()
+    b = space.exp_map(a, np.array([[0.3, 0.2, 0.0]]))
+    u, v = np.array([u]), np.array([[1.0, 1.0, 1.0]])
+    assert _kernel_mismatches(space, a, b, u, v) == []
+    monkeypatch.setattr(spaceforms, "_dot", wrong_dot)
+    assert "metric_dot" in _kernel_mismatches(space, a, b, u, v)
