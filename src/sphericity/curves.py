@@ -481,9 +481,9 @@ def _frame_generators(space):
     g1[2, 1], g1[1, 2] = 1.0, -1.0          # T' = kappa J, J' = -kappa T
     if space.kind is Kind.FLAT:
         g0[1, 0] = 1.0                      # p' = T
-    else:                                   # P' = k1 T, T' = -/+ k1 P
+    else:                                   # P' = k1 T, T' = -sign k1 P
         g0[1, 0] = space.k1
-        g0[0, 1] = -space.k1 if space.kind is Kind.SPHERE else space.k1
+        g0[0, 1] = -space.sign * space.k1
     return g0, g1
 
 
@@ -594,27 +594,24 @@ def _apply_isometry(space, mat, points, linear=False):
     return out if linear else out + mat[:2, 2]
 
 
-_EPS = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0, Kind.FLAT: 0.0}
-
-
 def _period_rotation(space, d):
     """(sin, cos) of the rotation angle of each isometry I + d, and its
     fixed point a, all read off in body coordinates (see ``_integrate_frame``).
 
     There the start point is (1, 0, 0), its tangent (0, 1, 0) and its
     inward normal (0, 0, 1), and the invariant form is
-    x0^2 + eps (x1^2 + x2^2), eps = +1, -1, 0 on the sphere, the hyperbolic
-    and the flat plane.  The fixed point spans the kernel of d: the largest
-    cross product of two of its rows, scaled to unit form, which puts it on
-    the model (the homogeneous a0 = 1 on the flat plane).  On the sphere,
-    whose two antipodal fixed points rotate with opposite signs, it is the
-    one on the inner side of the start point (a2 > 0); elsewhere the one on
-    the model (a0 > 0).  sin comes from the antisymmetric part of d against
-    a, which is linear in d, so it crosses zero transversally at the angle
-    pi.  All three are NaN where the isometry is too close to the identity
-    (1 - cos < 1e-10) or has no fixed point on the model.
+    x0^2 + eps (x1^2 + x2^2), eps = ``space.sign``.  The fixed point spans
+    the kernel of d: the largest cross product of two of its rows, scaled
+    to unit form, which puts it on the model (the homogeneous a0 = 1 on the
+    flat plane).  On the sphere, whose two antipodal fixed points rotate
+    with opposite signs, it is the one on the inner side of the start point
+    (a2 > 0); elsewhere the one on the model (a0 > 0).  sin comes from the
+    antisymmetric part of d against a, which is linear in d, so it crosses
+    zero transversally at the angle pi.  All three are NaN where the
+    isometry is too close to the identity (1 - cos < 1e-10) or has no fixed
+    point on the model.
     """
-    eps = _EPS[space.kind]
+    eps = space.sign
     cos = 1.0 + 0.5 * np.trace(d, axis1=-2, axis2=-1)
     kernels = np.cross(d[..., [1, 2, 0], :], d[..., [2, 0, 1], :])
     pick = np.argmax(np.sum(kernels ** 2, axis=-1), axis=-1)
@@ -673,7 +670,8 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     the root search does not converge, or the replicated curve misses its
     start point by more than 1e-8; the exception carries the best closure
     residual seen (for a profile without symmetry, its smallest relative
-    mismatch under a shift by 1/m).
+    mismatch under a shift by 1/m).  Raises GeometryError when the
+    profile's minimum is the curvature of no closed circle.
     """
     m, mismatch = _detect_symmetry_order(kappa_profile)
     if m < 2:
@@ -688,20 +686,15 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     u_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
     prof_vals = np.asarray(kappa_profile(u_grid), dtype=float)
     k_mean = float(np.mean(prof_vals))
-    # the refusals below test the profile's true minimum, not the grid
+    # the refusal below tests the profile's true minimum, not the grid
     # minimum (which overshoots it by O(grid spacing squared))
     i_min = int(np.argmin(prof_vals))
     _, k_min_profile = golden_min(
         lambda u: float(kappa_profile(u % 1.0)),
         u_grid[i_min] - 1.5 / 2048, u_grid[i_min] + 1.5 / 2048, tol=1e-12)
     k_min_profile = min(k_min_profile, float(np.min(prof_vals)))
-    if space.kind is Kind.HYPERBOLIC and k_min_profile <= space.k1:
-        raise CurveGenerationError(
-            "profile minimum must exceed k1 on the hyperbolic plane")
-    if space.kind is Kind.SPHERE and k_min_profile < 0.0:
-        raise CurveGenerationError("profile must be nonnegative on the sphere")
-    if space.kind is Kind.FLAT and k_min_profile <= 0.0:
-        raise CurveGenerationError("profile must be positive on the flat plane")
+    # raises where no closed circle has curvature k_min_profile
+    space.circle_radius_of_curvature(k_min_profile)
 
     length_guess = float(space.circumference(
         space.circle_radius_of_curvature(k_mean)))

@@ -27,6 +27,7 @@ CURVE_SCHEMA = "closed_curve/4"
 _FIELDS = frozenset({"schema", "space", "provenance", "total_length",
                      "closure_gap", "hint_center", "n", "coords", "s",
                      "corners", "tangent"})
+_REQUIRED = ("space", "n", "coords", "s", "total_length", "corners")
 _FLOAT64 = np.dtype("<f8")
 
 
@@ -130,7 +131,18 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     unknown = sorted(data.keys() - _FIELDS)
     if unknown:
         raise GeometryError(f"{unknown[0]}: not a {CURVE_SCHEMA} field")
-    space = space_from_dict(data["space"])
+    for name in _REQUIRED:
+        if name not in data:
+            raise GeometryError(f"{name}: missing required field")
+    header = data["space"]
+    if not (isinstance(header, dict) and "kind" in header
+            and _is_finite_number(header.get("k1"))):
+        raise GeometryError("space: must be an object with a kind and a "
+                            "finite number k1")
+    try:
+        space = space_from_dict(header)
+    except GeometryError as exc:
+        raise GeometryError(f"space: {exc}") from None
     n = data["n"]
     if type(n) is not int or n < 1:
         raise GeometryError(f"n: expected a positive integer, got {n!r}")

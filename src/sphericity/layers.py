@@ -59,8 +59,7 @@ def _contacts(curve: ClosedCurve, p):
     _, vals = _distance_extrema(curve, p, "min", contacts=True)
     f, u, kappa = vals[:, 0], vals[:, 1:3], vals[:, 3]
     sn, cs = space.sn(f), space.cs(f)
-    gauss = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}.get(space.kind, 0.0)
-    h = (kappa * cs + gauss * space.k1 ** 2 * sn) \
+    h = (kappa * cs + space.sign * space.k1 ** 2 * sn) \
         / np.maximum(cs - kappa * sn, DEFAULT_K0_GUARD * sn)
     return f, u / np.sqrt(_dot(u, u))[:, None], np.nan_to_num(h)
 

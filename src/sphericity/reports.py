@@ -295,7 +295,7 @@ def _run_spindle_table(config, result, rng):
         r_num, d_num = numeric_spindle_optimum(space, k0)
         checks = [("spindle_oracle_r0", r_num, opt.r0, 1e-7),
                   ("spindle_oracle_d0", d_num, opt.d0, 1e-9)]
-        if space.kind.value != "flat":
+        if space.sign:
             checks.append(("spindle_alt_form",
                            spindle_max_width_alt(space, k0), opt.d0, 1e-10))
         for name, value, exact, rel_tol in checks:

@@ -9,6 +9,11 @@ Coordinate models:
                  Minkowski 3-space with signature (-,+,+), x0 > 0
                  (Gaussian curvature -k1^2).
 
+The curvature sign is decided here once: ``SpaceForm.sign`` is +1 on the
+sphere, -1 on the hyperboloid and 0 on the flat plane.  A curved model is
+<p,p> = sign/k1^2 in its ambient form, with Gaussian curvature sign*k1^2,
+and a method whose two curved forms differ only by that sign uses it.
+
 All operations are pure functions of immutable value types; every method
 broadcasts over leading axes, so a single call handles whole sample arrays.
 Points and tangents are plain float arrays whose last axis holds the ambient
@@ -39,6 +44,9 @@ class Kind(Enum):
     FLAT = "flat"
     SPHERE = "sphere"
     HYPERBOLIC = "hyperbolic"
+
+
+_SIGN = {Kind.FLAT: 0.0, Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}
 
 
 def _dot(u, v):
@@ -103,6 +111,12 @@ class SpaceForm:
     # -- basic properties --------------------------------------------------
 
     @property
+    def sign(self) -> float:
+        """Sign of the Gaussian curvature K = sign * k1^2: +1.0 on the
+        sphere, -1.0 on the hyperbolic plane, 0.0 on the flat plane."""
+        return _SIGN[self.kind]
+
+    @property
     def dim(self) -> int:
         """Ambient coordinate dimension (2 flat, 3 curved)."""
         return 2 if self.kind is Kind.FLAT else 3
@@ -123,9 +137,7 @@ class SpaceForm:
         if self.kind is Kind.FLAT:
             return np.zeros(p.shape[:-1])
         r2 = 1.0 / self.k1 ** 2
-        if self.kind is Kind.SPHERE:
-            return np.abs(_dot(p, p) - r2) / r2
-        return np.abs(_mdot(p, p) + r2) / r2
+        return np.abs(self._form(p, p) - self.sign * r2) / r2
 
     def check_point(self, p) -> np.ndarray:
         """Validate the model constraint; returns p as a float array."""
@@ -149,20 +161,14 @@ class SpaceForm:
         p = np.asarray(p, dtype=float)
         if self.kind is Kind.FLAT:
             return p
-        if self.kind is Kind.SPHERE:
-            scale = 1.0 / (self.k1 * np.sqrt(_dot(p, p)))
-        else:
-            scale = 1.0 / (self.k1 * np.sqrt(-_mdot(p, p)))
+        scale = 1.0 / (self.k1 * np.sqrt(self.sign * self._form(p, p)))
         return p * scale[..., None]
 
     def project_tangent(self, base, v) -> np.ndarray:
         """Remove the component of v normal to the model at base."""
         if self.kind is Kind.FLAT:
             return np.asarray(v, dtype=float)
-        if self.kind is Kind.SPHERE:
-            coeff = _dot(v, base) * self.k1 ** 2
-        else:
-            coeff = -_mdot(v, base) * self.k1 ** 2
+        coeff = self.sign * self._form(v, base) * self.k1 ** 2
         return v - coeff[..., None] * base
 
     # -- metric ------------------------------------------------------------
@@ -173,8 +179,12 @@ class SpaceForm:
         On the hyperboloid the restriction of the Minkowski form to tangent
         planes is positive definite; base is accepted for API symmetry.
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        return self._form(np.asarray(u, dtype=float),
+                          np.asarray(v, dtype=float))
+
+    def _form(self, u, v):
+        """The ambient form <u,v>: Minkowski on the hyperboloid, Euclidean
+        otherwise."""
         if self.kind is Kind.HYPERBOLIC:
             return _mdot(u, v)
         return _dot(u, v)
@@ -226,11 +236,7 @@ class SpaceForm:
         L = self.norm(base, vec)
         L_safe = np.where(L == 0.0, 1.0, L)
         d = vec / L_safe[..., None]
-        k = self.k1
-        if self.kind is Kind.SPHERE:
-            out = np.cos(k * L)[..., None] * base + (np.sin(k * L) / k)[..., None] * d
-        else:
-            out = np.cosh(k * L)[..., None] * base + (np.sinh(k * L) / k)[..., None] * d
+        out = self.cs(L)[..., None] * base + self.sn(L)[..., None] * d
         out = np.where(L[..., None] == 0.0, base, out)
         return self.project(out)
 
@@ -244,20 +250,18 @@ class SpaceForm:
         target = np.asarray(target, dtype=float)
         if self.kind is Kind.FLAT:
             return target - base
+        w = self.project_tangent(base, target)
+        wn = self.norm(base, w)
         if self.kind is Kind.SPHERE:
             d = self.distance(base, target)
-            w = target - (_dot(target, base) * self.k1 ** 2)[..., None] * base
-            wn = np.sqrt(_dot(w, w))
             antipodal = (d > (np.pi / self.k1) * (1.0 - 1e-9)) | (
                 (wn == 0.0) & (d > 0.0))
             if np.any(antipodal):
                 raise AntipodalPointsError(
                     "log map is undefined for antipodal points on the sphere")
         else:
-            # the tangential part w of target and d from its length: the
-            # operations distance runs, so d has its bits
-            w = target + (self.k1 ** 2 * _mdot(target, base))[..., None] * base
-            wn = np.sqrt(np.maximum(_mdot(w, w), 0.0))
+            # d from the length of w: the operations distance runs, so d has
+            # its bits
             d = np.arcsinh(self.k1 * wn) / self.k1
         w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
         w[wn == 0.0] = 0.0
@@ -277,9 +281,7 @@ class SpaceForm:
             return np.stack([-v[..., 1], v[..., 0]], axis=-1)
         p = np.asarray(p, dtype=float)
         c = _cross(self.k1 * p, v)
-        if self.kind is Kind.SPHERE:
-            return c
-        c[..., 0] = -c[..., 0]
+        c[..., 0] *= self.sign      # the Minkowski cross product negates x0
         return c
 
     def frame(self, p) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +337,8 @@ class SpaceForm:
         """Geodesic curvature of the radius-t circle.
 
         1/t (flat), k1*cot(k1 t) (sphere, exactly 0 at t = pi/(2 k1),
-        negative beyond), k1*coth(k1 t) (hyperbolic).
+        negative beyond), k1*coth(k1 t) (hyperbolic, which is k1 itself
+        once cosh(k1 t) or k1 cosh(k1 t) overflows).
         """
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
@@ -351,7 +354,11 @@ class SpaceForm:
             return np.where(np.abs(x - np.pi / 2) <= 4 * np.finfo(float).eps,
                             0.0, out)
         x = self.k1 * t
-        return self.k1 * np.cosh(x) / np.sinh(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.k1 * np.cosh(x) / np.sinh(x)
+        # where cosh x or k1 cosh x overflows (x > 355), coth x is 1 to the
+        # last bit; an x that underflowed to 0 keeps its inf
+        return np.where(np.isfinite(out) | (x < 1.0), out, self.k1)
 
     def circle_radius_of_curvature(self, k0: float) -> float:
         """Radius R of the circle whose geodesic curvature is k0.
@@ -395,8 +402,7 @@ def karcher_mean(space: SpaceForm, points) -> np.ndarray:
     seed for interior searches, never as a certified quantity.
     """
     points = np.asarray(points, dtype=float)
-    c = space.project(np.mean(points, axis=0)) if space.kind is not Kind.FLAT \
-        else np.mean(points, axis=0)
+    c = space.project(np.mean(points, axis=0))
     for _ in range(_KARCHER_ITERATIONS):
         v = space.log_map(c, points)
         step = np.mean(v, axis=0)

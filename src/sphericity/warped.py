@@ -59,33 +59,39 @@ class WarpedMetric:
         return self.fp(t) / self.f(t)
 
 
-def _family_functions(family: str, params: dict):
+def _family_functions(family: str, params: dict, T: float):
+    """(f, f', f'', declared curvature band) of a family on (0, T]."""
     if family == "flat":
         return (lambda t: t,
                 lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+                lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                (0.0, 0.0))
     if family == "hyperbolic":
         k1 = float(params["k1"])
         return (lambda t: np.sinh(k1 * t) / k1,
                 lambda t: np.cosh(k1 * t),
-                lambda t: k1 * np.sinh(k1 * t))
+                lambda t: k1 * np.sinh(k1 * t),
+                (-k1 * k1, -k1 * k1))
     if family == "spherical":
         k1 = float(params["k1"])
         return (lambda t: np.sin(k1 * t) / k1,
                 lambda t: np.cos(k1 * t),
-                lambda t: -k1 * np.sin(k1 * t))
+                lambda t: -k1 * np.sin(k1 * t),
+                (k1 * k1, k1 * k1))
     if family == "cubic":
         eps = float(params["eps"])
         return (lambda t: t + eps * t ** 3,
                 lambda t: 1.0 + 3.0 * eps * np.asarray(t, dtype=float) ** 2,
-                lambda t: 6.0 * eps * np.asarray(t, dtype=float))
+                lambda t: 6.0 * eps * np.asarray(t, dtype=float),
+                (-6.0 * eps, -6.0 * eps / (1.0 + eps * T * T)))
     if family == "perturbed_sin":
         # f = sin(a t)(1 + delta sin^2(a t)) / a, with a chosen so the
         # curvature band starts exactly at 1
         delta = float(params["delta"])
         if not 0.0 < delta < 1.0 / 6.0:
             raise CurveGenerationError("perturbed_sin requires 0 < delta < 1/6")
-        a = math.sqrt((1.0 + delta) / (1.0 - 6.0 * delta))
+        a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
+        a = math.sqrt(a2)
 
         def f(t):
             x = a * np.asarray(t, dtype=float)
@@ -101,11 +107,12 @@ def _family_functions(family: str, params: dict):
             s, c = np.sin(x), np.cos(x)
             return a * (-s + 3.0 * delta * s * (2.0 * c ** 2 - s ** 2))
 
-        return f, fp, fpp
+        return f, fp, fpp, (1.0, a2 * (1.0 + 3.0 * delta))
     if family == "sinh_bump":
         # hyperbolic warp times a t^3-damped Gaussian bump: the cubic factor
         # keeps the pole smooth (f(0)=0, f'(0)=1, f''(0)=0); K stays
-        # nonpositive for small amplitudes (certified, not assumed)
+        # nonpositive for small amplitudes (certified, not assumed), and the
+        # declared band is a conservative one
         k1 = float(params["k1"])
         amp = float(params["amp"])
         center = float(params["center"])
@@ -139,30 +146,7 @@ def _family_functions(family: str, params: dict):
                     + 2.0 * np.cosh(k1 * t) * gp
                     + np.sinh(k1 * t) / k1 * gpp)
 
-        return f, fp, fpp
-    raise CurveGenerationError(f"unknown warped family {family!r}")
-
-
-def _declared_band(family: str, params: dict, T: float):
-    if family == "flat":
-        return 0.0, 0.0
-    if family == "hyperbolic":
-        k1 = float(params["k1"])
-        return -k1 * k1, -k1 * k1
-    if family == "spherical":
-        k1 = float(params["k1"])
-        return k1 * k1, k1 * k1
-    if family == "cubic":
-        eps = float(params["eps"])
-        return -6.0 * eps, -6.0 * eps / (1.0 + eps * T * T)
-    if family == "perturbed_sin":
-        delta = float(params["delta"])
-        a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
-        return 1.0, a2 * (1.0 + 3.0 * delta)
-    if family == "sinh_bump":
-        k1 = float(params["k1"])
-        # conservative declaration; certification measures the real band
-        return -4.0 * k1 * k1, 0.0
+        return f, fp, fpp, (-4.0 * k1 * k1, 0.0)
     raise CurveGenerationError(f"unknown warped family {family!r}")
 
 
@@ -176,8 +160,7 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
     """
     if T <= 0.0:
         raise CurveGenerationError("T must be positive")
-    f, fp, fpp = _family_functions(family, params)
-    lo_decl, hi_decl = _declared_band(family, params, T)
+    f, fp, fpp, (lo_decl, hi_decl) = _family_functions(family, params, T)
     t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
     with np.errstate(all="ignore"):
         fv, fpv, fppv = f(t), fp(t), fpp(t)
@@ -253,12 +236,14 @@ def verify_circle_curvature_comparison(
     """Check mu(t) <= mu0(t) on a uniform grid of radii in (0, T].
 
     mu0 is the circle curvature of the comparison plane; radii where mu0
-    is undefined (beyond pi/k1 on the sphere side) are skipped.  Raises
-    GeometryError when mu or mu0 overflows on the grid.
+    is undefined (beyond pi/k1 on the sphere side) are skipped.  On the
+    hyperbolic side mu0 = k1 coth(k1 t) stays finite (it is k1 where cosh
+    overflows).  Raises GeometryError when mu overflows on the grid, or
+    mu0 at a radius k1 * t underflows to 0.
     """
     space = comparison_space(metric)
     t_hi = metric.T
-    if space.kind.value == "sphere":
+    if space.sign > 0.0:
         t_hi = min(t_hi, np.pi / space.k1 * (1 - 1e-9))
     radii = np.linspace(t_hi / _COMPARISON_RADII, t_hi, _COMPARISON_RADII)
     with np.errstate(all="ignore"):

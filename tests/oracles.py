@@ -13,6 +13,7 @@ from sphericity import GeometryError, Kind, karcher_mean, winding_number
 from sphericity.curves import (_angle_in_frame, _apply_isometry,
                                _circle_arrays, _equidistant_points)
 from sphericity.search import WINDOW_HALF
+from sphericity.spaceforms import _cross, _dot, _mdot
 from sphericity.warped import warped_graph_kappa
 
 
@@ -330,3 +331,69 @@ class ReductionKernel:
         w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
         w[wn == 0.0] = 0.0
         return w
+
+
+# The kernel methods as written with one branch per curved plane, before
+# ``SpaceForm.sign`` merged the sphere's and the hyperboloid's: the
+# references for the merged forms.
+
+class PerPlaneKernel:
+    """The SpaceForm methods whose sphere and hyperboloid branches differ
+    only by the curvature sign, one branch per plane (curved planes only).
+
+    ``norm`` and ``distance``, which kept their forms, come from the space.
+    """
+
+    def __init__(self, space):
+        self.space, self.kind, self.k1 = space, space.kind, space.k1
+
+    def constraint_defect(self, p):
+        r2 = 1.0 / self.k1 ** 2
+        if self.kind is Kind.SPHERE:
+            return np.abs(_dot(p, p) - r2) / r2
+        return np.abs(_mdot(p, p) + r2) / r2
+
+    def project(self, p):
+        if self.kind is Kind.SPHERE:
+            scale = 1.0 / (self.k1 * np.sqrt(_dot(p, p)))
+        else:
+            scale = 1.0 / (self.k1 * np.sqrt(-_mdot(p, p)))
+        return p * scale[..., None]
+
+    def project_tangent(self, base, v):
+        if self.kind is Kind.SPHERE:
+            coeff = _dot(v, base) * self.k1 ** 2
+        else:
+            coeff = -_mdot(v, base) * self.k1 ** 2
+        return v - coeff[..., None] * base
+
+    def exp_map(self, base, vec):
+        L = self.space.norm(base, vec)
+        d = vec / np.where(L == 0.0, 1.0, L)[..., None]
+        k = self.k1
+        if self.kind is Kind.SPHERE:
+            out = np.cos(k * L)[..., None] * base \
+                + (np.sin(k * L) / k)[..., None] * d
+        else:
+            out = np.cosh(k * L)[..., None] * base \
+                + (np.sinh(k * L) / k)[..., None] * d
+        return self.project(np.where(L[..., None] == 0.0, base, out))
+
+    def log_map(self, base, target):
+        if self.kind is Kind.SPHERE:
+            d = self.space.distance(base, target)
+            w = target - (_dot(target, base) * self.k1 ** 2)[..., None] * base
+            wn = np.sqrt(_dot(w, w))
+        else:
+            w = target + (self.k1 ** 2 * _mdot(target, base))[..., None] * base
+            wn = np.sqrt(np.maximum(_mdot(w, w), 0.0))
+            d = np.arcsinh(self.k1 * wn) / self.k1
+        w *= (d / np.where(wn == 0.0, 1.0, wn))[..., None]
+        w[wn == 0.0] = 0.0
+        return w
+
+    def rotate90(self, p, v):
+        c = _cross(self.k1 * p, v)
+        if self.kind is Kind.HYPERBOLIC:
+            c[..., 0] = -c[..., 0]
+        return c

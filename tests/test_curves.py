@@ -180,6 +180,14 @@ class TestFrameOde:
         ok = np.isfinite(curve.kappa)
         assert float(np.max(np.abs(curve.kappa[ok] - prof_vals[ok]))) < 1e-6
 
+    @pytest.mark.parametrize("space,k", [(FLAT, 0.0), (SPH, -0.1),
+                                         (HYP, 1.0)],
+                             ids=["flat", "sphere", "hyperbolic"])
+    def test_profile_minimum_of_no_closed_circle_rejected(self, space, k):
+        with pytest.raises(GeometryError, match="circle"):
+            make_frame_ode_curve(
+                space, lambda u: k + 0.05 * (1 + np.cos(4 * np.pi * u)))
+
     def test_asymmetric_profile_rejected(self):
         with pytest.raises(NonClosureError):
             make_frame_ode_curve(

@@ -526,8 +526,9 @@ def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
     assert key in err
 
 
-# Warped configs whose warp, curvature or comparison circle curvature
-# overflows float64: refused with exit 1 before any check is judged.
+# Warped configs whose warp, its curvature or a generated curve's graph
+# curvature overflows float64: refused with exit 1, and no report is
+# written.
 WARPED_OVERFLOWS = [("hyperbolic", {"k1": 1.0}, 1000.0),
                     ("cubic", {"eps": 1e300}, 1e300),
                     ("cubic", {"eps": 1e300}, 2.0),
@@ -544,6 +545,16 @@ def test_warped_overflow_refused(tmp_path, family, params, T):
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("eps", [1e200, 1e300])
+def test_warped_huge_eps_without_curves_judged(tmp_path, eps):
+    # the hyperbolic comparison plane's mu0 stays finite (k1 ~ 2.4e150 at
+    # eps = 1e300); only the curves' graph curvature overflows
+    config = {"seed": 0, "warped": {"family": "cubic", "params": {"eps": eps},
+                                    "T": 2.0, "curves": 0}}
+    code, err = _run_cli(tmp_path, "verify-warped", config)
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"],
@@ -659,15 +670,25 @@ HEADER_REFUSALS = [("closure_gap", "abc"), ("closure_gap", math.nan),
                    ("closure_gap", True), ("closure_gap", -1e-3),
                    ("closure_gap", math.inf), ("provenance", [1]),
                    ("provenance", None), ("provenance", 3),
-                   ("provenance", "missing")]
+                   ("provenance", "missing"), ("space", "missing"),
+                   ("n", "missing"), ("coords", "missing"),
+                   ("s", "missing"), ("total_length", "missing"),
+                   ("corners", "missing"), ("space", "flat"),
+                   ("space", [0.0]), ("space", {"kind": "sphere"}),
+                   ("space", {"k1": 1.0}),
+                   ("space", {"kind": "sphere", "k1": None}),
+                   ("space", {"kind": "sphere", "k1": "one"}),
+                   ("space", {"kind": "sphere", "k1": True}),
+                   ("space", {"kind": "sphere", "k1": -1.0}),
+                   ("space", {"kind": "torus", "k1": 1.0})]
 
 
 @pytest.mark.parametrize("field,value", HEADER_REFUSALS,
                          ids=[f"{f}-{v}" for f, v in HEADER_REFUSALS])
 def test_curve_file_header_refused_naming_the_field(tmp_path, field, value):
     doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
-    if field == "provenance" and value == "missing":
-        del doc["provenance"]
+    if value == "missing":
+        del doc[field]
     else:
         doc[field] = value
     path = tmp_path / "curve.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphericity import (AntipodalPointsError, ConstraintViolation,
                         GeometryError, Kind, SpaceForm, spaceforms)
-from tests.oracles import ReductionKernel
+from tests.oracles import PerPlaneKernel, ReductionKernel
 
 ALL_SPACES = [SpaceForm.flat(), SpaceForm.sphere(1.0), SpaceForm.sphere(0.6),
               SpaceForm.hyperbolic(1.0), SpaceForm.hyperbolic(1.7)]
@@ -168,6 +168,22 @@ def test_mu0_values_and_domain():
         sph.mu0(np.pi)
 
 
+def test_hyperbolic_mu0_is_k1_where_cosh_overflows():
+    # k1 coth(k1 t) read as k1 cosh / sinh is NaN once cosh overflows
+    # (k1 t > 710) and inf once k1 cosh does; coth is 1 to the last bit
+    # there.  Finite values keep their bits.
+    for k1, finite, overflowing in [(1.0, [1.0, 20.0, 700.0], [711.0, 1e5]),
+                                    (1e150, [1e-151, 3e-148],
+                                     [4e-148, 1e-100])]:
+        hyp = SpaceForm.hyperbolic(k1)
+        x = k1 * np.array(finite)
+        with np.errstate(all="raise"):
+            got = hyp.mu0(np.array(finite + overflowing))
+        assert _same_bits(got[:len(finite)],
+                          k1 * np.cosh(x) / np.sinh(x))
+        assert np.all(got[len(finite):] == k1)
+
+
 def test_circle_radius_of_curvature_values():
     assert SpaceForm.flat().circle_radius_of_curvature(1.0) == 1.0
     assert abs(SpaceForm.sphere(1.0).circle_radius_of_curvature(0.0)
@@ -267,10 +283,10 @@ def _zero_heavy(rng, shape, zeros):
 
 
 @st.composite
-def _kernel_inputs(draw):
+def _kernel_inputs(draw, kinds=tuple(Kind)):
     """(space, a, b, u, v): points a and b on the model, some coincident,
     and tangent-like u and v of their shapes, with many exact zeros."""
-    kind = draw(st.sampled_from(list(Kind)))
+    kind = draw(st.sampled_from(kinds))
     k1 = 0.0 if kind is Kind.FLAT else 10.0 ** draw(st.floats(-3.0, 3.0))
     space = SpaceForm(kind, k1)
     n = draw(st.integers(1, 9))
@@ -335,3 +351,62 @@ def test_kernel_check_catches_a_different_summation(monkeypatch, wrong_dot,
     assert _kernel_mismatches(space, a, b, u, v) == []
     monkeypatch.setattr(spaceforms, "_dot", wrong_dot)
     assert "metric_dot" in _kernel_mismatches(space, a, b, u, v)
+
+
+# -- the sign-merged methods against their per-plane forms ----------------
+
+def _merged_mismatches(space, a, b, u) -> list[str]:
+    """The sign-merged calls whose results differ from PerPlaneKernel's."""
+    ref = PerPlaneKernel(space)
+    t = ref.project_tangent(a, u)
+    # k1 |t| below 7, so the hyperboloid's cosh stays finite
+    t = t / np.maximum(np.max(np.abs(t), axis=-1, keepdims=True)
+                       * (space.k1 / 4.0), 1.0)
+    calls = [("constraint_defect", (a,)), ("constraint_defect", (b,)),
+             ("project", (a,)), ("project", (a + 0.1 * t,)),
+             ("project_tangent", (a, u)), ("project_tangent", (b, u)),
+             ("exp_map", (a, t)), ("log_map", (a, b)), ("log_map", (b, a)),
+             ("rotate90", (a, t)), ("rotate90", (b, u))]
+    return [f"{name}{i}" for i, (name, args) in enumerate(calls)
+            if not _same_bits(getattr(space, name)(*args),
+                              getattr(ref, name)(*args))]
+
+
+@st.composite
+def _curved_inputs(draw):
+    """_kernel_inputs on the sphere and the hyperbolic plane, whole rows of
+    u set to zero as well."""
+    space, a, b, u, _ = draw(_kernel_inputs(kinds=(Kind.SPHERE,
+                                                   Kind.HYPERBOLIC)))
+    rows = u.shape[:-1]
+    zero = draw(st.lists(st.booleans(), min_size=math.prod(rows),
+                         max_size=math.prod(rows)))
+    u[np.reshape(zero, rows)] = 0.0
+    return space, a, b, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_curved_inputs())
+def test_sign_merged_methods_match_per_plane_forms(case):
+    assert _merged_mismatches(*case) == []
+
+
+def _sn_times_reciprocal(self, x):
+    """sn with one more rounding: sin(k1 x) * (1/k1) for sin(k1 x) / k1."""
+    x = np.asarray(x, dtype=float)
+    if self.kind is Kind.SPHERE:
+        return np.sin(self.k1 * x) * (1.0 / self.k1)
+    return np.sinh(self.k1 * x) * (1.0 / self.k1)
+
+
+@pytest.mark.parametrize("space", [SpaceForm.sphere(3.0),
+                                   SpaceForm.hyperbolic(3.0)],
+                         ids=["S2", "H2"])
+def test_sign_merged_check_catches_one_more_rounding(monkeypatch, space):
+    rng = np.random.default_rng(0)
+    a = space.origin()
+    b = random_points(space, rng, 16, spread=0.4)
+    u = rng.standard_normal((16, 3))
+    assert _merged_mismatches(space, a, b, u) == []
+    monkeypatch.setattr(SpaceForm, "sn", _sn_times_reciprocal)
+    assert _merged_mismatches(space, a, b, u) == ["exp_map6"]
