@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate, permutations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (AntipodalPointsError, CurveGenerationError,
                      GeometryError, NonClosureError)
-from .search import (WINDOW_HALF, golden_min, refine_extremum,
+from .search import (WINDOW_HALF, brentq, golden_min, refine_extremum,
                      refine_windows, windows)
 from .spaceforms import MODEL_TOL, Kind, SpaceForm, karcher_mean
 
@@ -227,7 +226,8 @@ def winding_number(space: SpaceForm, points, origin) -> int:
 # Distance queries
 # ---------------------------------------------------------------------------
 
-def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False):
+def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False,
+                      t=None):
     """Every refined local extremum of the distance from p that can win.
 
     Distance is 1-Lipschitz in arc length and a refined extremum lies
@@ -237,9 +237,11 @@ def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False):
     polish noise.  Returns (arc lengths, values (k, 1)).  ``contacts``
     keeps every local extremum and adds their ``space.to_chart(p, ...)``
     coordinates (charting only their windows) and their samples' kappa.
+    ``t`` is ``space.distance(p, curve.points)`` if the caller has it.
     """
     space = curve.space
-    t = space.distance(p, curve.points)
+    if t is None:
+        t = space.distance(p, curve.points)
     v = t if mode == "min" else -t
     idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
                          & (contacts | (v <= np.min(v) + curve.max_gap)))
@@ -310,8 +312,8 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     v = space.log_map(curve.points, base)       # toward the base point
     u = -v / t[:, None]                          # radial, away from base
     phi = space.angle_between(curve.points, u, curve.normals_out)
-    h, _ = min_distance_to_curve(curve, base)
-    return RadialMeasurement(t=t, phi=phi, h=h)
+    _, minima = _distance_extrema(curve, base, "min", t=t)
+    return RadialMeasurement(t=t, phi=phi, h=float(np.min(minima)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import ClosedCurve, winding_number
 from .errors import ConstraintViolation, GeometryError
-from .spaceforms import SpaceForm, karcher_mean
+from .spaceforms import Kind, SpaceForm, karcher_mean
 
 CURVE_SCHEMA = "closed_curve/4"
 _FIELDS = frozenset({"schema", "space", "provenance", "total_length",
@@ -31,15 +31,32 @@ _REQUIRED = ("space", "n", "coords", "s", "total_length", "corners")
 _FLOAT64 = np.dtype("<f8")
 
 
+def _is_finite_number(x) -> bool:
+    """An int or float, not a bool, whose float value is finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:               # an int beyond the float range
+        return False
+
+
 def space_from_dict(d: dict) -> SpaceForm:
-    kind = d["kind"]
-    if kind == "flat":
-        return SpaceForm.flat()
-    if kind == "sphere":
-        return SpaceForm.sphere(float(d["k1"]))
-    if kind == "hyperbolic":
-        return SpaceForm.hyperbolic(float(d["k1"]))
-    raise GeometryError(f"unknown space kind {kind!r}")
+    """Space form of a ``{"kind": ..., "k1": ...}`` object (a config's
+    ``space`` block or a curve file's header); k1 must be 0 on the flat
+    plane."""
+    if not (isinstance(d, dict) and "kind" in d
+            and _is_finite_number(d.get("k1"))):
+        raise GeometryError("must be an object with a kind and a finite "
+                            "number k1")
+    try:
+        kind = Kind(d["kind"])
+    except ValueError:
+        raise GeometryError(f"unknown space kind {d['kind']!r}") from None
+    k1 = float(d["k1"])
+    if kind is Kind.FLAT and k1 == 0.0:
+        return SpaceForm.flat()         # a k1 of -0.0 too
+    return SpaceForm(kind, k1)
 
 
 def _encode(array) -> str:
@@ -101,11 +118,6 @@ def _corner_mask(data: dict, n: int):
     return corner
 
 
-def _is_finite_number(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 def _hint_center(data: dict, dim: int):
     hint = data.get("hint_center")
     if hint is None:
@@ -134,13 +146,8 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     for name in _REQUIRED:
         if name not in data:
             raise GeometryError(f"{name}: missing required field")
-    header = data["space"]
-    if not (isinstance(header, dict) and "kind" in header
-            and _is_finite_number(header.get("k1"))):
-        raise GeometryError("space: must be an object with a kind and a "
-                            "finite number k1")
     try:
-        space = space_from_dict(header)
+        space = space_from_dict(data["space"])
     except GeometryError as exc:
         raise GeometryError(f"space: {exc}") from None
     n = data["n"]

@@ -1,4 +1,5 @@
-"""Refinement of sampled extrema, and a golden-section search.
+"""Refinement of sampled extrema, a golden-section search and Brent's
+root finder.
 
 :func:`refine_windows` refines many discrete extrema of exact samples at
 once, through the quartic that interpolates the five samples around each;
@@ -6,18 +7,23 @@ every measurement path uses it.  The golden-section routine is the
 independent oracle: it checks the closed-form spindle maximizer, finds the
 frame-ODE profile minimum and, in the tests, checks the quartic refinement.
 It is intentionally kept free of any other module's machinery.
+:func:`brentq` solves the frame-ODE closure length.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+from .errors import NonClosureError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: samples on each side of the centre of a 5-sample window
 WINDOW_HALF = 2
 _GOLDEN_MAXITER = 400
+_BRENT_MIN_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12):
@@ -46,6 +52,78 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12):
 def golden_min(f, a: float, b: float, tol: float = 1e-12):
     x, fneg = golden_max(lambda u: -f(u), a, b, tol=tol)
     return x, -fneg
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = _BRENT_MIN_RTOL, maxiter: int = 100) -> float:
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
+    bisection wherever they would not shrink the bracket fast enough, until
+    the bracket's half width is below (xtol + rtol |x|) / 2.  It follows
+    scipy's C ``brentq`` step for step, so it evaluates f at the same
+    arguments and returns the same float.  Raises ValueError for a bad
+    tolerance or iteration count, or when f(a) and f(b) share a sign; raises
+    NonClosureError when f is NaN, or after ``maxiter`` steps without
+    convergence, carrying the last |f| as its residual.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_MIN_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_MIN_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NonClosureError(f"root search objective is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # inverse quadratic step
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:   # C's step is then inf or NaN,
+                stry = math.inf         # which the test below refuses
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NonClosureError(
+        f"root search did not converge in {maxiter} iterations "
+        f"(|f| = {abs(fcur):.3e} at x = {xcur!r})", residual=abs(fcur))
 
 
 def windows(n: int, index) -> np.ndarray:

@@ -338,7 +338,8 @@ class SpaceForm:
 
         1/t (flat), k1*cot(k1 t) (sphere, exactly 0 at t = pi/(2 k1),
         negative beyond), k1*coth(k1 t) (hyperbolic, which is k1 itself
-        once cosh(k1 t) or k1 cosh(k1 t) overflows).
+        once cosh(k1 t) or k1 cosh(k1 t) overflows, and 1/t once k1 t is
+        below the smallest normal float).
         """
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
@@ -353,12 +354,16 @@ class SpaceForm:
             # the equatorial circle is a geodesic; pin the crossing exactly
             return np.where(np.abs(x - np.pi / 2) <= 4 * np.finfo(float).eps,
                             0.0, out)
-        x = self.k1 * t
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):     # each case is mended below
+            x = self.k1 * t
             out = self.k1 * np.cosh(x) / np.sinh(x)
+            inv_t = 1.0 / t
         # where cosh x or k1 cosh x overflows (x > 355), coth x is 1 to the
-        # last bit; an x that underflowed to 0 keeps its inf
-        return np.where(np.isfinite(out) | (x < 1.0), out, self.k1)
+        # last bit; where x is below the smallest normal float (sinh x may
+        # be 0 there), k1 coth x = (1/t)(1 + x^2/3 - ...) is 1/t to the last
+        # bit
+        out = np.where(np.isfinite(out) | (x < 1.0), out, self.k1)
+        return np.where(x < np.finfo(float).tiny, inv_t, out)
 
     def circle_radius_of_curvature(self, k0: float) -> float:
         """Radius R of the circle whose geodesic curvature is k0.

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from sphericity import (AntipodalPointsError, CurveGenerationError,
-                        GeometryError, NonClosureError, SpaceForm, make_circle,
-                        make_disc_intersection, make_frame_ode_curve,
-                        make_lune, make_support_curve, measure_radial,
-                        min_distance_to_curve, spindle_optimum, spindle_rho,
-                        winding_number)
+                        GeometryError, NonClosureError, SpaceForm, curves,
+                        make_circle, make_disc_intersection,
+                        make_frame_ode_curve, make_lune, make_support_curve,
+                        measure_radial, min_distance_to_curve,
+                        spindle_optimum, spindle_rho, winding_number)
 from sphericity.cli import main
 from sphericity.curves import (_PERIOD_STEPS, _detect_symmetry_order,
                                _expm1_traceless3, _frame_generators,
@@ -327,6 +327,25 @@ class TestFrameOde:
                            "terms": [[m, amp, 0.0]]}}))
         assert main(["verify-angle", "--config", str(cfg)]) == 1
         assert "residual=" in capsys.readouterr().err
+
+    def test_root_search_without_convergence_is_non_closure(
+            self, tmp_path, capsys, monkeypatch):
+        # a closure solve cut short is refused with its last |defect|, and
+        # the CLI exits 1 with one error line, not a traceback
+        monkeypatch.setattr(curves, "_ROOT_MAXITER", 1)
+        with pytest.raises(NonClosureError, match="did not converge") as err:
+            make_frame_ode_curve(SPH, lambda u: 1.2 + 0.1 * np.cos(
+                6 * np.pi * np.asarray(u)), n=256)
+        assert 0.0 < err.value.residual < 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
+             "generator": {"provenance": "frame_ode", "k0": 1.2, "n": 256,
+                           "terms": [[3, 0.1, 0.0]]}}))
+        assert main(["verify-angle", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: root search did not converge")
+        assert len(err.splitlines()) == 1 and "residual=" in err
 
 
 class TestDiscIntersection:

@@ -1,7 +1,9 @@
-"""Every demo runs cleanly, and every name it imports is public API."""
+"""Every demo runs cleanly, and every name it imports is public API; the
+package and its command line run with numpy alone."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,15 @@ import pytest
 
 import sphericity
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _package_env() -> dict:
+    """The environment with this checkout's package on PYTHONPATH."""
+    package_root = str(Path(sphericity.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -25,11 +35,30 @@ def test_demo_imports_are_public(path):
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
-    package_root = str(Path(sphericity.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(path)], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_package_and_cli_run_without_scipy(tmp_path):
+    # importing the package loads no scipy module, and the README's example
+    # config runs through the CLI with scipy blocked
+    readme = (ROOT / "README.md").read_text()
+    config = tmp_path / "cfg.json"
+    config.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    script = ("import sys\n"
+              "import sphericity, sphericity.cli\n"
+              "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+              "assert not loaded, loaded\n"
+              "sys.modules['scipy'] = None\n"
+              "sys.exit(sphericity.cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify-angle", "--config",
+         str(config), "--out", str(out)], capture_output=True, text=True,
+        env=_package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS: ")
+    assert (out / "report.json").exists()

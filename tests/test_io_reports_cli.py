@@ -680,7 +680,8 @@ HEADER_REFUSALS = [("closure_gap", "abc"), ("closure_gap", math.nan),
                    ("space", {"kind": "sphere", "k1": "one"}),
                    ("space", {"kind": "sphere", "k1": True}),
                    ("space", {"kind": "sphere", "k1": -1.0}),
-                   ("space", {"kind": "torus", "k1": 1.0})]
+                   ("space", {"kind": "torus", "k1": 1.0}),
+                   ("space", {"kind": "flat", "k1": 5.0})]
 
 
 @pytest.mark.parametrize("field,value", HEADER_REFUSALS,
@@ -697,6 +698,41 @@ def test_curve_file_header_refused_naming_the_field(tmp_path, field, value):
                          {"seed": 0, "curve_file": str(path)})
     assert code == 1 and len(err.splitlines()) == 1
     assert f"{field}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["total_length", "space"])
+def test_curve_file_integer_beyond_float_range_refused(tmp_path, field):
+    doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
+    if field == "space":
+        doc["space"] = {"kind": "sphere", "k1": 10 ** 400}
+    else:
+        doc[field] = 10 ** 400
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_cli(tmp_path, "verify-width",
+                         {"seed": 0, "curve_file": str(path)})
+    assert code == 1 and len(err.splitlines()) == 1
+    assert f"{field}: " in err and "Traceback" not in err
+
+
+# A config's space block passes the curve header's checks: a flat plane
+# with a nonzero or missing k1, and a boolean, string or out-of-range k1,
+# are refused naming ``space``, not ignored or converted.
+CONFIG_SPACE_REFUSALS = [{"kind": "flat", "k1": 5.0}, {"kind": "flat"},
+                         {"kind": "sphere", "k1": True},
+                         {"kind": "sphere", "k1": "2"},
+                         {"kind": "hyperbolic", "k1": 10 ** 400}]
+
+
+@pytest.mark.parametrize("space", CONFIG_SPACE_REFUSALS,
+                         ids=["flat-k1", "flat-no-k1", "bool", "string",
+                              "huge-int"])
+def test_config_space_refused_naming_space(tmp_path, space):
+    code, err = _run_cli(tmp_path, "verify-angle",
+                         _configured("verify-angle", {"space": space}))
+    assert code == 1
+    assert err.startswith("error: bad value for 'space': ")
+    assert len(err.splitlines()) == 1
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,11 +1,17 @@
-"""The batched quartic refinement against the golden-section oracle."""
+"""The batched quartic refinement against the golden-section oracle, and
+Brent's root finder against scipy's."""
+
+import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
-from sphericity import SpaceForm, make_disc_intersection
-from sphericity.search import (golden_max, golden_min, refine_extremum,
-                               refine_windows, windows)
+from sphericity import (Kind, NonClosureError, SpaceForm, curves,
+                        make_disc_intersection, make_frame_ode_curve)
+from sphericity.search import (brentq, golden_max, golden_min,
+                               refine_extremum, refine_windows, windows)
 
 P = np.polynomial.polynomial
 
@@ -89,3 +95,105 @@ def test_flat_window_keeps_its_sample(mode):
         windows(16, [9, 0])], mode, 1.0)
     assert list(s_star) == [s[9], s[0]]
     assert list(v_star) == [0.7, 0.7]
+
+
+# -- Brent's root finder against scipy.optimize.brentq -----------------------
+
+def _solve(solver, f, a, b, **keywords):
+    """(the root's uint64 bits, or the exception raised, and the list of
+    arguments at which the solver evaluated f)."""
+    arguments = []
+
+    def recorded(x):
+        arguments.append(x)
+        return f(x)
+
+    try:
+        root = solver(recorded, a, b, **keywords)
+    except (ValueError, RuntimeError) as exc:
+        return exc, arguments
+    return np.float64(root).view(np.uint64), arguments
+
+
+def _assert_same_run(f, a, b, **keywords):
+    """scipy and the port evaluate f at the same arguments and return the
+    same bits; where scipy does not converge the port raises NonClosureError
+    with the last |f| as its residual."""
+    ours, ours_at = _solve(brentq, f, a, b, **keywords)
+    theirs, theirs_at = _solve(scipy.optimize.brentq, f, a, b, **keywords)
+    assert ours_at == theirs_at
+    if isinstance(theirs, ValueError):
+        assert type(ours) is ValueError and str(ours) == str(theirs)
+    elif isinstance(theirs, RuntimeError):
+        assert isinstance(ours, NonClosureError)
+        assert ours.residual == abs(f(ours_at[-1]))
+    else:
+        assert ours == theirs
+
+
+def _objective(shape: str, root: float, scale: float):
+    """Sign-changing objectives, smooth or kinked, scaled down to underflow
+    or up towards overflow."""
+    if shape == "power":
+        return lambda x: scale * math.copysign(abs(x - root) ** 3, x - root)
+    if shape == "root":
+        return lambda x: scale * math.copysign(abs(x - root) ** 0.5, x - root)
+    if shape == "tanh":
+        return lambda x: scale * (math.tanh(5.0 * (x - root))
+                                  + 0.1 * (x - root))
+    if shape == "kink":
+        return lambda x: scale * (x - root) * (1.0 if x < root else 7.0)
+    if shape == "plateau":
+        return lambda x: scale * max(-1.0, min(1.0, 50.0 * (x - root)))
+    return lambda x: scale * math.expm1(x - root)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.sampled_from(["power", "root", "tanh", "kink", "plateau",
+                              "expm1"]),
+       root=st.floats(-3.0, 3.0),
+       scale=st.sampled_from([1.0, -1.0, 1e-200, 1e-310, 1e300]),
+       below=st.floats(0.0, 4.0), above=st.floats(-0.5, 4.0),
+       swap=st.booleans(),
+       xtol=st.sampled_from([2e-12, 1e-300, 1e-6, 0.5]),
+       rtol=st.sampled_from([4.0 * np.finfo(float).eps, 1e-10, 1e-3]),
+       maxiter=st.integers(0, 100))
+def test_brentq_matches_scipy_bit_for_bit(shape, root, scale, below, above,
+                                          swap, xtol, rtol, maxiter):
+    a, b = root - below, root + above       # above < 0: no sign change
+    if swap:
+        a, b = b, a
+    _assert_same_run(_objective(shape, root, scale), a, b, xtol=xtol,
+                     rtol=rtol, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("kind,k1", [("flat", 0.0), ("sphere", 1.0),
+                                     ("hyperbolic", 1.0)])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_brentq_matches_scipy_on_the_closure_objective(monkeypatch, kind,
+                                                       k1, m):
+    space = SpaceForm(Kind(kind), k1)
+    k0 = 2.0 if kind == "hyperbolic" else 1.0
+    solves = []
+
+    def record(f, a, b, **keywords):
+        solves.append((f, a, b, keywords))
+        return brentq(f, a, b, **keywords)
+
+    monkeypatch.setattr(curves, "brentq", record)
+    make_frame_ode_curve(space, lambda u: k0 + 0.1 * np.cos(
+        2.0 * np.pi * m * np.asarray(u)), n=64)
+    (f, a, b, keywords), = solves
+    _assert_same_run(f, a, b, **keywords)
+    # a run cut short: scipy's RuntimeError is the port's NonClosureError
+    _assert_same_run(f, a, b, **dict(keywords, maxiter=2))
+
+
+def test_brentq_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_raises_non_closure_on_a_nan():
+    with pytest.raises(NonClosureError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0)

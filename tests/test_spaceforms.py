@@ -182,6 +182,15 @@ def test_hyperbolic_mu0_is_k1_where_cosh_overflows():
         assert _same_bits(got[:len(finite)],
                           k1 * np.cosh(x) / np.sinh(x))
         assert np.all(got[len(finite):] == k1)
+    # where k1 t is below the smallest normal float, cosh / sinh is inf (at
+    # 0) or off in its last bits (subnormal); k1 coth(k1 t) is 1/t there
+    hyp = SpaceForm.hyperbolic(1e-150)
+    t = np.array([1e-200, 1e-160, 2e-158, 3e-158])
+    with np.errstate(all="raise"):
+        got = hyp.mu0(t)
+    assert _same_bits(got[:3], 1.0 / t[:3])
+    x = 1e-150 * t[3:]
+    assert _same_bits(got[3:], 1e-150 * np.cosh(x) / np.sinh(x))
 
 
 def test_circle_radius_of_curvature_values():
