@@ -400,15 +400,30 @@ def make_lune(space: SpaceForm, k0: float, r: float,
 # Support-function curves (flat plane)
 # ---------------------------------------------------------------------------
 
+def _support_rho_dense(a0, harmonics, n_dense):
+    """rho = h + h'' at the angles 2 pi k / n_dense, k < n_dense, as one
+    inverse real FFT of its coefficients a0 and (1 - m^2)(a_m, b_m); every
+    order m must lie below n_dense / 2."""
+    spectrum = np.zeros(n_dense // 2 + 1, dtype=complex)
+    spectrum[0] = n_dense * float(a0)
+    for m, (am, bm) in harmonics.items():
+        spectrum[m] = 0.5 * n_dense * (1 - m * m) * complex(am, -bm)
+    return np.fft.irfft(spectrum, n_dense)
+
+
 def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
                        n: int = DEFAULT_SAMPLES) -> ClosedCurve:
     """Euclidean convex curve from a truncated support function.
 
     h(theta) = a0 + sum_{m>=2} (a_m cos m theta + b_m sin m theta), with
-    harmonics given as {m: (a_m, b_m)}.  The curvature radius is
-    rho(theta) = h + h''; the construction is rejected unless
-    0 < rho(theta) <= 1/k0_target everywhere, which certifies that the
-    measured curvature satisfies kappa >= k0_target.
+    harmonics given as {m: (a_m, b_m)}; the integer orders m must satisfy
+    2 <= m < n/2, since an order at or above the samples' Nyquist order n/2
+    is aliased.  The curvature radius is rho(theta) = h + h''; the
+    construction is rejected unless 0 < rho(theta) <= 1/k0_target at
+    8 max(n, 1024) equally spaced angles, which certifies that the measured
+    curvature satisfies kappa >= k0_target.  That dense rho is one inverse
+    real FFT of rho's own coefficients; the samples come from h and h' in
+    closed form.
     """
     space = SpaceForm.flat()
     harmonics = dict(harmonics or {})
@@ -416,34 +431,40 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
         if m < 2:
             raise CurveGenerationError(
                 "support harmonics start at m = 2 (m < 2 only translates)")
+        if not float(m).is_integer():
+            raise CurveGenerationError(
+                f"support harmonic order {m} is not an integer", where=m)
+        if 2 * m >= n:
+            raise CurveGenerationError(
+                f"support harmonic order {m} is at or above the Nyquist "
+                f"order n/2 = {n / 2:g} of {n} samples (aliased)", where=m)
+    harmonics = {int(m): ab for m, ab in harmonics.items()}
     if k0_target <= 0.0:
         raise CurveGenerationError("k0_target must be positive")
 
-    def h_rho_s(theta):
+    def h_hp_s(theta):
         h = np.full_like(theta, float(a0))
-        rho = np.full_like(theta, float(a0))
         hp = np.zeros_like(theta)
         arc = float(a0) * theta
         for m, (am, bm) in harmonics.items():
             cm, sm = np.cos(m * theta), np.sin(m * theta)
             h += am * cm + bm * sm
             hp += m * (-am * sm + bm * cm)
-            rho += (1 - m * m) * (am * cm + bm * sm)
             arc += (1 - m * m) * (am * sm - bm * cm) / m
-        return h, hp, rho, arc
+        return h, hp, arc
 
-    dense = np.linspace(0.0, 2.0 * np.pi, 8 * max(n, 1024), endpoint=False)
-    _, _, rho_dense, _ = h_rho_s(dense)
+    n_dense = 8 * max(n, 1024)
+    rho_dense = _support_rho_dense(a0, harmonics, n_dense)
     bad = (rho_dense <= 0.0) | (rho_dense > 1.0 / k0_target + 1e-12)
     if np.any(bad):
-        theta_bad = float(dense[np.argmax(bad)])
+        theta_bad = float(np.argmax(bad) * (2.0 * np.pi / n_dense))
         raise CurveGenerationError(
             "support function violates 0 < h + h'' <= 1/k0_target "
             f"(first violation at theta = {theta_bad:.6f})", where=theta_bad)
 
     theta = 2.0 * np.pi * np.arange(n) / n
-    h, hp, rho, arc = h_rho_s(theta)
-    _, _, _, arc0 = h_rho_s(np.array([0.0]))
+    h, hp, arc = h_hp_s(theta)
+    _, _, arc0 = h_hp_s(np.array([0.0]))
     points = np.stack([h * np.cos(theta) - hp * np.sin(theta),
                        h * np.sin(theta) + hp * np.cos(theta)], axis=-1)
     tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
@@ -457,6 +478,10 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
 # ---------------------------------------------------------------------------
 
 _PERIOD_STEPS = 512     # Magnus steps per period in the closure solve
+# closure-length scans (first, last, count), in units of the mean-curvature
+# circle length, tried in turn until one brackets the root: a pair 0.5%
+# either side of that guess, then two wide scans
+_BRACKET_STAGES = ((0.995, 1.005, 2), (0.55, 1.8, 13), (0.55, 1.8, 41))
 _ROOT_MAXITER = 50
 _SQRT3 = math.sqrt(3.0)
 
@@ -664,7 +689,12 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     period is a rotation by 2*pi/m, a scalar condition solved by bracketed
     root finding.  Its sine and cosine, and the fixed point that becomes
     ``hint_center``, are read in closed form off the period map in the
-    start frame's body coordinates (``_period_rotation``).  The solved curve
+    start frame's body coordinates (``_period_rotation``).  The bracket
+    grows from the mean-curvature circle length outward
+    (``_BRACKET_STAGES``): first the two lengths 0.5% either side of it,
+    then, only where they bracket no root, scans of 13 and 41 lengths over
+    [0.55, 1.8] times it.  Every length is integrated once: Brent's method
+    reads the bracket ends' defects off the scan.  The solved curve
     is built by integrating one period and replicating it with powers of
     the period isometry, so the m-fold symmetry is exact.
 
@@ -705,22 +735,30 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     e1, _ = space.frame(p0)
     ct, st = math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m)
 
+    defects = {}    # total length -> (defect sin, defect cos)
+
     def closure_defects(lengths):
-        """(sin, cos) of each period's rotation angle minus 2 pi / m."""
-        d, _, _ = _integrate_frame(space, p0, e1, kappa_profile, lengths,
-                                   1.0 / m, _PERIOD_STEPS)
-        sin, cos, _ = _period_rotation(space, d)
-        return sin * ct - cos * st, cos * ct + sin * st
+        """(sin, cos) of each period's rotation angle minus 2 pi / m; a
+        length already integrated is read back, not integrated again."""
+        fresh = [x for x in lengths if x not in defects]
+        if fresh:
+            d, _, _ = _integrate_frame(space, p0, e1, kappa_profile, fresh,
+                                       1.0 / m, _PERIOD_STEPS)
+            sin, cos, _ = _period_rotation(space, d)
+            defects.update(zip(fresh, zip(sin * ct - cos * st,
+                                          cos * ct + sin * st)))
+        return np.array([defects[x] for x in lengths]).T
 
     def defect_sin(total_length: float) -> float:
-        return float(closure_defects(total_length)[0][0])
+        return float(closure_defects([total_length])[0][0])
 
-    # bracket the closure length around the mean-curvature circle length;
-    # valid brackets have the defect cosine positive at both ends (right
-    # branch of the angle) and a sign change in the defect sine
+    # bracket the closure length from the mean-curvature circle length
+    # outward, one stage of _BRACKET_STAGES at a time; valid brackets have
+    # the defect cosine positive at both ends (right branch of the angle)
+    # and a sign change in the defect sine
     residuals = []
-    for n_scan in (13, 41):
-        scan = np.linspace(0.55 * length_guess, 1.8 * length_guess, n_scan)
+    for first, last, count in _BRACKET_STAGES:
+        scan = np.linspace(first * length_guess, last * length_guess, count)
         sin, cos = closure_defects(scan)
         valid = (cos[:-1] > 0.0) & (cos[1:] > 0.0)
         residuals.append(np.minimum(np.abs(sin[:-1]), np.abs(sin[1:]))[valid])

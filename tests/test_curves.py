@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphericity import (AntipodalPointsError, CurveGenerationError,
                         GeometryError, NonClosureError, SpaceForm, curves,
@@ -17,7 +18,9 @@ from sphericity.curves import (_PERIOD_STEPS, _detect_symmetry_order,
                                _expm1_traceless3, _frame_generators,
                                _frame_matrix, _graph_coefficients,
                                _integrate_frame, _period_rotation,
-                               _window_fit_kappa, corner_band)
+                               _support_rho_dense, _window_fit_kappa,
+                               corner_band)
+from tests.conftest import frame_ode_curve_and_floor
 from tests.oracles import (_fixed_point, _rotation_defect,
                            detect_symmetry_order_loop, validate_curve,
                            window_fit_kappa_lapack, winding_number_chart)
@@ -156,6 +159,74 @@ class TestSupportCurve:
     def test_rejects_low_harmonics(self):
         with pytest.raises(CurveGenerationError):
             make_support_curve(1.0, {1: (0.1, 0.0)}, k0_target=0.5)
+
+    @pytest.mark.parametrize("m", [512, 600, 1000])
+    def test_rejects_orders_at_or_above_nyquist(self, m):
+        # n = 1024 samples alias them: m = 600 (exact kmin 1/1.4 = 0.714)
+        # measured kmin 0.844, m = 1000 measured 0.9997
+        with pytest.raises(CurveGenerationError,
+                           match=f"order {m} is at or above the Nyquist"
+                           ) as err:
+            make_support_curve(1.0, {m: (0.4 / (m * m - 1), 0.0)},
+                               k0_target=0.7, n=1024)
+        assert err.value.where == m
+
+    def test_accepts_order_below_nyquist(self):
+        curve = make_support_curve(1.0, {511: (0.4 / (511 ** 2 - 1), 0.0)},
+                                   k0_target=0.7, n=1024)
+        assert curve.n == 1024
+
+    def test_rejects_non_integer_order(self):
+        with pytest.raises(CurveGenerationError, match="not an integer"):
+            make_support_curve(1.0, {2.5: (0.01, 0.0)}, k0_target=0.5)
+
+    def test_aliased_order_refused_by_cli(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
+             "generator": {"provenance": "support_function", "a0": 1.0,
+                           "harmonics": {"600": [0.4 / (600 ** 2 - 1), 0.0]},
+                           "k0_target": 0.7, "n": 1024}}))
+        assert main(["verify-angle", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "order 600" in err and len(err.splitlines()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(a0=st.floats(0.1, 10.0),
+       terms=st.dictionaries(st.integers(2, 64),
+                             st.tuples(st.floats(-0.5, 0.5),
+                                       st.floats(-0.5, 0.5)), max_size=4),
+       ratio=st.floats(0.5, 1.5))
+def test_spectral_rho_matches_pointwise(a0, terms, ratio):
+    # the admissibility check's one-FFT rho against h + h'' summed at each
+    # dense angle, and both checks' refusals away from the bounds
+    n = 1024
+    n_dense = 8 * n
+    harmonics = {m: (a0 * a / (m * m - 1), a0 * b / (m * m - 1))
+                 for m, (a, b) in terms.items()}
+    theta = 2.0 * np.pi * np.arange(n_dense) / n_dense
+    rho = np.full(n_dense, a0)
+    scale = a0
+    for m, (am, bm) in harmonics.items():
+        rho += (1 - m * m) * (am * np.cos(m * theta) + bm * np.sin(m * theta))
+        scale += (m * m - 1) * math.hypot(am, bm)
+    spectral = _support_rho_dense(a0, harmonics, n_dense)
+    assert float(np.max(np.abs(spectral - rho))) <= 1e-13 * scale
+
+    top = float(np.max(rho))
+    k0_target = 1.0 / (ratio * top) if top > 0.0 else 1.0
+    ceiling = 1.0 / k0_target + 1e-12
+    band = 1e-12 * scale
+    if min(abs(float(np.min(rho))), abs(top - ceiling)) <= band:
+        return
+    pointwise_refuses = bool(np.any((rho <= 0.0) | (rho > ceiling)))
+    try:
+        make_support_curve(a0, harmonics, k0_target=k0_target, n=n)
+        refused = False
+    except CurveGenerationError as err:
+        refused = "violates 0 < h + h''" in str(err)
+    assert refused == pointwise_refuses
 
 
 class TestFrameOde:
@@ -346,6 +417,71 @@ class TestFrameOde:
         err = capsys.readouterr().err
         assert err.startswith("error: root search did not converge")
         assert len(err.splitlines()) == 1 and "residual=" in err
+
+    @staticmethod
+    def _record_candidates(monkeypatch):
+        """Batch sizes and lengths of the closure solve's integrations."""
+        batches = []
+
+        def record(space, p0, t0, profile, lengths, u_end, steps,
+                   store_every=None):
+            if store_every is None:
+                batches.append([float(x) for x in np.atleast_1d(lengths)])
+            return _integrate_frame(space, p0, t0, profile, lengths, u_end,
+                                    steps, store_every)
+
+        monkeypatch.setattr(curves, "_integrate_frame", record)
+        return batches
+
+    # roots 0.76% above and 0.57% below the mean-curvature circle length
+    FAR_ROOTS = [
+        (SPH, lambda u: 1.0 + 0.6 * np.cos(4 * np.pi * np.asarray(u))),
+        (HYP, lambda u: 2.0 + 0.8 * np.cos(4 * np.pi * np.asarray(u)))]
+
+    @pytest.mark.parametrize("space,profile", [
+        (FLAT, lambda u: 1.0 + 0.2 * np.cos(6 * np.pi * np.asarray(u))),
+        (SPH, lambda u: 1.2 + 0.1 * np.cos(6 * np.pi * np.asarray(u))),
+        (HYP, lambda u: 2.0 + 0.15 * np.cos(6 * np.pi * np.asarray(u))),
+        *FAR_ROOTS], ids=["flat", "sphere", "hyperbolic", "sphere-far",
+                          "hyperbolic-far"])
+    def test_closure_solve_integrates_each_length_once(self, monkeypatch,
+                                                       space, profile):
+        # Brent reads the bracket ends off the scan instead of integrating
+        # them again
+        batches = self._record_candidates(monkeypatch)
+        make_frame_ode_curve(space, profile, n=256)
+        lengths = [x for batch in batches for x in batch]
+        assert len(lengths) == len(set(lengths))
+        assert len(batches[0]) == 2
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_first_stage_brackets_random_curves(self, monkeypatch, space):
+        # the fixtures' random profiles all close within 0.5% of the
+        # mean-curvature circle length: one two-length integration, then
+        # Brent on single lengths
+        batches = self._record_candidates(monkeypatch)
+        rng = np.random.default_rng(20240504)
+        for _ in range(8):
+            batches.clear()
+            curve = frame_ode_curve_and_floor(space, rng, n=256)[0]
+            assert curve.closure_gap <= 1e-8
+            assert [len(b) for b in batches] == [2] + [1] * (len(batches) - 1)
+
+    @pytest.mark.parametrize("space,profile", FAR_ROOTS,
+                             ids=["sphere", "hyperbolic"])
+    def test_far_root_matches_wide_stages_alone(self, monkeypatch, space,
+                                                profile):
+        batches = self._record_candidates(monkeypatch)
+        curve = make_frame_ode_curve(space, profile, n=256)
+        assert [len(b) for b in batches[:2]] == [2, 13]
+        monkeypatch.setattr(curves, "_BRACKET_STAGES",
+                            curves._BRACKET_STAGES[1:])
+        wide = make_frame_ode_curve(space, profile, n=256)
+        guess = float(space.circumference(
+            space.circle_radius_of_curvature(float(np.mean(
+                profile(np.linspace(0.0, 1.0, 2048, endpoint=False)))))))
+        assert abs(curve.total_length - wide.total_length) <= 1e-13 * guess
 
 
 class TestDiscIntersection:
