@@ -30,7 +30,7 @@ print(f"coordinate circle at t = 1: curvature "
       f"{circle_normal_curvature(metric, 1.0):.6f}")
 curve = make_warped_curve(metric, 0.8, {2: (0.04, 0.0), 3: (0.0, 0.015)})
 ver = verify_radial_bounds(metric, curve)
-print(f"curve kmin = {ver.k0_used + 1e-6:.6f}, h = {ver.h:.6f}")
+print(f"curve kmin = {curve.kmin:.6f}, h = {ver.h:.6f}")
 print(f"angle bound ({ver.comparison} comparison): cos(phi) >= "
       f"{ver.bound_cos:.6f}, min slack {ver.min_angle_slack:.4f}")
 print(f"width: d = {ver.d:.6f} <= d0 = {ver.d0:.6f} "

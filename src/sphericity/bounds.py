@@ -23,9 +23,10 @@ import numpy as np
 from .curves import ClosedCurve, corner_band, measure_radial
 from .errors import GeometryError, HypothesisViolation
 from .spaceforms import Kind, SpaceForm
+from .spindles import _within_radius, spindle_optimum
 
-# Guards and verdict tolerances of every verifier (angle, width, warped)
-# and of the suite reports.
+# Guards and verdict tolerances, read by the verdict core below (and by two
+# estimator parameters of the incenter search in layers).
 #: measured-curvature safety margin subtracted before bound evaluation
 DEFAULT_K0_GUARD = 1e-6
 #: refined-distance safety margin subtracted before bound evaluation
@@ -38,41 +39,10 @@ DEFAULT_MARGIN_TOL = 1e-7
 _ODE_EXCLUSION = 3
 
 
-def check_hypotheses(space: SpaceForm, k0: float, t_max: float | None = None,
-                     k_ball: float | None = None) -> float:
-    """Refuse a bound whose hypotheses fail; return R = radius of k0.
-
-    ``k0`` must lie in the domain of ``space.circle_radius_of_curvature``
-    (flat k0 > 0, sphere k0 >= 0, hyperbolic k0 > k1).  On the sphere the
-    curve's largest distance ``t_max`` from the base point, when given,
-    must stay within pi / (2 k_ball) (the closed hemisphere for the default
-    k_ball = k1).  Raises HypothesisViolation otherwise.
-    """
-    try:
-        radius = space.circle_radius_of_curvature(k0)
-    except GeometryError as exc:
-        raise HypothesisViolation(
-            f"bound hypothesis fails for k0 = {k0:.6g}: {exc}") from None
-    if t_max is not None and space.kind is Kind.SPHERE:
-        k_ball = space.k1 if k_ball is None else k_ball
-        if t_max > np.pi / (2.0 * k_ball) * (1 + 1e-9):
-            raise HypothesisViolation(
-                f"curve leaves the closed ball of radius pi/(2 k) = "
-                f"{np.pi / (2.0 * k_ball):.6g} around the base point")
-    return radius
-
-
-def _radius_and_h(space: SpaceForm, k0: float, h):
-    radius = space.circle_radius_of_curvature(k0)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < -1e-12) or np.any(h_arr > radius * (1 + 1e-12)):
-        raise GeometryError(f"h must lie in [0, R={radius}]")
-    return radius, np.clip(h_arr, 0.0, radius)
-
-
 def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
     """Sharp lower bound for cos(phi); 0 at h = 0, 1 at h = R, nondecreasing."""
-    radius, h_arr = _radius_and_h(space, k0, h)
+    radius = space.circle_radius_of_curvature(k0)
+    h_arr = _within_radius(h, radius, "h")
     val = np.sqrt(np.maximum(space.sn(h_arr) * space.sn(2.0 * radius - h_arr),
                              0.0)) / space.sn(radius)
     out = np.clip(val, 0.0, 1.0)
@@ -81,7 +51,8 @@ def cos_phi_lower_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
 
 def cos_phi_weak_bound(space: SpaceForm, k0: float, h) -> np.ndarray | float:
     """Rough lower bound sn(h)/sn(R); dominated by the sharp bound."""
-    radius, h_arr = _radius_and_h(space, k0, h)
+    radius = space.circle_radius_of_curvature(k0)
+    h_arr = _within_radius(h, radius, "h")
     out = np.clip(space.sn(h_arr) / space.sn(radius), 0.0, 1.0)
     return float(out) if np.isscalar(h) or np.ndim(h) == 0 else out
 
@@ -98,8 +69,7 @@ def circle_exact_angle(space: SpaceForm, radius: float, h: float,
 
     maximal at alpha = pi/2, where cos(phi) meets the sharp bound.
     """
-    if not 0.0 <= h <= radius * (1 + 1e-12):
-        raise GeometryError("h must lie in [0, R]")
+    h = float(_within_radius(h, radius, "h"))
     if space.kind is Kind.SPHERE and radius >= np.pi / space.k1:
         raise GeometryError("circle radius must stay below pi/k1")
     alpha_arr = np.asarray(alpha, dtype=float)
@@ -143,6 +113,68 @@ def radial_ode_residuals(curve: ClosedCurve, base):
 
 
 # ---------------------------------------------------------------------------
+# Verdict core: the guards, sphere clamp and tolerances of every verdict
+# ---------------------------------------------------------------------------
+
+def guarded_k0(space: SpaceForm, kmin: float) -> float:
+    """The k0 a bound takes for a curve of measured minimal curvature kmin:
+    kmin less DEFAULT_K0_GUARD, so estimator error cannot produce a
+    spurious failure, and 0 for a sphere kmin in [-1e-9, DEFAULT_K0_GUARD)
+    (geodesic circles measure kmin ~ 0 up to noise).  Raises
+    HypothesisViolation outside ``circle_radius_of_curvature``'s domain."""
+    k0 = kmin - DEFAULT_K0_GUARD
+    if space.kind is Kind.SPHERE and k0 < 0.0 and kmin >= -1e-9:
+        k0 = 0.0
+    try:
+        space.circle_radius_of_curvature(k0)
+    except GeometryError as exc:
+        raise HypothesisViolation(
+            f"bound hypothesis fails for k0 = {k0:.6g}: {exc}") from None
+    return k0
+
+
+def _check_ball(space: SpaceForm, t_max: float, k_ball: float | None):
+    """Refuse a sphere curve farther than pi/(2 k_ball) from the base point
+    (the closed hemisphere for the default k_ball = k1)."""
+    if space.kind is Kind.SPHERE:
+        k_ball = space.k1 if k_ball is None else k_ball
+        if t_max > np.pi / (2.0 * k_ball) * (1 + 1e-9):
+            raise HypothesisViolation(
+                f"curve leaves the closed ball of radius pi/(2 k) = "
+                f"{np.pi / (2.0 * k_ball):.6g} around the base point")
+
+
+def angle_slack(space: SpaceForm, k0: float, h: float, t_max: float,
+                cos_phi, k_ball: float | None = None):
+    """(bound, cos_phi - bound) for the sharp bound at the least distance
+    h less DEFAULT_H_GUARD, after :func:`_check_ball` of t_max."""
+    _check_ball(space, t_max, k_ball)
+    h_used = min(max(h - DEFAULT_H_GUARD, 0.0),
+                 space.circle_radius_of_curvature(k0))
+    bound = float(cos_phi_lower_bound(space, k0, h_used))
+    return bound, cos_phi - bound
+
+
+def slack_check(min_slack: float):
+    """(bound, slack, passed): a least slack passes from -DEFAULT_SLACK_TOL."""
+    return (-DEFAULT_SLACK_TOL, min_slack + DEFAULT_SLACK_TOL,
+            bool(min_slack >= -DEFAULT_SLACK_TOL))
+
+
+def width_check(space: SpaceForm, k0: float, d: float, t_max: float,
+                k_ball: float | None = None):
+    """(d0, margin, passed) of an annulus width d against d0(k0), which
+    passes when d0 - d >= -DEFAULT_MARGIN_TOL, after :func:`_check_ball`
+    of t_max.  Refuses a sphere k0 <= 0, where the spindles degenerate."""
+    if space.kind is Kind.SPHERE and k0 <= 0.0:
+        raise HypothesisViolation("width bound requires kmin > 0")
+    _check_ball(space, t_max, k_ball)
+    d0 = spindle_optimum(space, k0).d0
+    margin = d0 - d
+    return d0, margin, bool(margin >= -DEFAULT_MARGIN_TOL)
+
+
+# ---------------------------------------------------------------------------
 # Verifier
 # ---------------------------------------------------------------------------
 
@@ -165,35 +197,22 @@ class AngleReport:
 def verify_angle_bound(curve: ClosedCurve, base) -> AngleReport:
     """Check every sample's cos(phi) against the sharp lower bound.
 
-    The curvature entering the bound is the refined measured minimum minus
-    DEFAULT_K0_GUARD, so estimator error cannot produce spurious failures; the
-    refined minimum distance loses DEFAULT_H_GUARD for the same reason.  Both
-    guards only slacken the bound.  Samples whose curvature window spans a
-    corner are excluded.  The check passes when the smallest slack is at
-    least -DEFAULT_SLACK_TOL.
-
-    Raises HypothesisViolation when the curve does not satisfy the
-    hypotheses for its geometry (see :func:`check_hypotheses`; on the
-    sphere the closed hemisphere is taken around the base point).
+    Samples whose curvature window spans a corner are excluded; the rest
+    are judged by the verdict core above, which raises HypothesisViolation
+    when the curve does not satisfy the hypotheses for its geometry.
     """
     space = curve.space
-    k0_used = curve.kmin - DEFAULT_K0_GUARD
-    if space.kind is Kind.SPHERE and k0_used < 0.0 and curve.kmin >= -1e-9:
-        k0_used = 0.0   # geodesic circles measure kmin ~ 0 up to noise
-    check_hypotheses(space, k0_used)
+    k0 = guarded_k0(space, curve.kmin)
     meas = measure_radial(curve, base)
-    radius = check_hypotheses(space, k0_used, float(np.max(meas.t)))
-    h_used = min(max(meas.h - DEFAULT_H_GUARD, 0.0), radius)
-    bound = float(cos_phi_lower_bound(space, k0_used, h_used))
-
     cos_phi = np.cos(meas.phi)
-    slack = cos_phi - bound
+    bound, slack = angle_slack(space, k0, meas.h, float(np.max(meas.t)),
+                               cos_phi)
     included = ~corner_band(curve.corner)
-    excluded = int(np.sum(~included))
     if not np.any(included):
         raise GeometryError("corner exclusion removed every sample")
     min_slack = float(np.min(slack[included]))
     return AngleReport(bound_cos=bound, s=curve.s, t=meas.t, phi=meas.phi,
                        cos_phi=cos_phi, slack=slack, included=included,
-                       min_slack=min_slack, excluded_corner_count=excluded,
-                       passed=bool(min_slack >= -DEFAULT_SLACK_TOL))
+                       min_slack=min_slack,
+                       excluded_corner_count=int(np.sum(~included)),
+                       passed=slack_check(min_slack)[2])

@@ -17,12 +17,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .bounds import DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, check_hypotheses
+from .bounds import (DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL, guarded_k0,
+                     width_check)
 from .curves import (ClosedCurve, _distance_extrema, max_distance_to_curve,
                      min_distance_to_curve, winding_number)
-from .errors import GeometryError, HypothesisViolation
-from .spaceforms import Kind, _dot, karcher_mean
-from .spindles import spindle_optimum
+from .errors import GeometryError
+from .spaceforms import _dot, karcher_mean
 
 
 @dataclass(frozen=True)
@@ -220,31 +220,17 @@ def incenter(curve: ClosedCurve):
 
 
 def layer_width(curve: ClosedCurve) -> LayerReport:
-    """Width of the incenter-centered annulus, checked against d0(kmin).
-
-    ``k0_used`` is the measured minimal curvature minus DEFAULT_K0_GUARD: the
-    curve genuinely is k0_used-convex, so d <= d0(k0_used) is an honest
-    instance of the width bound even in the presence of estimator error.
-    The check passes when d0 - d >= -DEFAULT_MARGIN_TOL.  On the sphere the
-    closed hemisphere is taken around the incenter.
-    """
+    """Width of the incenter-centered annulus, judged against d0(k0_used)
+    by the verdict core of :mod:`sphericity.bounds` (on the sphere the
+    closed hemisphere is taken around the incenter)."""
     space = curve.space
-    k0_used = curve.kmin - DEFAULT_K0_GUARD
-    check_hypotheses(space, k0_used)
-    if space.kind is Kind.SPHERE and k0_used <= 0.0:
-        # the spindle family degenerates (r0 = 0) at k0 = 0
-        raise HypothesisViolation("width bound requires kmin > 0")
-
+    k0_used = guarded_k0(space, curve.kmin)
     center, _, kkt = incenter(curve)
-    check_hypotheses(space, k0_used,
-                     float(np.max(space.distance(center, curve.points))))
     r, _ = min_distance_to_curve(curve, center)
     rho1, _ = max_distance_to_curve(curve, center)
     d = rho1 - r
-    d0 = spindle_optimum(space, k0_used).d0
-    margin = d0 - d
+    d0, margin, passed = width_check(
+        space, k0_used, d, float(np.max(space.distance(center, curve.points))))
     return LayerReport(incenter=center, r=r, rho1=float(rho1), d=float(d),
                        k0_used=float(k0_used), d0=float(d0),
-                       margin=float(margin),
-                       passed=bool(margin >= -DEFAULT_MARGIN_TOL),
-                       kkt_residual=kkt)
+                       margin=float(margin), passed=passed, kkt_residual=kkt)

@@ -20,11 +20,11 @@ from itertools import chain, groupby, islice
 import numpy as np
 
 from . import __version__
-from .bounds import DEFAULT_SLACK_TOL, verify_angle_bound
+from .bounds import slack_check, verify_angle_bound
 from .curves import (make_circle, make_disc_intersection, make_frame_ode_curve,
                      make_lune, make_support_curve)
 from .errors import GeometryError, HypothesisViolation
-from .io import load_curve, space_from_dict
+from .io import _is_finite_number, load_curve, space_from_dict
 from .layers import layer_width
 from .spaceforms import SpaceForm
 from .spindles import (numeric_spindle_optimum, spindle_max_width_alt,
@@ -71,15 +71,20 @@ def _g(config: dict, path: str, kind=None, default=None,
 # ValueError.
 
 def _number(x) -> float:
-    value = float(x)
-    if not math.isfinite(value):
-        raise ValueError(f"{x!r} is not finite")
-    return value
+    if not _is_finite_number(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return float(x)
+
+
+def _integer(x) -> int:
+    if type(x) is not int and not _number(x).is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def _count(lo: int, hi: int):
     def convert(x) -> int:
-        value = x if type(x) is int else int(_number(x))
+        value = _integer(x)
         if not lo <= value <= hi:
             raise ValueError(f"{x!r} is not an integer in [{lo}, {hi}]")
         return value
@@ -106,10 +111,10 @@ def _numbers(x, size: int | None = None) -> list:
 
 def _array(ndim: int):
     def convert(x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        arr = np.asarray(x, dtype=object)
+        if arr.ndim != ndim or not all(map(_is_finite_number, arr.flat)):
             raise ValueError(f"{x!r} is not a {ndim}-D array of finite numbers")
-        return arr
+        return arr.astype(float)
     return convert
 
 
@@ -118,7 +123,8 @@ def _harmonics(x) -> dict:
 
 
 def _terms(x) -> list:
-    return [(int(m), a, ph) for m, a, ph in (_numbers(t, 3) for t in _list(x))]
+    return [(_integer(m), a, ph)
+            for m, a, ph in (_numbers(t, 3) for t in _list(x))]
 
 
 #: largest sample count a config may request
@@ -245,8 +251,8 @@ def _run_angle(config, result, rng):
     except HypothesisViolation as exc:
         result.hypothesis_violations.append(str(exc))
         return
-    result.add_check("angle_min_slack", rep.min_slack, -DEFAULT_SLACK_TOL,
-                     rep.min_slack + DEFAULT_SLACK_TOL, rep.passed)
+    result.add_check("angle_min_slack", rep.min_slack,
+                     *slack_check(rep.min_slack))
     table = np.column_stack((rep.s, rep.t, rep.phi,
                              np.full(rep.s.shape, rep.bound_cos), rep.slack))
     result.series["angle"] = {
@@ -317,8 +323,7 @@ def _run_warped(config, result, rng):
                           f"{exc}") from None
     comp = verify_circle_curvature_comparison(metric)
     result.add_check("mu_comparison_min_slack", comp.min_slack,
-                     -DEFAULT_SLACK_TOL, comp.min_slack + DEFAULT_SLACK_TOL,
-                     comp.passed)
+                     *slack_check(comp.min_slack))
     rho0 = _g(config, "warped.rho0", _number, 0.8)
     strength = _g(config, "warped.strength", _number, 0.05)
     count = _g(config, "warped.curves", _count(0, 1000), 5)
@@ -336,14 +341,12 @@ def _run_warped(config, result, rng):
             result.hypothesis_violations.append(f"curve {i}: {exc}")
             continue
         result.add_check(f"warped_angle_slack_{i}", ver.min_angle_slack,
-                         -DEFAULT_SLACK_TOL,
-                         ver.min_angle_slack + DEFAULT_SLACK_TOL,
-                         ver.angle_passed)
+                         *slack_check(ver.min_angle_slack))
         result.add_check(f"warped_width_margin_{i}", ver.d, ver.d0,
                          ver.width_margin, ver.width_passed)
         rows.append([i, curve.kmin, ver.h, ver.min_angle_slack, ver.d,
                      ver.d0])
-    if _g(config, "warped.violating", bool, False):
+    if _g(config, "warped.violating", _of_type(bool), False):
         # deliberately eccentric curve whose curvature drops below the
         # comparison threshold; must be rejected, not judged
         bad = make_warped_curve(metric, rho0,

@@ -41,12 +41,12 @@ class SpindleOptimum:
     d0: float
 
 
-def _check_r(space, k0, r):
-    radius = space.circle_radius_of_curvature(k0)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < -1e-15) or np.any(r > radius * (1 + 1e-12)):
-        raise GeometryError(f"spindle inradius must lie in [0, R={radius}]")
-    return radius, np.clip(r, 0.0, radius)
+def _within_radius(x, radius: float, name: str) -> np.ndarray:
+    """x clipped to [0, radius]; refused when over 1e-12 radius outside."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1e-12 * radius) or np.any(x > radius * (1 + 1e-12)):
+        raise GeometryError(f"{name} must lie in [0, R={radius}]")
+    return np.clip(x, 0.0, radius)
 
 
 def spindle_rho(space: SpaceForm, k0: float, r):
@@ -54,7 +54,8 @@ def spindle_rho(space: SpaceForm, k0: float, r):
 
     rho(0) = 0 and rho(R) = R; vectorized over r.
     """
-    radius, r = _check_r(space, k0, r)
+    radius = space.circle_radius_of_curvature(k0)
+    r = _within_radius(r, radius, "spindle inradius")
     # square roots of the two factors, not of their product, which under-
     # or overflows for R beyond about 1e±154
     if space.kind is Kind.FLAT:
@@ -71,7 +72,8 @@ def spindle_rho(space: SpaceForm, k0: float, r):
 
 def spindle_width(space: SpaceForm, k0: float, r):
     """Width d(r) = rho(r) - r of the annulus enclosing the spindle."""
-    _, r = _check_r(space, k0, r)
+    r = _within_radius(r, space.circle_radius_of_curvature(k0),
+                       "spindle inradius")
     return spindle_rho(space, k0, r) - r
 
 

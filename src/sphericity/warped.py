@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (DEFAULT_H_GUARD, DEFAULT_K0_GUARD, DEFAULT_MARGIN_TOL,
-                     DEFAULT_SLACK_TOL, check_hypotheses, cos_phi_lower_bound)
+from .bounds import angle_slack, guarded_k0, slack_check, width_check
 from .curves import DEFAULT_SAMPLES
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
 from .spaceforms import SpaceForm
-from .spindles import spindle_optimum
 
 #: tolerance on the declared curvature band during certification
 BAND_GUARD = 1e-9
@@ -256,7 +254,7 @@ def verify_circle_curvature_comparison(
     min_slack = float(np.min(slack))
     return MuComparisonReport(comparison=space.kind.value, k1_used=space.k1,
                               slack=slack, min_slack=min_slack,
-                              passed=bool(min_slack >= -DEFAULT_SLACK_TOL))
+                              passed=slack_check(min_slack)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +347,10 @@ def verify_radial_bounds(metric: WarpedMetric,
                          curve: WarpedCurve) -> WarpedVerification:
     """Verify the radial-angle and annulus-width bounds about the pole.
 
-    The comparison plane comes from the metric's certified curvature band.
-    Hypotheses checked before judging (HypothesisViolation otherwise):
-
-    * nonpositive band: measured kmin > k1;
-    * positive band: measured kmin >= 0 and the curve inside the ball of
-      radius pi/(2 k2) around the pole, k2^2 the band's upper end.
+    The comparison plane comes from the metric's certified curvature band
+    and the verdicts from the core of :mod:`sphericity.bounds`; on a
+    positive band the curve must stay within pi/(2 k2) of the pole, k2^2
+    the band's upper end.
 
     cos(phi) per sample comes from the graph formula
     cos(phi) = 1 / sqrt(1 + (rho'/f(rho))^2); the annulus about the pole
@@ -362,10 +358,8 @@ def verify_radial_bounds(metric: WarpedMetric,
     incenter, which the generators place at the pole by construction).
     """
     space = comparison_space(metric)
-    k0_used = curve.kmin - DEFAULT_K0_GUARD
-    radius = check_hypotheses(space, k0_used, float(np.max(curve.rho)),
-                              k_ball=math.sqrt(max(metric.k_hi, 0.0)))
-
+    k0_used = guarded_k0(space, curve.kmin)
+    t_max, k_ball = float(np.max(curve.rho)), math.sqrt(max(metric.k_hi, 0.0))
     dtheta = curve.theta[1] - curve.theta[0]
     rho_p, _ = _fd_derivatives(curve.rho, dtheta)
     cos_phi = 1.0 / np.sqrt(1.0 + (rho_p / metric.f(curve.rho)) ** 2)
@@ -379,16 +373,12 @@ def verify_radial_bounds(metric: WarpedMetric,
                               period=2.0 * np.pi)
     rho1 = max(rho1, float(np.max(curve.rho)))
 
-    h_eff = min(max(h - DEFAULT_H_GUARD, 0.0), radius)
-    bound = float(cos_phi_lower_bound(space, k0_used, h_eff))
-    min_slack = float(np.min(cos_phi - bound))
-
-    d = rho1 - h
-    d0 = spindle_optimum(space, k0_used).d0
-    margin = d0 - d
+    bound, slack = angle_slack(space, k0_used, h, t_max, cos_phi, k_ball)
+    min_slack = float(np.min(slack))
+    d0, margin, width_passed = width_check(space, k0_used, rho1 - h, t_max,
+                                           k_ball)
     return WarpedVerification(
         comparison=space.kind.value, k0_used=float(k0_used), h=float(h),
         bound_cos=bound, min_angle_slack=min_slack,
-        angle_passed=bool(min_slack >= -DEFAULT_SLACK_TOL), d=float(d),
-        d0=float(d0), width_margin=float(margin),
-        width_passed=bool(margin >= -DEFAULT_MARGIN_TOL))
+        angle_passed=slack_check(min_slack)[2], d=float(rho1 - h),
+        d0=float(d0), width_margin=float(margin), width_passed=width_passed)

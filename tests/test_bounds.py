@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sphericity.bounds
 from sphericity import (GeometryError, HypothesisViolation, SpaceForm,
                         circle_exact_angle, cos_phi_lower_bound,
-                        cos_phi_weak_bound, make_circle, make_lune,
-                        radial_ode_residuals, verify_angle_bound)
+                        cos_phi_weak_bound, layer_width, make_circle,
+                        make_lune, make_warped, make_warped_curve,
+                        radial_ode_residuals, verify_angle_bound,
+                        verify_radial_bounds)
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -178,6 +181,50 @@ class TestVerifier:
         # two corners, each excluded with a band of 2 samples on both sides
         assert rep.excluded_corner_count == 10
         assert rep.passed
+
+
+# One k0 policy for every verifier: (measured kmin, the k0 the angle bound
+# takes, or None when all three verifiers refuse).  A sphere kmin in
+# [-1e-9, 1e-6) is judged at k0 = 0 and refused by both width verdicts;
+# above it the guard 1e-6 is subtracted.
+K0_POLICY = [(-2e-9, None), (-5e-10, 0.0), (0.0, 0.0), (5e-7, 0.0),
+             (2e-6, 2e-6 - 1e-6)]
+
+
+@pytest.mark.parametrize("kmin,k0", K0_POLICY)
+def test_one_k0_policy_for_every_verifier(monkeypatch, kmin, k0):
+    great = dataclasses.replace(make_circle(SPH, SPH.origin(), 0.0, n=1024),
+                                kmin=kmin)
+    metric = make_warped("spherical", T=1.6, k1=1.0)
+    equator = dataclasses.replace(make_warped_curve(metric, math.pi / 2),
+                                  kmin=kmin)
+    angle = [(verify_angle_bound, (great, SPH.origin()))]
+    widths = [(layer_width, (great,)),
+              (verify_radial_bounds, (metric, equator))]
+    if k0 is None:
+        for verify, args in angle + widths:
+            with pytest.raises(HypothesisViolation,
+                               match="bound hypothesis fails for k0"):
+                verify(*args)
+        return
+    judged_at = []
+
+    def recording_bound(space, k0_used, h):
+        judged_at.append(k0_used)
+        return cos_phi_lower_bound(space, k0_used, h)
+
+    monkeypatch.setattr(sphericity.bounds, "cos_phi_lower_bound",
+                        recording_bound)
+    assert verify_angle_bound(great, SPH.origin()).passed
+    assert judged_at == [k0]
+    if k0 == 0.0:
+        for verify, args in widths:
+            with pytest.raises(HypothesisViolation,
+                               match="^width bound requires kmin > 0$"):
+                verify(*args)
+    else:
+        assert layer_width(great).k0_used == k0
+        assert verify_radial_bounds(metric, equator).k0_used == k0
 
 
 class TestOdeIdentity:

@@ -526,6 +526,32 @@ def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
     assert key in err
 
 
+# Values that were read loosely (a boolean or a numeric string as a number,
+# a fractional count or frame-ODE multiple truncated, a string as a flag):
+# (subcommand, overrides, the key path the error line must name).
+LOOSE_CONFIG_VALUES = [
+    ("verify-angle", {"base_point.distance": True}, "base_point.distance"),
+    ("verify-angle", {"generator.k0": "1.0"}, "generator.k0"),
+    ("verify-angle", {"generator.n": 64.9}, "generator.n"),
+    ("verify-angle", {"generator.center": [True, "0.0"]}, "generator.center"),
+    ("verify-angle", {"space": {"kind": "sphere", "k1": 1.0},
+                      "generator": {"provenance": "frame_ode", "k0": 1.2,
+                                    "n": 1024, "terms": [[3.9, 0.1, 0]]},
+                      "base_point": {"mode": "hint"}}, "generator.terms"),
+    ("verify-warped", {"warped.violating": "false"}, "warped.violating"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,key", LOOSE_CONFIG_VALUES,
+                         ids=[k for _, _, k in LOOSE_CONFIG_VALUES])
+def test_loose_config_value_exits_1_naming_the_key(tmp_path, command,
+                                                   overrides, key):
+    code, err = _run_cli(tmp_path, command, _configured(command, overrides))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert repr(key) in err
+
+
 # Warped configs whose warp, its curvature or a generated curve's graph
 # curvature overflows float64: refused with exit 1, and no report is
 # written.
