@@ -29,13 +29,14 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, permutations
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (AntipodalPointsError, CurveGenerationError,
                      GeometryError, NonClosureError)
-from .search import (WINDOW_HALF, brentq, golden_min, refine_extremum,
-                     refine_windows, windows)
+from .search import (WINDOW_HALF, bracket_min, brentq, golden_min,
+                     refine_extremum, refine_windows, windows)
 from .spaceforms import MODEL_TOL, Kind, SpaceForm, karcher_mean
 
 DEFAULT_SAMPLES = 4096
@@ -483,7 +484,11 @@ _PERIOD_STEPS = 512     # Magnus steps per period in the closure solve
 # either side of that guess, then two wide scans
 _BRACKET_STAGES = ((0.995, 1.005, 2), (0.55, 1.8, 13), (0.55, 1.8, 41))
 _ROOT_MAXITER = 50
+_SCAN_BLOCK = 32        # increments per block of the final pass's prefix scan
 _SQRT3 = math.sqrt(3.0)
+# largest profile magnitude: the profile's mean over 2048 points and the
+# differences of its values stay finite below it
+_PROFILE_MAX = np.finfo(float).max / 4096
 
 
 def _frame_matrix(space, p, t_vec):
@@ -514,13 +519,60 @@ def _frame_generators(space):
     return g0, g1
 
 
+def _profile_values(profile, u):
+    """The curvature profile at the points u, as floats of u's shape.
+
+    Raises CurveGenerationError where a value is not finite or exceeds
+    ``_PROFILE_MAX`` in magnitude, before anything is computed with it.
+    """
+    values = np.asarray(profile(u), dtype=float)
+    if values.shape != np.shape(u):
+        values = np.broadcast_to(values, np.shape(u))
+    if not np.max(np.abs(values), initial=0.0) <= _PROFILE_MAX:  # NaN too
+        i = int(np.argmax(~(np.abs(values) <= _PROFILE_MAX)))
+        where = float(np.ravel(u)[i])
+        raise CurveGenerationError(
+            f"curvature profile is {float(values.flat[i])!r} at u = "
+            f"{where!r}: not finite or beyond {_PROFILE_MAX:.3g} in "
+            "magnitude", where=where)
+    return values
+
+
+class _StepTable(NamedTuple):
+    """A profile's Magnus step data on one grid of [0, u_end]: the step h,
+    the generators G0 + kbar G1 at the steps' mean Gauss-point curvature
+    kbar (steps, 3, 3), the Gauss-point difference dkap (steps, 1, 1) and the
+    commutator [G0, G1]."""
+
+    h: float
+    gen: np.ndarray
+    dkap: np.ndarray
+    comm: np.ndarray
+
+
+def _step_table(space, profile, u_end, steps) -> _StepTable:
+    """The :class:`_StepTable` of ``profile``: one profile call at the two
+    Gauss points of each of ``steps`` equal steps over [0, u_end]."""
+    h = u_end / steps
+    gauss = 0.5 + np.array([-1.0, 1.0]) * _SQRT3 / 6.0
+    u = (h * (np.arange(steps)[:, None] + gauss)).ravel()
+    kap = _profile_values(profile, u).reshape(steps, 2)
+    g0, g1 = _frame_generators(space)
+    mean_kap = (0.5 * (kap[:, 0] + kap[:, 1]))[:, None, None]
+    return _StepTable(h, g0 + mean_kap * g1,
+                      (kap[:, 1] - kap[:, 0])[:, None, None],
+                      g0 @ g1 - g1 @ g0)
+
+
 def _sinc_q(q):
     """sin(sqrt(-q))/sqrt(-q) for q < 0, sinh(sqrt(q))/sqrt(q) for q >= 0."""
     r = np.sqrt(np.abs(q))
     tiny = r < 1e-4
     r = np.where(tiny, 1.0, r)
-    out = np.where(q < 0.0, np.sin(r), np.sinh(r)) / r
-    return np.where(tiny, 1.0 + q / 6.0 + q * q / 120.0, out)
+    neg = q < 0.0
+    out = np.sin(r, out=np.empty_like(r), where=neg)
+    np.sinh(r, out=out, where=~neg)
+    return np.where(tiny, 1.0 + q / 6.0 + q * q / 120.0, out / r)
 
 
 def _expm1_traceless3(omega):
@@ -555,13 +607,25 @@ def _chain_product(incs):
 
 
 def _prefix_products(incs):
-    """Inclusive prefix products of a (S, ...) stack of increments."""
-    out = np.array(incs)
-    d = 1
-    while d < len(out):
-        out[d:] = _compose(out[:-d], out[d:])
-        d *= 2
-    return out
+    """Inclusive prefix products of a (S, ...) stack of increments.
+
+    A two-level blocked scan in about 2 S compositions: the running product
+    inside every block of ``_SCAN_BLOCK`` increments (zero increments pad
+    the last), one position at a time for all blocks at once, then the
+    running product of the block totals, carried into every later block.
+    """
+    count = len(incs)
+    n_blocks = -(-count // _SCAN_BLOCK)
+    out = np.zeros((n_blocks * _SCAN_BLOCK,) + incs.shape[1:])
+    out[:count] = incs
+    blocks = out.reshape((n_blocks, _SCAN_BLOCK) + incs.shape[1:])
+    for j in range(1, _SCAN_BLOCK):
+        blocks[:, j] = _compose(blocks[:, j - 1], blocks[:, j])
+    carry = blocks[:, -1].copy()
+    for i in range(1, n_blocks):
+        carry[i] = _compose(carry[i - 1], carry[i])
+    blocks[1:] = _compose(carry[:-1, None], blocks[1:])
+    return out[:count]
 
 
 def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
@@ -571,30 +635,35 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
     The frame F = [P | T | J] (see ``_frame_matrix``) solves F' = F A with
     A = G0 + kappa G1 in so(3), so(2,1) or se(2).  In the normalized
     parameter u = s / L the generator is L A, so a whole batch of candidate
-    total lengths shares one vectorized evaluation of the profile at the two
-    Gauss points of every step.  Each step multiplies F on the right by
-    exp(Omega), Omega = (h L / 2)(A1 + A2) + (sqrt 3 / 12) h^2 L^2 [A1, A2],
-    taken in closed form (``_expm1_traceless3``); the step factors are
-    composed by pairwise matrix products.  Every factor lies in the
-    isometry group, so no projection back onto the model is needed.
+    total lengths shares one :class:`_StepTable` of the profile at the two
+    Gauss points of every step; ``profile`` is the curvature profile or
+    that table for (u_end, steps), which the closure solve builds once for
+    all its lengths.  Each step multiplies F on the right by exp(Omega),
+    Omega = (h L / 2)(A1 + A2) + (sqrt 3 / 12) h^2 L^2 [A1, A2], taken in
+    closed form (``_expm1_traceless3``); the step factors are composed by
+    pairwise matrix products.  Every factor lies in the isometry group, so
+    no projection back onto the model is needed.  Raises
+    CurveGenerationError where Omega overflows.
 
     ``lengths`` is scalar or (B,); returns the body-frame period maps
     d = F0^-1 F_end - I of shape (B, 3, 3) (see ``_period_rotation``) and,
     when ``store_every`` is given, the (steps // store_every, B, dim) points
-    and tangents taken every that many steps, starting with (p0, T0).
+    and tangents taken every that many steps, starting with (p0, T0); their
+    frames come from the blocked scan ``_prefix_products``.
     """
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    h = u_end / steps
-    gauss = 0.5 + np.array([-1.0, 1.0]) * _SQRT3 / 6.0
-    u = (h * (np.arange(steps)[:, None] + gauss)).ravel()
-    kap = np.broadcast_to(np.asarray(profile(u), dtype=float),
-                          u.shape).reshape(steps, 2)
-    g0, g1 = _frame_generators(space)
-    hl = (h * lengths)[:, None, None, None]
-    mean_kap = (0.5 * (kap[:, 0] + kap[:, 1]))[None, :, None, None]
-    dkap = (kap[:, 1] - kap[:, 0])[None, :, None, None]
-    omega = (hl * (g0 + mean_kap * g1)
-             + (_SQRT3 / 12.0) * hl ** 2 * dkap * (g0 @ g1 - g1 @ g0))
+    table = profile if isinstance(profile, _StepTable) \
+        else _step_table(space, profile, u_end, steps)
+    hl = (table.h * lengths)[:, None, None, None]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            omega = (hl * table.gen
+                     + (_SQRT3 / 12.0) * hl ** 2 * table.dkap * table.comm)
+    except FloatingPointError:
+        longest = float(np.max(lengths))
+        raise CurveGenerationError(
+            f"frame-ODE step generators overflow at total length "
+            f"{longest:.6g}", where=longest) from None
     incs = _expm1_traceless3(omega)
     if store_every is None:
         return _chain_product(incs), None, None
@@ -622,13 +691,15 @@ def _apply_isometry(space, mat, points, linear=False):
 
 
 def _period_rotation(space, d):
-    """(sin, cos) of the rotation angle of each isometry I + d, and its
-    fixed point a, all read off in body coordinates (see ``_integrate_frame``).
+    """(sin, cos) of the rotation angle of each isometry I + d, d of shape
+    (B, 3, 3), and its fixed point a, all read off in body coordinates (see
+    ``_integrate_frame``).
 
     There the start point is (1, 0, 0), its tangent (0, 1, 0) and its
     inward normal (0, 0, 1), and the invariant form is
     x0^2 + eps (x1^2 + x2^2), eps = ``space.sign``.  The fixed point spans
-    the kernel of d: the largest cross product of two of its rows, scaled
+    the kernel of d: the largest cross product of two of its rows (row i of
+    the cofactor matrix is that of rows i + 1 and i + 2, cyclically), scaled
     to unit form, which puts it on the model (the homogeneous a0 = 1 on the
     flat plane).  On the sphere, whose two antipodal fixed points rotate
     with opposite signs, it is the one on the inner side of the start point
@@ -640,41 +711,56 @@ def _period_rotation(space, d):
     """
     eps = space.sign
     cos = 1.0 + 0.5 * np.trace(d, axis1=-2, axis2=-1)
-    kernels = np.cross(d[..., [1, 2, 0], :], d[..., [2, 0, 1], :])
+    # t[:, i, j] = d[:, (i + 1) % 3, (j + 1) % 3], i, j < 5
+    t = np.concatenate([d, d], axis=-1)
+    t = np.concatenate([t, t], axis=-2)[:, 1:, 1:]
+    kernels = (t[:, :3, :3] * t[:, 1:4, 1:4]
+               - t[:, :3, 1:4] * t[:, 1:4, :3])
     pick = np.argmax(np.sum(kernels ** 2, axis=-1), axis=-1)
-    a = np.take_along_axis(kernels, pick[..., None, None], axis=-2)[..., 0, :]
-    form = a[..., 0] ** 2 + eps * (a[..., 1] ** 2 + a[..., 2] ** 2)
-    side = a[..., 2] if eps > 0.0 else a[..., 0]
+    a = kernels[np.arange(len(d)), pick]
+    form = a[:, 0] ** 2 + eps * (a[:, 1] ** 2 + a[:, 2] ** 2)
+    side = a[:, 2] if eps > 0.0 else a[:, 0]
     ok = (form > 0.0) & (cos <= 1.0 - 1e-10)
     a = a * (np.where(side < 0.0, -1.0, 1.0)
-             / np.sqrt(np.where(ok, form, np.nan)))[..., None]
-    w = 0.5 * np.stack([d[..., 2, 1] - d[..., 1, 2],
-                        eps * d[..., 0, 2] - d[..., 2, 0],
-                        d[..., 1, 0] - eps * d[..., 0, 1]], axis=-1)
-    sin = w[..., 0] * a[..., 0] + eps * (w[..., 1] * a[..., 1]
-                                         + w[..., 2] * a[..., 2])
+             / np.sqrt(np.where(ok, form, np.nan)))[:, None]
+    w = 0.5 * np.stack([d[:, 2, 1] - d[:, 1, 2],
+                        eps * d[:, 0, 2] - d[:, 2, 0],
+                        d[:, 1, 0] - eps * d[:, 0, 1]], axis=-1)
+    sin = w[:, 0] * a[:, 0] + eps * (w[:, 1] * a[:, 1] + w[:, 2] * a[:, 2])
     return sin, np.where(ok, cos, np.nan), a
 
 
 def _detect_symmetry_order(profile):
     """(m, mismatch): largest m in [2, 64] with profile(u + 1/m) == profile(u).
 
-    ``mismatch`` is the relative max |profile(u + 1/m) - profile(u)| of the
-    returned m, or, when no order qualifies (m = 0), the smallest one seen.
-    All 63 shifted grids go through one profile call.
+    ``mismatch`` is the relative max |profile(u + 1/m) - profile(u)| over
+    257 points u of the returned m, or, when no order qualifies (m = 0), the
+    smallest one seen.  A screen of all 63 orders on every 16th point rides
+    along in the base grid's profile call; only the orders it passes are
+    tested on all points, in a second call, and all 63 only when none of
+    those passes.  An order that fails on some points fails on all, so the
+    result is that of testing every order on every point.
     """
     u = np.linspace(0.0, 1.0, 257, endpoint=False)
-    base = np.asarray(profile(u), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(base))))
     orders = np.arange(64, 1, -1)
-    grid = (u + 1.0 / orders[:, None]) % 1.0
-    shifted = np.broadcast_to(np.asarray(profile(grid.ravel()), dtype=float),
-                              grid.size).reshape(grid.shape)
-    mismatch = np.max(np.abs(shifted - base), axis=1) / scale
-    hit = np.flatnonzero(mismatch <= 1e-10)
-    if hit.size:
-        return int(orders[hit[0]]), float(mismatch[hit[0]])
-    return 0, float(np.fmin.reduce(mismatch, initial=math.inf))  # skips NaN
+    sub = u[::16]
+    values = _profile_values(profile, np.concatenate(
+        [u, ((sub + 1.0 / orders[:, None]) % 1.0).ravel()]))
+    base = values[:len(u)]
+    scale = max(1.0, float(np.max(np.abs(base))))
+    screen = np.max(np.abs(values[len(u):].reshape(len(orders), len(sub))
+                           - base[::16]), axis=1) / scale
+    passed = np.flatnonzero(screen <= 1e-10)
+    for rows in (passed, np.arange(len(orders))):
+        if not rows.size:
+            continue
+        grid = (u + 1.0 / orders[rows, None]) % 1.0
+        shifted = _profile_values(profile, grid.ravel()).reshape(grid.shape)
+        mismatch = np.max(np.abs(shifted - base), axis=1) / scale
+        hit = np.flatnonzero(mismatch <= 1e-10)
+        if hit.size:
+            return int(orders[rows[hit[0]]]), float(mismatch[hit[0]])
+    return 0, float(np.min(mismatch))
 
 
 def make_frame_ode_curve(space: SpaceForm, kappa_profile,
@@ -682,28 +768,38 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     """Closed curve with prescribed geodesic curvature profile.
 
     ``kappa_profile(u)`` gives the curvature at arc-length fraction
-    u in [0, 1); it must repeat with period 1/m for some integer m >= 2
-    (the two corner-free closed-curve generators on the curved planes all
-    have that form).  The total length is then the single unknown: the
-    curve closes exactly when the isometry carrying the frame over one
-    period is a rotation by 2*pi/m, a scalar condition solved by bracketed
-    root finding.  Its sine and cosine, and the fixed point that becomes
-    ``hint_center``, are read in closed form off the period map in the
-    start frame's body coordinates (``_period_rotation``).  The bracket
-    grows from the mean-curvature circle length outward
+    u in [0, 1) for an array of u; it must repeat with period 1/m for some
+    integer m >= 2 (the two corner-free closed-curve generators on the
+    curved planes all have that form).  The symmetry order comes from a
+    screen of all candidate orders on a 17-point subgrid, in the same
+    profile call as the 257-point base grid, and a full test of the orders
+    that pass it (``_detect_symmetry_order``).  The total length is then the
+    single unknown: the curve closes exactly when the isometry carrying the
+    frame over one period is a rotation by 2*pi/m, a scalar condition solved
+    by bracketed root finding.  Its sine and cosine, and the fixed point
+    that becomes ``hint_center``, are read in closed form off the period map
+    in the start frame's body coordinates (``_period_rotation``).  The
+    bracket grows from the mean-curvature circle length outward
     (``_BRACKET_STAGES``): first the two lengths 0.5% either side of it,
     then, only where they bracket no root, scans of 13 and 41 lengths over
-    [0.55, 1.8] times it.  Every length is integrated once: Brent's method
-    reads the bracket ends' defects off the scan.  The solved curve
-    is built by integrating one period and replicating it with powers of
-    the period isometry, so the m-fold symmetry is exact.
+    [0.55, 1.8] times it.  Every length is integrated once, from one table
+    of the profile, the step generators and their commutator
+    (``_step_table``) built before the first: Brent's method reads the
+    bracket ends' defects off the scan.  The solved curve is built by
+    integrating one period finely, from a second table, composing its
+    sample frames by a blocked scan (``_prefix_products``), and replicating
+    it with powers of the period isometry, so the m-fold symmetry is exact.
 
     Raises NonClosureError when the profile lacks the required symmetry,
     the root search does not converge, or the replicated curve misses its
     start point by more than 1e-8; the exception carries the best closure
     residual seen (for a profile without symmetry, its smallest relative
     mismatch under a shift by 1/m).  Raises GeometryError when the
-    profile's minimum is the curvature of no closed circle.
+    profile's minimum (bracketed by ``bracket_min`` around the smallest of
+    2048 profile values and finished by ``golden_min``) is the curvature of
+    no closed circle, and
+    CurveGenerationError when a profile value is not finite or exceeds
+    ``_PROFILE_MAX`` in magnitude, or when the step generators overflow.
     """
     m, mismatch = _detect_symmetry_order(kappa_profile)
     if m < 2:
@@ -716,15 +812,20 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
             where=n)
 
     u_grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
-    prof_vals = np.asarray(kappa_profile(u_grid), dtype=float)
+    prof_vals = _profile_values(kappa_profile, u_grid)
     k_mean = float(np.mean(prof_vals))
     # the refusal below tests the profile's true minimum, not the grid
-    # minimum (which overshoots it by O(grid spacing squared))
+    # minimum (which overshoots it by O(grid spacing squared)): batched
+    # calls narrow the bracket around the grid minimum to 1e-9, and the
+    # golden section finishes it to 1e-12
     i_min = int(np.argmin(prof_vals))
-    _, k_min_profile = golden_min(
-        lambda u: float(kappa_profile(u % 1.0)),
-        u_grid[i_min] - 1.5 / 2048, u_grid[i_min] + 1.5 / 2048, tol=1e-12)
-    k_min_profile = min(k_min_profile, float(np.min(prof_vals)))
+    lo, hi, k_min_bracket = bracket_min(
+        lambda u: _profile_values(kappa_profile, u % 1.0),
+        u_grid[i_min] - 1.5 / 2048, u_grid[i_min] + 1.5 / 2048, tol=1e-9)
+    _, k_min_golden = golden_min(
+        lambda u: float(_profile_values(kappa_profile, u % 1.0)), lo, hi,
+        tol=1e-12)
+    k_min_profile = min(k_min_golden, k_min_bracket, float(prof_vals[i_min]))
     # raises where no closed circle has curvature k_min_profile
     space.circle_radius_of_curvature(k_min_profile)
 
@@ -734,6 +835,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     p0 = space.origin()
     e1, _ = space.frame(p0)
     ct, st = math.cos(2.0 * math.pi / m), math.sin(2.0 * math.pi / m)
+    table = _step_table(space, kappa_profile, 1.0 / m, _PERIOD_STEPS)
 
     defects = {}    # total length -> (defect sin, defect cos)
 
@@ -742,7 +844,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
         length already integrated is read back, not integrated again."""
         fresh = [x for x in lengths if x not in defects]
         if fresh:
-            d, _, _ = _integrate_frame(space, p0, e1, kappa_profile, fresh,
+            d, _, _ = _integrate_frame(space, p0, e1, table, fresh,
                                        1.0 / m, _PERIOD_STEPS)
             sin, cos, _ = _period_rotation(space, d)
             defects.update(zip(fresh, zip(sin * ct - cos * st,

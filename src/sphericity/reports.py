@@ -206,6 +206,12 @@ def build_curve(space: SpaceForm, config: dict):
                          required=True), n=n)
     if prov == "frame_ode":
         terms = _g(config, "generator.terms", _terms, [])
+        for mm, _, _ in terms:
+            if 2 * abs(mm) >= n:
+                raise ConfigError(
+                    f"bad value for 'generator.terms': multiple {mm} is at "
+                    f"or above the Nyquist order n/2 = {n / 2:g} of {n} "
+                    "samples (aliased)")
 
         def profile(u):
             u = np.asarray(u, dtype=float)

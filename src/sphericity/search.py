@@ -1,12 +1,15 @@
-"""Refinement of sampled extrema, a golden-section search and Brent's
-root finder.
+"""Refinement of sampled extrema, a batched bracket search, a golden-section
+search and Brent's root finder.
 
 :func:`refine_windows` refines many discrete extrema of exact samples at
 once, through the quartic that interpolates the five samples around each;
-every measurement path uses it.  The golden-section routine is the
-independent oracle: it checks the closed-form spindle maximizer, finds the
-frame-ODE profile minimum and, in the tests, checks the quartic refinement.
-It is intentionally kept free of any other module's machinery.
+every measurement path uses it.  :func:`bracket_min` brackets the
+frame-ODE profile minimum with a few vectorized calls, and the golden-section
+routine finishes that search inside its bracket.  The golden-section routine
+is also the independent oracle: it checks the closed-form spindle maximizer
+and, in the tests, the quartic refinement and the frame-ODE minimum search
+from the whole start bracket.  It is intentionally kept free of any other
+module's machinery.
 :func:`brentq` solves the frame-ODE closure length.
 """
 
@@ -23,6 +26,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: samples on each side of the centre of a 5-sample window
 WINDOW_HALF = 2
 _GOLDEN_MAXITER = 400
+#: abscissae per call of :func:`bracket_min`; each call narrows its bracket
+#: to two of their spacings, 1/128 of its width
+_BRACKET_POINTS = 257
 _BRENT_MIN_RTOL = 4.0 * sys.float_info.epsilon
 
 
@@ -52,6 +58,28 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12):
 def golden_min(f, a: float, b: float, tol: float = 1e-12):
     x, fneg = golden_max(lambda u: -f(u), a, b, tol=tol)
     return x, -fneg
+
+
+def bracket_min(f, a: float, b: float, tol: float):
+    """Bracket of the minimum of a unimodal f on [a, b], f taking an array
+    of abscissae.
+
+    Each call evaluates f on ``_BRACKET_POINTS`` equally spaced abscissae of
+    the bracket and keeps the two spacings around the smallest value, until
+    the bracket is narrower than tol (or stops narrowing in floating
+    point).  Returns (a, b, f_min): the last bracket and the smallest value
+    seen.
+    """
+    best = math.inf
+    while True:
+        x = np.linspace(a, b, _BRACKET_POINTS)
+        fx = np.asarray(f(x), dtype=float)
+        i = int(np.argmin(fx))
+        best = min(best, float(fx[i]))
+        width = b - a
+        a, b = x[max(i - 1, 0)], x[min(i + 1, _BRACKET_POINTS - 1)]
+        if not tol < b - a < width:
+            return float(a), float(b), best
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12,

@@ -14,10 +14,11 @@ from sphericity import (AntipodalPointsError, CurveGenerationError,
                         measure_radial, min_distance_to_curve,
                         spindle_optimum, spindle_rho, winding_number)
 from sphericity.cli import main
-from sphericity.curves import (_PERIOD_STEPS, _detect_symmetry_order,
-                               _expm1_traceless3, _frame_generators,
-                               _frame_matrix, _graph_coefficients,
-                               _integrate_frame, _period_rotation,
+from sphericity.curves import (_PERIOD_STEPS, _SCAN_BLOCK, _compose,
+                               _detect_symmetry_order, _expm1_traceless3,
+                               _frame_generators, _frame_matrix,
+                               _graph_coefficients, _integrate_frame,
+                               _period_rotation, _prefix_products,
                                _support_rho_dense, _window_fit_kappa,
                                corner_band)
 from tests.conftest import frame_ode_curve_and_floor
@@ -294,21 +295,60 @@ class TestFrameOde:
         assert err_coarse >= 12.0 * err_fine
         assert err_fine < 5e-10
 
+    @staticmethod
+    def _isometry_defect(space, p, t):
+        """How far the frame at (p, T) is from an isometry."""
+        frame = _frame_matrix(space, p, t)
+        if space is FLAT:
+            rot = frame[:2, 1:]
+            defect = rot.T @ rot - np.eye(2)
+        elif space is SPH:
+            defect = frame.T @ frame - np.eye(3)
+        else:
+            eta = np.diag([-1.0, 1.0, 1.0])
+            defect = frame.T @ eta @ frame - eta
+        return float(np.max(np.abs(defect)))
+
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
                              ids=lambda s: s.kind.value)
     def test_end_frame_is_isometry(self, space):
         p_end, t_end = self._two_harmonic_run(space, [1.0, 7.3], 4096)
         for p, t in zip(p_end, t_end):
-            frame = _frame_matrix(space, p, t)
-            if space is FLAT:
-                rot = frame[:2, 1:]
-                defect = rot.T @ rot - np.eye(2)
-            elif space is SPH:
-                defect = frame.T @ frame - np.eye(3)
-            else:
-                eta = np.diag([-1.0, 1.0, 1.0])
-                defect = frame.T @ eta @ frame - eta
-            assert float(np.max(np.abs(defect))) < 1e-12
+            assert self._isometry_defect(space, p, t) < 1e-12
+
+    @pytest.mark.parametrize("count", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK + 1,
+                                       3 * _SCAN_BLOCK + 7, 683])
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_blocked_scan_matches_sequential_product(self, space, count):
+        # step factors of a curve of length 2 with curvature in [0.5, 2.5]:
+        # the blocked scan against the running product, one step at a time,
+        # for counts the block size does not divide
+        rng = np.random.default_rng(count)
+        g0, g1 = _frame_generators(space)
+        kappa = rng.uniform(0.5, 2.5, size=(count, 1, 1, 1))
+        incs = _expm1_traceless3((2.0 / count) * (g0 + kappa * g1))
+        ref = np.array(incs)
+        for i in range(1, count):
+            ref[i] = _compose(ref[i - 1], incs[i])
+        assert float(np.max(np.abs(_prefix_products(incs) - ref))) <= 1e-14
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_stored_frames_are_isometries(self, space):
+        # a period of 3 * _SCAN_BLOCK + 7 samples, two steps each
+        k0 = 2.0 if space is HYP else 1.0
+        p0 = space.origin()
+        e1, _ = space.frame(p0)
+        length = float(space.circumference(
+            space.circle_radius_of_curvature(k0)))
+        count = 3 * _SCAN_BLOCK + 7
+        _, points, tangents = _integrate_frame(
+            space, p0, e1, lambda u: k0 + 0.2 * np.cos(2 * np.pi * u),
+            length, 1.0, 2 * count, store_every=2)
+        assert points.shape == (count, 1, space.dim)
+        for p, t in zip(points[:, 0], tangents[:, 0]):
+            assert self._isometry_defect(space, p, t) < 1e-12
 
 
     @staticmethod
@@ -432,6 +472,82 @@ class TestFrameOde:
 
         monkeypatch.setattr(curves, "_integrate_frame", record)
         return batches
+
+    @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 1.2),
+                                          (HYP, 2.0)],
+                             ids=["flat", "sphere", "hyperbolic"])
+    def test_profile_work_per_curve(self, space, k0):
+        # the symmetry screen (two calls, 1,585 points), the 2048-point
+        # mean, the minimum search (three calls of 257 points, then at most
+        # 20 golden-section steps), one table for the closure solve (1,024
+        # points) and one for the final pass (5,460): about 55 calls and
+        # 28k points when every order was tested on every point, the
+        # golden section ran from the 2048-point grid and every closure
+        # length evaluated the profile again
+        sizes = []
+
+        def profile(u):
+            sizes.append(np.size(u))
+            return k0 + 0.1 * np.cos(6 * np.pi * np.asarray(u))
+
+        make_frame_ode_curve(space, profile, n=4096)
+        assert len(sizes) <= 26
+        assert sum(sizes) <= 11_000
+
+    @staticmethod
+    def _frame_config(tmp_path, kind, k0, terms, n):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"seed": 0, "space": {"kind": kind,
+                                  "k1": 0.0 if kind == "flat" else 1.0},
+             "generator": {"provenance": "frame_ode", "k0": k0, "n": n,
+                           "terms": terms}}))
+        return str(cfg)
+
+    @pytest.mark.parametrize("n,multiple", [(512, 640), (4096, 4096)])
+    def test_aliased_terms_refused_by_cli(self, tmp_path, capsys, n,
+                                          multiple):
+        # at n = 512 the 640-fold term read kmin 1.1973 against the exact
+        # 1.15, and at n = 4096 the samples do not see the 4096-fold term
+        # at all (kmin 1.2000); both exited 0
+        cfg = self._frame_config(tmp_path, "sphere", 1.2,
+                                 [[multiple, 0.05, 0]], n)
+        assert main(["verify-angle", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'generator.terms'" in err
+        assert f"multiple {multiple} is at or above the Nyquist" in err
+
+    def test_term_below_nyquist_accepted_by_cli(self, tmp_path):
+        cfg = self._frame_config(tmp_path, "sphere", 1.2, [[255, 0.05, 0]],
+                                 512)
+        assert main(["verify-angle", "--config", cfg]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind,k0,terms,cause", [
+        ("sphere", 1.2, [[3, 1e308, 0]], "curvature profile is 1e+308"),
+        ("flat", 1e-300, [[3, 1e-301, 0]],
+         "frame-ODE step generators overflow")], ids=["huge", "tiny"])
+    def test_overflowing_profiles_refused_without_warnings(
+            self, tmp_path, capsys, kind, k0, terms, cause):
+        # these printed numpy RuntimeWarnings (an overflowing symmetry
+        # mismatch, overflowing step generators) before their error line,
+        # and the tiny one blamed the closure bracket
+        cfg = self._frame_config(tmp_path, kind, k0, terms, 4096)
+        assert main(["verify-angle", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cause}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_profile_refused(self):
+        def profile(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u < 0.5, 1.2, np.inf) + 0.0 * u
+
+        with pytest.raises(CurveGenerationError,
+                           match="curvature profile is inf at u = 0.5"):
+            make_frame_ode_curve(SPH, profile)
 
     # roots 0.76% above and 0.57% below the mean-curvature circle length
     FAR_ROOTS = [
@@ -764,6 +880,23 @@ class TestSymmetryOrder:
         # a profile may return one scalar for the whole grid
         assert _detect_symmetry_order(lambda u: 1.5) == (64, 0.0) \
             == detect_symmetry_order_loop(lambda u: 1.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 64), data=st.data())
+    def test_screen_matches_loop_on_cosine_profiles(self, m, data):
+        # m-fold cosine terms with multiples up to 700, and on some draws a
+        # term of size 1e-12 to 1e-8 that breaks the symmetry
+        terms = [(m * data.draw(st.integers(1, 700 // m)),
+                  data.draw(st.floats(0.01, 0.3)),
+                  data.draw(st.floats(0.0, 2.0 * math.pi)))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        if data.draw(st.booleans()):
+            terms.append((data.draw(st.integers(1, 700).filter(
+                lambda j: j % m)), 10.0 ** data.draw(st.floats(-12.0, -8.0)),
+                data.draw(st.floats(0.0, 2.0 * math.pi))))
+        profile = _cos_profile(1.5, terms)
+        assert _detect_symmetry_order(profile) == \
+            detect_symmetry_order_loop(profile)
 
     def test_near_symmetric_profiles_match_loop(self):
         # a 1-fold term of size eps breaks the 3-fold symmetry by a relative

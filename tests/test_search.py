@@ -1,5 +1,5 @@
-"""The batched quartic refinement against the golden-section oracle, and
-Brent's root finder against scipy's."""
+"""The batched quartic refinement and the batched bracket search against the
+golden-section oracle, and Brent's root finder against scipy's."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphericity import (Kind, NonClosureError, SpaceForm, curves,
                         make_disc_intersection, make_frame_ode_curve)
-from sphericity.search import (brentq, golden_max, golden_min,
+from sphericity.search import (bracket_min, brentq, golden_max, golden_min,
                                refine_extremum, refine_windows, windows)
 
 P = np.polynomial.polynomial
@@ -197,3 +197,32 @@ def test_brentq_refuses_a_bracket_without_a_sign_change():
 def test_brentq_raises_non_closure_on_a_nan():
     with pytest.raises(NonClosureError, match="NaN"):
         brentq(lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 24), amp=st.floats(0.01, 0.5),
+       share=st.floats(0.0, 0.45), phase=st.floats(0.0, 2.0 * math.pi),
+       phase2=st.floats(0.0, 2.0 * math.pi))
+def test_bracket_min_matches_golden_oracle(m, amp, share, phase, phase2):
+    # the frame-ODE minimum search: the bracket of 1.5 spacings either side
+    # of the smallest of 2048 profile values, narrowed to 1e-9 by batched
+    # calls, against the golden section on the whole bracket to 1e-12
+    def profile(u):
+        w = 2.0 * np.pi * m * np.asarray(u)
+        return (1.5 + amp * (1.0 - share) * np.cos(w + phase)
+                + amp * share * np.cos(2.0 * w + phase2))
+
+    grid = np.linspace(0.0, 1.0, 2048, endpoint=False)
+    i = int(np.argmin(profile(grid)))
+    a, b = grid[i] - 1.5 / 2048, grid[i] + 1.5 / 2048
+    calls = []
+
+    def batched(u):
+        calls.append(len(u))
+        return profile(u % 1.0)
+
+    lo, hi, value = bracket_min(batched, a, b, tol=1e-9)
+    _, ref = golden_min(lambda u: float(profile(u % 1.0)), a, b, tol=1e-12)
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+    assert a <= lo < hi <= b and hi - lo <= 1e-9
+    assert len(calls) <= 3
