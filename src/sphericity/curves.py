@@ -260,16 +260,18 @@ def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False,
                     else vals)
 
 
-def min_distance_to_curve(curve: ClosedCurve, p):
-    """(min distance, arc length of the minimizer) from p to the curve."""
-    s_star, vals = _distance_extrema(curve, p, "min")
+def min_distance_to_curve(curve: ClosedCurve, p, t=None):
+    """(min distance, arc length of the minimizer) from p to the curve;
+    ``t`` is ``space.distance(p, curve.points)`` if the caller has it."""
+    s_star, vals = _distance_extrema(curve, p, "min", t=t)
     j = int(np.argmin(vals[:, 0]))
     return float(vals[j, 0]), float(s_star[j])
 
 
-def max_distance_to_curve(curve: ClosedCurve, p):
-    """(max distance, arc length of the maximizer) from p to the curve."""
-    s_star, vals = _distance_extrema(curve, p, "max")
+def max_distance_to_curve(curve: ClosedCurve, p, t=None):
+    """(max distance, arc length of the maximizer) from p to the curve;
+    ``t`` as for :func:`min_distance_to_curve`."""
+    s_star, vals = _distance_extrema(curve, p, "max", t=t)
     j = int(np.argmax(vals[:, 0]))
     return float(vals[j, 0]), float(s_star[j])
 
@@ -321,9 +323,13 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
 # Circle
 # ---------------------------------------------------------------------------
 
-def _circle_arrays(space, center, radius, alphas):
-    """Points and unit tangents of the circle exp_center(radius * dir(a))."""
-    e1, e2 = space.frame(center)
+def _circle_arrays(space, center, radius, alphas, frame=None):
+    """Points and unit tangents of the circle exp_center(radius * dir(a)).
+
+    ``frame`` is (e1, e2), by default ``space.frame(center)``; ``center``
+    and the frame may hold one row per angle, a circle per sample.
+    """
+    e1, e2 = space.frame(center) if frame is None else frame
     ca = np.cos(alphas)[:, None]
     sa = np.sin(alphas)[:, None]
     dirs = ca * e1 + sa * e2
@@ -355,20 +361,6 @@ def make_circle(space: SpaceForm, center, k0: float,
 # ---------------------------------------------------------------------------
 # Lune (two symmetric circular arcs)
 # ---------------------------------------------------------------------------
-
-def _angle_in_frame(space, center, point):
-    x, y = space.to_chart(center, point)
-    return math.atan2(y, x)
-
-
-def _arc(space, center, radius, ang_from, ang_to, count):
-    """Sample an arc counterclockwise from ang_from to ang_to (unwrapped)."""
-    sweep = (ang_to - ang_from) % (2.0 * np.pi)
-    if sweep == 0.0:
-        sweep = 2.0 * np.pi
-    alphas = ang_from + sweep * np.arange(count) / count
-    return _circle_arrays(space, center, radius, alphas)
-
 
 def make_lune(space: SpaceForm, k0: float, r: float,
               n: int = DEFAULT_SAMPLES) -> ClosedCurve:
@@ -925,26 +917,34 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
 # Intersections of equal-radius discs (non-regular convex bodies)
 # ---------------------------------------------------------------------------
 
-def _equidistant_points(space, a, b, d: float, radius: float):
-    """The two points at distance ``radius`` from both a and b (d = |ab|).
+
+def _second_leg(space, radius: float, leg: float) -> float:
+    """The other leg of the right geodesic triangle with hypotenuse
+    ``radius`` and one leg ``leg``, in scalar ``math``."""
+    if space.kind is Kind.FLAT:
+        return math.sqrt(max(radius * radius - leg * leg, 0.0))
+    if space.kind is Kind.SPHERE:
+        ratio = math.cos(space.k1 * radius) / math.cos(space.k1 * leg)
+        return math.acos(min(1.0, max(-1.0, ratio))) / space.k1
+    ratio = math.cosh(space.k1 * radius) / math.cosh(space.k1 * leg)
+    return math.acosh(max(1.0, ratio)) / space.k1
+
+
+def _equidistant_points(space, a, b, d, radius: float):
+    """The two points at distance ``radius`` from both a[k] and b[k], for
+    every pair k (d[k] = |a[k] b[k]|): shape (len(d), 2, dim), the side of
+    -J(b - a) first.
 
     They lie on the perpendicular bisector of ab, at the second leg of the
     right geodesic triangle with hypotenuse ``radius`` and leg d / 2.
     """
     mid = space.exp_map(a, 0.5 * space.log_map(a, b))
     direction = space.log_map(mid, b)
-    direction = direction / space.norm(mid, direction)
+    direction = direction / space.norm(mid, direction)[:, None]
     w = space.rotate90(mid, direction)
-    leg = 0.5 * d
-    if space.kind is Kind.FLAT:
-        q = math.sqrt(max(radius * radius - leg * leg, 0.0))
-    elif space.kind is Kind.SPHERE:
-        ratio = math.cos(space.k1 * radius) / math.cos(space.k1 * leg)
-        q = math.acos(min(1.0, max(-1.0, ratio))) / space.k1
-    else:
-        ratio = math.cosh(space.k1 * radius) / math.cosh(space.k1 * leg)
-        q = math.acosh(max(1.0, ratio)) / space.k1
-    return [space.exp_map(mid, sign * q * w) for sign in (-1.0, +1.0)]
+    q = np.array([_second_leg(space, radius, 0.5 * float(dk)) for dk in d])
+    steps = (np.array([-1.0, 1.0]) * q[:, None])[..., None] * w[:, None, :]
+    return space.exp_map(mid[:, None, :], steps)
 
 
 def make_disc_intersection(space: SpaceForm, centers, k0: float,
@@ -955,15 +955,24 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     curvature exactly k0 joined at flagged corner points.  Coincident
     centers collapse to a plain circle; a pair of centers produces the lune
     whose corners are the two disc-intersection points.
+
+    The body is assembled in whole-array kernel calls: the candidate
+    corners of every pair of discs at once, one corner-by-centre distance
+    table (inside every disc, and on which circles), one chart of every
+    corner about every centre, the midpoints of every candidate arc, every
+    arc's samples (a centre and frame per sample) and every corner's
+    bisector tangent.  The seed, ``hint_center``, is the Karcher mean of the
+    centres, or of the corners where it falls outside a disc.
     """
     radius = space.circle_radius_of_curvature(k0)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     space.check_point(centers)
 
     # dedupe coincident centers
+    apart = space.distance(centers[:, None, :], centers[None, :, :]) > 1e-12
     keep = []
     for i in range(len(centers)):
-        if all(space.distance(centers[i], centers[j]) > 1e-12 for j in keep):
+        if np.all(apart[i, keep]):
             keep.append(i)
     centers = centers[keep]
     if len(centers) == 1:
@@ -977,17 +986,15 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
             "disc centers must be pairwise closer than 2R")
 
     # candidate corners: pairwise circle intersections inside all discs
-    corners = []
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            for x in _equidistant_points(space, centers[i], centers[j],
-                                         float(dists[i, j]), radius):
-                if np.all(space.distance(x, centers) <= radius * (1 + 1e-12)):
-                    corners.append(x)
+    i, j = np.triu_indices(len(centers), 1)
+    corners = _equidistant_points(space, centers[i], centers[j], dists[i, j],
+                                  radius).reshape(-1, space.dim)
+    table = space.distance(corners[:, None, :], centers[None, :, :])
+    inside = np.all(table <= radius * (1 + 1e-12), axis=1)
+    corners, table = corners[inside], table[inside]
     if len(corners) < 2:
         raise CurveGenerationError(
             "disc intersection has no corners; centers are degenerate")
-    corners = np.array(corners)
 
     seed = karcher_mean(space, centers)
     if np.any(space.distance(seed, centers) >= radius):
@@ -996,52 +1003,61 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     # so that roundoff at the branch cut of atan2 cannot pick the start
     xy = space.to_chart(seed, corners)
     ang = np.arctan2(xy[:, 1], xy[:, 0])
-    corners = corners[np.argsort((ang - ang[0]) % (2.0 * np.pi))]
+    order = np.argsort((ang - ang[0]) % (2.0 * np.pi))
+    corners, table = corners[order], table[order]
 
-    # assemble arcs between consecutive corners
+    # the arc from corner k to corner k + 1 lies on the first circle through
+    # both whose midpoint is inside every disc
+    count = len(corners)
+    on = np.abs(table - radius) <= 1e-9 * max(radius, 1.0)
+    frames = np.array([space.frame(c) for c in centers])
+    e1, e2 = frames[:, 0], frames[:, 1]
+    chart = np.array([space.to_chart(c, corners) for c in centers])
+    arc_k, arc_i = np.nonzero(on & np.roll(on, -1, axis=0))
+    ang_a = [math.atan2(*chart[i, k, ::-1]) for k, i in zip(arc_k, arc_i)]
+    sweeps = [(math.atan2(*chart[i, (k + 1) % count, ::-1]) - a)
+              % (2.0 * np.pi) for k, i, a in zip(arc_k, arc_i, ang_a)]
+    mids, _ = _circle_arrays(
+        space, centers[arc_i], radius,
+        np.array([a + 0.5 * sweep for a, sweep in zip(ang_a, sweeps)]),
+        (e1[arc_i], e2[arc_i]))
+    valid = np.all(space.distance(mids[:, None, :], centers[None, :, :])
+                   <= radius * (1 + 1e-9), axis=1)
     arcs = []
-    total = 0.0
-    for a in range(len(corners)):
-        xa = corners[a]
-        xb = corners[(a + 1) % len(corners)]
-        on_a, on_b = (np.abs(space.distance(x, centers) - radius)
-                      <= 1e-9 * max(radius, 1.0) for x in (xa, xb))
-        arc_choice = None
-        for i in np.flatnonzero(on_a & on_b):
-            ang_a = _angle_in_frame(space, centers[i], xa)
-            ang_b = _angle_in_frame(space, centers[i], xb)
-            sweep = (ang_b - ang_a) % (2.0 * np.pi)
-            mid_pt, _ = _circle_arrays(space, centers[i], radius,
-                                       np.array([ang_a + 0.5 * sweep]))
-            if np.all(space.distance(mid_pt[0], centers)
-                      <= radius * (1 + 1e-9)):
-                arc_choice = (i, ang_a, sweep)
-                break
-        if arc_choice is None:
+    for k in range(count):
+        hits = np.flatnonzero((arc_k == k) & valid)
+        if len(hits) == 0:
             raise CurveGenerationError(
                 "could not assemble the disc-intersection boundary")
-        i, ang_a, sweep = arc_choice
-        arc_len = float(space.sn(radius)) * sweep
-        arcs.append((i, ang_a, sweep, arc_len))
-        total += arc_len
+        arcs.append(hits[0])
+    sn_radius = float(space.sn(radius))
+    lengths = [sn_radius * sweeps[h] for h in arcs]
+    *starts, total = accumulate(lengths, initial=0.0)
 
-    counts = [max(4, int(round(n * arc[3] / total))) for arc in arcs]
-    pieces = [_arc(space, centers[i], radius, ang_a, ang_a + sweep, count)
-              for (i, ang_a, sweep, _), count in zip(arcs, counts)]
-    points = np.concatenate([pts for pts, _ in pieces], axis=0)
-    tangents = np.concatenate([tans for _, tans in pieces], axis=0)
-    corner = np.concatenate([np.arange(count) == 0 for count in counts])
-    starts = accumulate([arc[3] for arc in arcs[:-1]], initial=0.0)
-    s = np.concatenate([start + arc[3] * np.arange(count) / count
-                        for start, arc, count in zip(starts, arcs, counts)])
+    # every arc's samples in one call; an arc's sweep is re-read from its
+    # end angle, a full turn where that reads zero
+    counts = np.array([max(4, int(round(n * length / total)))
+                       for length in lengths])
+    ends = [(ang_a[h] + sweeps[h] - ang_a[h]) % (2.0 * np.pi) for h in arcs]
+    ends = [sweep if sweep != 0.0 else 2.0 * np.pi for sweep in ends]
+    disc = np.repeat(arc_i[arcs], counts)
+    step = np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    per = np.repeat(counts, counts)
+    alphas = np.repeat([ang_a[h] for h in arcs], counts) \
+        + np.repeat(ends, counts) * step / per
+    points, tangents = _circle_arrays(space, centers[disc], radius, alphas,
+                                      (e1[disc], e2[disc]))
+    corner = step == 0
+    s = np.repeat(starts, counts) + np.repeat(lengths, counts) * step / per
 
     # corner tangents: bisector of adjacent arc directions
-    for idx in np.flatnonzero(corner):
-        bis = space.project_tangent(
-            points[idx], tangents[idx - 1] + tangents[(idx + 1) % len(points)])
-        norm = space.norm(points[idx], bis)
-        if norm > 1e-12:
-            tangents[idx] = bis / norm
+    idx = np.flatnonzero(corner)
+    bis = space.project_tangent(
+        points[idx], tangents[idx - 1] + tangents[(idx + 1) % len(points)])
+    norm = space.norm(points[idx], bis)
+    turn = norm > 1e-12
+    tangents[idx[turn]] = bis[turn] / norm[turn, None]
 
     return ClosedCurve.from_samples(space, points, s, tangents, corner,
                                     total, "disc_intersection",

@@ -222,15 +222,20 @@ def incenter(curve: ClosedCurve):
 def layer_width(curve: ClosedCurve) -> LayerReport:
     """Width of the incenter-centered annulus, judged against d0(k0_used)
     by the verdict core of :mod:`sphericity.bounds` (on the sphere the
-    closed hemisphere is taken around the incenter)."""
+    closed hemisphere is taken around the incenter).
+
+    The distances from the incenter to the samples are measured once: the
+    refined least (r) and greatest (rho1) and the hemisphere check's
+    sampled greatest all read that one pass.
+    """
     space = curve.space
     k0_used = guarded_k0(space, curve.kmin)
     center, _, kkt = incenter(curve)
-    r, _ = min_distance_to_curve(curve, center)
-    rho1, _ = max_distance_to_curve(curve, center)
+    t = space.distance(center, curve.points)
+    r, _ = min_distance_to_curve(curve, center, t=t)
+    rho1, _ = max_distance_to_curve(curve, center, t=t)
     d = rho1 - r
-    d0, margin, passed = width_check(
-        space, k0_used, d, float(np.max(space.distance(center, curve.points))))
+    d0, margin, passed = width_check(space, k0_used, d, float(np.max(t)))
     return LayerReport(incenter=center, r=r, rho1=float(rho1), d=float(d),
                        k0_used=float(k0_used), d0=float(d0),
                        margin=float(margin), passed=passed, kkt_residual=kkt)

@@ -5,13 +5,13 @@ so the generator tests do not rest on the code paths under test.
 """
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
-from sphericity import GeometryError, Kind, karcher_mean, winding_number
-from sphericity.curves import (_angle_in_frame, _apply_isometry,
-                               _circle_arrays, _equidistant_points)
+from sphericity import (CurveGenerationError, GeometryError, Kind,
+                        karcher_mean, winding_number)
+from sphericity.curves import _apply_isometry, _circle_arrays
 from sphericity.search import WINDOW_HALF
 from sphericity.spaceforms import _cross, _dot, _mdot
 from sphericity.warped import warped_graph_kappa
@@ -207,9 +207,10 @@ def _rotation_defect(space, mat, probe, target_angle: float):
     return s_part * ct - c_part * st, c_part * ct + s_part * st
 
 
-# The formulations the library replaced with closed forms: the references
-# for ``curves._window_fit_kappa``, ``winding_number`` and
-# ``curves._detect_symmetry_order``.
+# The formulations the library replaced with closed forms or whole-array
+# calls: the references for ``curves._window_fit_kappa``,
+# ``winding_number``, ``curves._detect_symmetry_order`` and
+# ``curves.make_disc_intersection``.
 
 def window_fit_kappa_lapack(space, points, tangents, normals_out):
     """Window curvature by a batched 4x4 solve for the quartic's c1..c4.
@@ -227,6 +228,118 @@ def window_fit_kappa_lapack(space, points, tangents, normals_out):
     a = np.stack([xs, xs ** 2 / 2.0, xs ** 3 / 6.0, xs ** 4 / 24.0], axis=-1)
     coeffs = np.linalg.solve(a, ys[..., None])[..., 0]
     return coeffs[:, 1] / (1.0 + coeffs[:, 0] ** 2) ** 1.5
+
+
+def _angle_in_frame(space, center, point):
+    x, y = space.to_chart(center, point)
+    return math.atan2(y, x)
+
+
+def _arc(space, center, radius, ang_from, ang_to, count):
+    """Sample an arc counterclockwise from ang_from to ang_to (unwrapped)."""
+    sweep = (ang_to - ang_from) % (2.0 * np.pi)
+    if sweep == 0.0:
+        sweep = 2.0 * np.pi
+    alphas = ang_from + sweep * np.arange(count) / count
+    return _circle_arrays(space, center, radius, alphas)
+
+
+def _equidistant_points(space, a, b, d: float, radius: float):
+    """The two points at distance ``radius`` from both a and b (d = |ab|).
+
+    They lie on the perpendicular bisector of ab, at the second leg of the
+    right geodesic triangle with hypotenuse ``radius`` and leg d / 2.
+    """
+    mid = space.exp_map(a, 0.5 * space.log_map(a, b))
+    direction = space.log_map(mid, b)
+    direction = direction / space.norm(mid, direction)
+    w = space.rotate90(mid, direction)
+    leg = 0.5 * d
+    if space.kind is Kind.FLAT:
+        q = math.sqrt(max(radius * radius - leg * leg, 0.0))
+    elif space.kind is Kind.SPHERE:
+        ratio = math.cos(space.k1 * radius) / math.cos(space.k1 * leg)
+        q = math.acos(min(1.0, max(-1.0, ratio))) / space.k1
+    else:
+        ratio = math.cosh(space.k1 * radius) / math.cosh(space.k1 * leg)
+        q = math.acosh(max(1.0, ratio)) / space.k1
+    return [space.exp_map(mid, sign * q * w) for sign in (-1.0, +1.0)]
+
+
+def disc_intersection_per_corner(space, centers, k0: float, n: int):
+    """The disc-intersection samples assembled corner by corner and arc by
+    arc, one kernel call per point: (points, s, tangents, corner,
+    total_length, hint_center) before ``ClosedCurve.from_samples``.  The
+    centres must be distinct (no dedupe, no single-disc circle)."""
+    radius = space.circle_radius_of_curvature(k0)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    dists = space.distance(centers[:, None, :], centers[None, :, :])
+
+    # candidate corners: pairwise circle intersections inside all discs
+    corners = []
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            for x in _equidistant_points(space, centers[i], centers[j],
+                                         float(dists[i, j]), radius):
+                if np.all(space.distance(x, centers) <= radius * (1 + 1e-12)):
+                    corners.append(x)
+    if len(corners) < 2:
+        raise CurveGenerationError(
+            "disc intersection has no corners; centers are degenerate")
+    corners = np.array(corners)
+
+    seed = karcher_mean(space, centers)
+    if np.any(space.distance(seed, centers) >= radius):
+        seed = karcher_mean(space, corners)
+    xy = space.to_chart(seed, corners)
+    ang = np.arctan2(xy[:, 1], xy[:, 0])
+    corners = corners[np.argsort((ang - ang[0]) % (2.0 * np.pi))]
+
+    # assemble arcs between consecutive corners
+    arcs = []
+    total = 0.0
+    for a in range(len(corners)):
+        xa = corners[a]
+        xb = corners[(a + 1) % len(corners)]
+        on_a, on_b = (np.abs(space.distance(x, centers) - radius)
+                      <= 1e-9 * max(radius, 1.0) for x in (xa, xb))
+        arc_choice = None
+        for i in np.flatnonzero(on_a & on_b):
+            ang_a = _angle_in_frame(space, centers[i], xa)
+            ang_b = _angle_in_frame(space, centers[i], xb)
+            sweep = (ang_b - ang_a) % (2.0 * np.pi)
+            mid_pt, _ = _circle_arrays(space, centers[i], radius,
+                                       np.array([ang_a + 0.5 * sweep]))
+            if np.all(space.distance(mid_pt[0], centers)
+                      <= radius * (1 + 1e-9)):
+                arc_choice = (i, ang_a, sweep)
+                break
+        if arc_choice is None:
+            raise CurveGenerationError(
+                "could not assemble the disc-intersection boundary")
+        i, ang_a, sweep = arc_choice
+        arc_len = float(space.sn(radius)) * sweep
+        arcs.append((i, ang_a, sweep, arc_len))
+        total += arc_len
+
+    counts = [max(4, int(round(n * arc[3] / total))) for arc in arcs]
+    pieces = [_arc(space, centers[i], radius, ang_a, ang_a + sweep, count)
+              for (i, ang_a, sweep, _), count in zip(arcs, counts)]
+    points = np.concatenate([pts for pts, _ in pieces], axis=0)
+    tangents = np.concatenate([tans for _, tans in pieces], axis=0)
+    corner = np.concatenate([np.arange(count) == 0 for count in counts])
+    starts = accumulate([arc[3] for arc in arcs[:-1]], initial=0.0)
+    s = np.concatenate([start + arc[3] * np.arange(count) / count
+                        for start, arc, count in zip(starts, arcs, counts)])
+
+    # corner tangents: bisector of adjacent arc directions
+    for idx in np.flatnonzero(corner):
+        bis = space.project_tangent(
+            points[idx], tangents[idx - 1] + tangents[(idx + 1) % len(points)])
+        norm = space.norm(points[idx], bis)
+        if norm > 1e-12:
+            tangents[idx] = bis / norm
+    return points, s, tangents, corner, total, seed
 
 
 def winding_number_chart(space, points, origin) -> int:

@@ -23,7 +23,8 @@ from sphericity.curves import (_PERIOD_STEPS, _SCAN_BLOCK, _compose,
                                corner_band)
 from tests.conftest import frame_ode_curve_and_floor
 from tests.oracles import (_fixed_point, _rotation_defect,
-                           detect_symmetry_order_loop, validate_curve,
+                           detect_symmetry_order_loop,
+                           disc_intersection_per_corner, validate_curve,
                            window_fit_kappa_lapack, winding_number_chart)
 
 FLAT = SpaceForm.flat()
@@ -600,6 +601,9 @@ class TestFrameOde:
         assert abs(curve.total_length - wide.total_length) <= 1e-13 * guess
 
 
+DISC_PLANES = [(FLAT, 1.0), (SPH, 1.0), (HYP, 2.0)]
+
+
 class TestDiscIntersection:
     def test_coincident_centers_give_circle(self):
         curve = make_disc_intersection(FLAT, [[0.2, 0.1], [0.2, 0.1]], 1.0,
@@ -635,6 +639,73 @@ class TestDiscIntersection:
     def test_far_centers_rejected(self):
         with pytest.raises(CurveGenerationError):
             make_disc_intersection(FLAT, [[0.0, 0.0], [2.5, 0.0]], 1.0)
+
+    @staticmethod
+    def _centers(space, k0, offsets):
+        radius = space.circle_radius_of_curvature(k0)
+        origin = space.origin()
+        e1, e2 = space.frame(origin)
+        return np.array([space.exp_map(origin, radius * (a * e1 + b * e2))
+                         for a, b in offsets])
+
+    @staticmethod
+    def _same_samples(curve, oracle):
+        points, s, tangents, corner, total, _ = oracle
+        assert np.array_equal(curve.points, points)
+        assert np.array_equal(curve.s, s)
+        assert np.array_equal(curve.tangents, tangents)
+        assert np.array_equal(curve.corner, corner)
+        assert curve.total_length == total
+
+    @pytest.mark.parametrize("space,k0", DISC_PLANES)
+    @pytest.mark.parametrize("n", [64, 2048])
+    @settings(max_examples=15, deadline=None)
+    @given(grid=st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                         min_size=2, max_size=4, unique=True))
+    def test_batched_assembly_matches_per_corner(self, space, k0, n, grid):
+        centers = self._centers(space, k0, 0.01 * np.array(grid))
+        try:
+            oracle = disc_intersection_per_corner(space, centers, k0, n)
+        except CurveGenerationError as exc:
+            with pytest.raises(CurveGenerationError, match=str(exc)):
+                make_disc_intersection(space, centers, k0, n=n)
+            return
+        curve = make_disc_intersection(space, centers, k0, n=n)
+        self._same_samples(curve, oracle)
+        assert np.array_equal(curve.hint_center, oracle[5])
+
+    @pytest.mark.parametrize("space,k0", DISC_PLANES)
+    @pytest.mark.parametrize("n", [64, 2048])
+    @settings(max_examples=10, deadline=None)
+    @given(frac=st.floats(0.01, 0.99))
+    def test_batched_lune_matches_per_corner(self, space, k0, n, frac):
+        radius = space.circle_radius_of_curvature(k0)
+        r = frac * radius
+        curve = make_lune(space, k0, r, n=n)
+        _, e2 = space.frame(space.origin())
+        centers = np.array([space.exp_map(space.origin(), side * e2)
+                            for side in (-(radius - r), radius - r)])
+        self._same_samples(curve, disc_intersection_per_corner(
+            space, centers, k0, max(16, 4 * (n // 4))))
+
+    def test_kernel_calls_per_curved_body(self, monkeypatch):
+        # an S^2 3-disc body: the whole-array assembly makes a fixed number
+        # of kernel calls (the per-corner one made 39 distance calls); the
+        # samples' own curvature fit is left out
+        centers = self._centers(SPH, 1.0, [(0.1, -0.2), (0.2, 0.15),
+                                           (-0.25, 0.05)])
+        calls = dict.fromkeys(("distance", "exp_map", "log_map"), 0)
+        for name in calls:
+            def counted(self, *args, _name=name, _call=getattr(SpaceForm, name)):
+                calls[_name] += 1
+                return _call(self, *args)
+            monkeypatch.setattr(SpaceForm, name, counted)
+        monkeypatch.setattr(curves.ClosedCurve, "from_samples",
+                            classmethod(lambda cls, *args, **kw: None))
+        make_disc_intersection(SPH, centers, 1.0, n=4096)
+        assert calls["distance"] <= 20, calls
+        assert calls["exp_map"] <= 12, calls
+        assert calls["log_map"] <= 14, calls
 
 
 class TestMeasurement:

@@ -13,6 +13,7 @@ from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
                         max_distance_to_curve, min_distance_to_curve,
                         spindle_optimum)
 from sphericity import layers
+from sphericity.bounds import guarded_k0, width_check
 from sphericity.layers import _contacts, _model_step
 from sphericity.search import refine_extremum
 from tests.conftest import random_frame_ode_curve, random_support_curve
@@ -266,6 +267,29 @@ class TestLayerWidth:
             rep = layer_width(body)
             assert rep.passed, (body.provenance, rep.margin)
             assert rep.margin >= -1e-7
+
+    def test_one_distance_pass_matches_three_queries(self):
+        # the incenter's distances measured once give the report that
+        # separate min, max and sampled-max queries give, field for field
+        rng = np.random.default_rng(5)
+        bodies = [make_lune(space, k0, 0.4 * spindle_optimum(space, k0).R,
+                            n=2048) for space, k0 in PLANES]
+        bodies += [_disc_body(space, k0, rng.uniform(-0.3, 0.3, (3, 2)),
+                              2048)[0] for space, k0 in PLANES]
+        bodies.append(random_support_curve(rng, n=2048))
+        for body in bodies:
+            space = body.space
+            k0_used = guarded_k0(space, body.kmin)
+            center, _, kkt = incenter(body)
+            r, _ = min_distance_to_curve(body, center)
+            rho1, _ = max_distance_to_curve(body, center)
+            t_max = float(np.max(space.distance(center, body.points)))
+            d0, margin, passed = width_check(space, k0_used, rho1 - r, t_max)
+            rep = layer_width(body)
+            assert np.array_equal(rep.incenter, center)
+            assert (rep.r, rep.rho1, rep.d, rep.k0_used, rep.d0, rep.margin,
+                    rep.passed, rep.kkt_residual) == (
+                r, rho1, rho1 - r, k0_used, d0, margin, passed, kkt)
 
     def test_hyperbolic_hypothesis_violation(self):
         curve = make_circle(HYP, HYP.origin(), 1.2, n=1024)
