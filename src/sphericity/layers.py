@@ -119,16 +119,20 @@ def _kkt_newton(u, t, b, h):
     return x[:2], x[3:]
 
 
-def _second_order_step(space, u, b, h, radius):
+def _second_order_step(space, u, b, h, radius, tiny):
     """(delta, predicted gain) on the osculating-circle contact models.
 
     The LP step picks the active contacts, whose linear model is within
     1e-9 radius of the least.  Two or three take the Newton step, one steps
     along -u_c to the centre of its level curve, at most radius away.  The
     step is kept if it is finite, within 2 radius, with lam >= 0 and every
-    model g_c >= 0, the least being the predicted gain; else the LP step.
+    model g_c above ``tiny``, the least being the predicted gain; else the
+    LP step.  So the predicted gain is at most ``tiny`` only where the LP's
+    own prediction is.
     """
     delta, predicted = _model_step(u, b, radius)
+    if predicted <= tiny:
+        return delta, predicted
     linear = b - u @ delta
     act = np.flatnonzero(linear <= np.min(linear) + 1e-9 * radius)
     t = np.column_stack([-u[:, 1], u[:, 0]])
@@ -146,7 +150,7 @@ def _second_order_step(space, u, b, h, radius):
         return delta, predicted
     quad = np.min(b - u @ step - 0.5 * h * (t @ step) ** 2)
     if (np.all(np.isfinite(step)) and np.linalg.norm(step) <= 2.0 * radius
-            and np.all(lam >= 0.0) and quad >= 0.0):
+            and np.all(lam >= 0.0) and quad > tiny):
         return step, float(quad)
     return delta, predicted
 
@@ -174,7 +178,10 @@ def incenter(curve: ClosedCurve):
     three take a Newton step on max min g_c, one steps to the centre of
     its level curve, and the LP step is the fallback.  The step is taken
     with exp_map; Delta grows or shrinks with the ratio of actual to
-    predicted gain; the ascent stops when either reaches roundoff.
+    predicted gain.  The ascent stops when Delta or the LP's predicted gain
+    reaches roundoff; a second-order step that predicts no more than
+    roundoff gives way to the LP step, so it cannot stop the ascent short
+    of the maximizer.
     Returns (point, r, kkt_residual): r is the least refined contact at the
     point, and the residual is the norm of the smallest convex combination
     of the directions of the contacts within DEFAULT_MARGIN_TOL of r, which
@@ -196,7 +203,7 @@ def incenter(curve: ClosedCurve):
         # contacts farther than 2 sqrt(2) Delta above r never bind in the box
         near = f - r <= 3.0 * radius
         delta, predicted = _second_order_step(space, u[near], f[near] - r,
-                                              h[near], radius)
+                                              h[near], radius, tiny)
         if predicted <= tiny:
             break
         e1, e2 = space.frame(p)
@@ -210,10 +217,17 @@ def incenter(curve: ClosedCurve):
         elif gain < 0.25 * predicted:
             # shrink below a second-order step, which ignores Delta; past
             # the centre of a level curve distance falls at the rate it
-            # rose, so the centre was (predicted + gain) / 2 along the step
-            radius = 0.25 * min(radius, float(np.max(np.abs(delta))))
+            # rose, so the centre was (predicted + gain) / 2 along the step.
+            # A step that lost more than it was to gain shrinks to the peak
+            # of the parabola with the predicted slope through the gain, so
+            # an LP step from a maximizer does not quarter its way down
+            length = float(np.max(np.abs(delta)))
+            radius = 0.25 * min(radius, length)
             if gain > -predicted:
                 radius = min(radius, 0.5 * (predicted + gain))
+            else:
+                radius = min(radius, 0.5 * length * predicted
+                             / (predicted - gain))
         if radius <= tiny:
             break
     return p, r, _kkt_residual(u[f - r <= DEFAULT_MARGIN_TOL])

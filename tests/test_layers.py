@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from sphericity import (HypothesisViolation, SpaceForm, incenter, layer_width,
@@ -223,6 +223,10 @@ class TestSecondOrderSteps:
     @settings(max_examples=20, deadline=None)
     @given(grid=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
                          min_size=2, max_size=4))
+    # bodies on which a second-order step that predicted roundoff once
+    # stopped the ascent short of the inradius (H^2 and flat, respectively)
+    @example(grid=[(0, 1), (13, 1), (13, -20)])
+    @example(grid=[(5, -29), (-12, 23), (-30, 4)])
     def test_disc_intersection_inradius_is_exact(self, space, k0, grid):
         body, centers, radius = _disc_body(space, k0,
                                            0.01 * np.array(grid), 2048)
