@@ -917,7 +917,6 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
 # Intersections of equal-radius discs (non-regular convex bodies)
 # ---------------------------------------------------------------------------
 
-
 def _second_leg(space, radius: float, leg: float) -> float:
     """The other leg of the right geodesic triangle with hypotenuse
     ``radius`` and one leg ``leg``, in scalar ``math``."""
@@ -958,10 +957,10 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
 
     The body is assembled in whole-array kernel calls: the candidate
     corners of every pair of discs at once, one corner-by-centre distance
-    table (inside every disc, and on which circles), one chart of every
-    corner about every centre, the midpoints of every candidate arc, every
-    arc's samples (a centre and frame per sample) and every corner's
-    bisector tangent.  The seed, ``hint_center``, is the Karcher mean of the
+    table (inside every disc, and on which circles), one chart of all
+    corners per disc, the midpoints of every candidate arc, every arc's
+    samples (a centre and frame per sample) and every corner's bisector
+    tangent.  The seed, ``hint_center``, is the Karcher mean of the
     centres, or of the corners where it falls outside a disc.
     """
     radius = space.circle_radius_of_curvature(k0)
@@ -1008,14 +1007,14 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
 
     # the arc from corner k to corner k + 1 lies on the first circle through
     # both whose midpoint is inside every disc
-    count = len(corners)
+    n_corners = len(corners)
     on = np.abs(table - radius) <= 1e-9 * max(radius, 1.0)
     frames = np.array([space.frame(c) for c in centers])
     e1, e2 = frames[:, 0], frames[:, 1]
     chart = np.array([space.to_chart(c, corners) for c in centers])
     arc_k, arc_i = np.nonzero(on & np.roll(on, -1, axis=0))
     ang_a = [math.atan2(*chart[i, k, ::-1]) for k, i in zip(arc_k, arc_i)]
-    sweeps = [(math.atan2(*chart[i, (k + 1) % count, ::-1]) - a)
+    sweeps = [(math.atan2(*chart[i, (k + 1) % n_corners, ::-1]) - a)
               % (2.0 * np.pi) for k, i, a in zip(arc_k, arc_i, ang_a)]
     mids, _ = _circle_arrays(
         space, centers[arc_i], radius,
@@ -1024,7 +1023,7 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     valid = np.all(space.distance(mids[:, None, :], centers[None, :, :])
                    <= radius * (1 + 1e-9), axis=1)
     arcs = []
-    for k in range(count):
+    for k in range(n_corners):
         hits = np.flatnonzero((arc_k == k) & valid)
         if len(hits) == 0:
             raise CurveGenerationError(
@@ -1035,19 +1034,22 @@ def make_disc_intersection(space: SpaceForm, centers, k0: float,
     *starts, total = accumulate(lengths, initial=0.0)
 
     # every arc's samples in one call; an arc's sweep is re-read from its
-    # end angle, a full turn where that reads zero
+    # end angle a + sweep (a full turn where that reads zero), as the
+    # per-arc assembly in tests/oracles.py does, whose bits they keep
     counts = np.array([max(4, int(round(n * length / total)))
                        for length in lengths])
     ends = [(ang_a[h] + sweeps[h] - ang_a[h]) % (2.0 * np.pi) for h in arcs]
     ends = [sweep if sweep != 0.0 else 2.0 * np.pi for sweep in ends]
-    disc = np.repeat(arc_i[arcs], counts)
     step = np.arange(np.sum(counts)) - np.repeat(np.cumsum(counts) - counts,
                                                  counts)
     per = np.repeat(counts, counts)
     alphas = np.repeat([ang_a[h] for h in arcs], counts) \
         + np.repeat(ends, counts) * step / per
-    points, tangents = _circle_arrays(space, centers[disc], radius, alphas,
-                                      (e1[disc], e2[disc]))
+    disc = arc_i[arcs]
+    points, tangents = _circle_arrays(
+        space, np.repeat(centers[disc], counts, axis=0), radius, alphas,
+        (np.repeat(e1[disc], counts, axis=0),
+         np.repeat(e2[disc], counts, axis=0)))
     corner = step == 0
     s = np.repeat(starts, counts) + np.repeat(lengths, counts) * step / per
 
