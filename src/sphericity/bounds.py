@@ -188,18 +188,22 @@ class AngleReport:
     phi: np.ndarray
     cos_phi: np.ndarray
     slack: np.ndarray
-    included: np.ndarray
+    included: np.ndarray    # all True: every sample is judged
     min_slack: float
-    excluded_corner_count: int
     passed: bool
 
 
 def verify_angle_bound(curve: ClosedCurve, base) -> AngleReport:
     """Check every sample's cos(phi) against the sharp lower bound.
 
-    Samples whose curvature window spans a corner are excluded; the rest
-    are judged by the verdict core above, which raises HypothesisViolation
-    when the curve does not satisfy the hypotheses for its geometry.
+    Corners bar only kappa, not phi: a corner's stored tangent is the
+    bisector, whose normal lies in the normal cone.  A k0-convex body lies
+    in the k0-disc that touches it at a boundary point along any support
+    normal there (Blaschke's rolling theorem), so the base point lies in
+    that disc at a distance h' >= h from its circle, which meets the sharp
+    bound at h' and so at h (the bound does not decrease in h).  The
+    verdict core above raises HypothesisViolation when the curve does not
+    satisfy the hypotheses for its geometry.
     """
     space = curve.space
     k0 = guarded_k0(space, curve.kmin)
@@ -207,12 +211,8 @@ def verify_angle_bound(curve: ClosedCurve, base) -> AngleReport:
     cos_phi = np.cos(meas.phi)
     bound, slack = angle_slack(space, k0, meas.h, float(np.max(meas.t)),
                                cos_phi)
-    included = ~corner_band(curve.corner)
-    if not np.any(included):
-        raise GeometryError("corner exclusion removed every sample")
-    min_slack = float(np.min(slack[included]))
+    min_slack = float(np.min(slack))
     return AngleReport(bound_cos=bound, s=curve.s, t=meas.t, phi=meas.phi,
-                       cos_phi=cos_phi, slack=slack, included=included,
-                       min_slack=min_slack,
-                       excluded_corner_count=int(np.sum(~included)),
-                       passed=slack_check(min_slack)[2])
+                       cos_phi=cos_phi, slack=slack,
+                       included=np.ones(curve.n, dtype=bool),
+                       min_slack=min_slack, passed=slack_check(min_slack)[2])

@@ -100,10 +100,9 @@ class ClosedCurve:
         win = windows(n, idx)[0]
         if np.all(finite[win]):
             if not _flat_window(np.ptp(kappa[win]), kmin):
-                _, refined = refine_extremum(
+                _, kmin = refine_extremum(
                     s, np.nan_to_num(kappa, nan=np.inf), idx, mode="min",
                     period=total_length)
-                kmin = min(kmin, refined)
         return cls(space=space, points=points, s=s, tangents=tangents,
                    normals_out=normals, kappa=kappa, corner=corner,
                    total_length=float(total_length), kmin=kmin,
@@ -244,8 +243,8 @@ def _distance_extrema(curve: ClosedCurve, p, mode: str, contacts=False,
     if t is None:
         t = space.distance(p, curve.points)
     v = t if mode == "min" else -t
-    idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
-                         & (contacts | (v <= np.min(v) + curve.max_gap)))
+    keep = contacts or (v <= np.min(v) + curve.max_gap)
+    idx = np.flatnonzero((v <= np.roll(v, 1)) & (v <= np.roll(v, -1)) & keep)
     win = windows(len(t), idx)
     rough = ~_flat_window(np.ptp(t[win], axis=1), t[idx])
     s_star, vals = curve.s[idx].astype(float), t[idx, None]
@@ -393,6 +392,25 @@ def make_lune(space: SpaceForm, k0: float, r: float,
 # Support-function curves (flat plane)
 # ---------------------------------------------------------------------------
 
+def _harmonic_orders(harmonics, n: int, name: str, low: int, why: str):
+    """{int order: (a, b)} of the ``name`` series ``harmonics`` on n
+    samples; refuses an order below ``low`` (``why`` says where they
+    start), one that is not an integer, and one at or above the samples'
+    Nyquist order n/2, which they alias."""
+    harmonics = dict(harmonics or {})
+    for m in harmonics:
+        if m < low:
+            raise CurveGenerationError(f"{name} harmonics start at {why}")
+        if not float(m).is_integer():
+            raise CurveGenerationError(
+                f"{name} harmonic order {m} is not an integer", where=m)
+        if 2 * m >= n:
+            raise CurveGenerationError(
+                f"{name} harmonic order {m} is at or above the Nyquist "
+                f"order n/2 = {n / 2:g} of {n} samples (aliased)", where=m)
+    return {int(m): ab for m, ab in harmonics.items()}
+
+
 def _support_rho_dense(a0, harmonics, n_dense):
     """rho = h + h'' at the angles 2 pi k / n_dense, k < n_dense, as one
     inverse real FFT of its coefficients a0 and (1 - m^2)(a_m, b_m); every
@@ -419,19 +437,8 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
     closed form.
     """
     space = SpaceForm.flat()
-    harmonics = dict(harmonics or {})
-    for m in harmonics:
-        if m < 2:
-            raise CurveGenerationError(
-                "support harmonics start at m = 2 (m < 2 only translates)")
-        if not float(m).is_integer():
-            raise CurveGenerationError(
-                f"support harmonic order {m} is not an integer", where=m)
-        if 2 * m >= n:
-            raise CurveGenerationError(
-                f"support harmonic order {m} is at or above the Nyquist "
-                f"order n/2 = {n / 2:g} of {n} samples (aliased)", where=m)
-    harmonics = {int(m): ab for m, ab in harmonics.items()}
+    harmonics = _harmonic_orders(harmonics, n, "support", 2,
+                                 "m = 2 (m < 2 only translates)")
     if k0_target <= 0.0:
         raise CurveGenerationError("k0_target must be positive")
 

@@ -263,7 +263,7 @@ def _run_angle(config, result, rng):
                              np.full(rep.s.shape, rep.bound_cos), rep.slack))
     result.series["angle"] = {
         "columns": ["s", "t", "phi", "bound", "slack"],
-        "rows": table[rep.included].tolist(),
+        "rows": table.tolist(),
     }
 
 

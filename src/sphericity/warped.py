@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import angle_slack, guarded_k0, slack_check, width_check
-from .curves import DEFAULT_SAMPLES
+from .curves import DEFAULT_SAMPLES, _harmonic_orders
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
 from .spaceforms import SpaceForm
@@ -269,20 +269,15 @@ class WarpedCurve:
 
         kappa = (2 f' rho'^2 - f rho'' + f^2 f') / (rho'^2 + f^2)^(3/2)
 
-    with f, f' evaluated at rho(theta); derivatives of rho are centered
-    differences on the uniform theta grid.
+    with f, f' evaluated at rho(theta); rho' (``rho_p``) and rho'' are the
+    harmonic series' own derivatives on the uniform theta grid.
     """
 
     theta: np.ndarray
     rho: np.ndarray
+    rho_p: np.ndarray
     kappa: np.ndarray
     kmin: float
-
-
-def _fd_derivatives(rho, dtheta):
-    rp = (np.roll(rho, -1) - np.roll(rho, 1)) / (2.0 * dtheta)
-    rpp = (np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)) / dtheta ** 2
-    return rp, rpp
 
 
 def warped_graph_kappa(metric: WarpedMetric, rho, rho_p, rho_pp):
@@ -296,31 +291,33 @@ def make_warped_curve(metric: WarpedMetric, rho0: float,
                       harmonics=None) -> WarpedCurve:
     """Graph curve rho(theta) = rho0 + sum (a_j cos j theta + b_j sin j theta).
 
-    Rejected unless 0 < rho(theta) <= T and the curvature is finite
-    everywhere.
+    The orders j must be integers with 1 <= j < n/2.  Rejected unless
+    0 < rho(theta) <= T and the curvature is finite everywhere.
     """
-    harmonics = dict(harmonics or {})
     n = DEFAULT_SAMPLES
+    harmonics = _harmonic_orders(harmonics, n, "warped", 1,
+                                 "j = 1 (j = 0 would shift rho0)")
     theta = 2.0 * np.pi * np.arange(n) / n
-    rho = np.full(n, float(rho0))
+    rho, rho_p, rho_pp = np.full(n, float(rho0)), np.zeros(n), np.zeros(n)
     for j, (aj, bj) in harmonics.items():
-        rho += aj * np.cos(j * theta) + bj * np.sin(j * theta)
+        c, s = np.cos(j * theta), np.sin(j * theta)
+        rho += aj * c + bj * s
+        rho_p += j * (-aj * s + bj * c)
+        rho_pp -= j * j * (aj * c + bj * s)
     if np.any(rho <= 0.0) or np.any(rho > metric.T * (1 + 1e-12)):
         bad = float(theta[int(np.argmax((rho <= 0) | (rho > metric.T)))])
         raise CurveGenerationError(
             f"rho(theta) leaves (0, T] at theta = {bad:.6f}", where=bad)
-    rho_p, rho_pp = _fd_derivatives(rho, theta[1] - theta[0])
     with np.errstate(all="ignore"):
         kappa = warped_graph_kappa(metric, rho, rho_p, rho_pp)
     if not np.all(np.isfinite(kappa)):
         bad = float(theta[int(np.argmin(np.isfinite(kappa)))])
         raise CurveGenerationError(
             f"graph curvature overflows at theta = {bad:.6f}", where=bad)
-    idx = int(np.argmin(kappa))
-    _, kmin = refine_extremum(theta, kappa, idx, mode="min",
-                              period=2.0 * np.pi)
-    kmin = min(kmin, float(np.min(kappa)))
-    return WarpedCurve(theta=theta, rho=rho, kappa=kappa, kmin=kmin)
+    _, kmin = refine_extremum(theta, kappa, int(np.argmin(kappa)),
+                              mode="min", period=2.0 * np.pi)
+    return WarpedCurve(theta=theta, rho=rho, rho_p=rho_p, kappa=kappa,
+                       kmin=kmin)
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +357,12 @@ def verify_radial_bounds(metric: WarpedMetric,
     space = comparison_space(metric)
     k0_used = guarded_k0(space, curve.kmin)
     t_max, k_ball = float(np.max(curve.rho)), math.sqrt(max(metric.k_hi, 0.0))
-    dtheta = curve.theta[1] - curve.theta[0]
-    rho_p, _ = _fd_derivatives(curve.rho, dtheta)
-    cos_phi = 1.0 / np.sqrt(1.0 + (rho_p / metric.f(curve.rho)) ** 2)
-
-    idx_min = int(np.argmin(curve.rho))
-    _, h = refine_extremum(curve.theta, curve.rho, idx_min, mode="min",
-                           period=2.0 * np.pi)
-    h = min(h, float(np.min(curve.rho)))
-    idx_max = int(np.argmax(curve.rho))
-    _, rho1 = refine_extremum(curve.theta, curve.rho, idx_max, mode="max",
+    cos_phi = 1.0 / np.sqrt(1.0 + (curve.rho_p / metric.f(curve.rho)) ** 2)
+    _, h = refine_extremum(curve.theta, curve.rho, int(np.argmin(curve.rho)),
+                           mode="min", period=2.0 * np.pi)
+    _, rho1 = refine_extremum(curve.theta, curve.rho,
+                              int(np.argmax(curve.rho)), mode="max",
                               period=2.0 * np.pi)
-    rho1 = max(rho1, float(np.max(curve.rho)))
 
     bound, slack = angle_slack(space, k0_used, h, t_max, cos_phi, k_ball)
     min_slack = float(np.min(slack))

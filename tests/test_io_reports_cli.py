@@ -838,15 +838,15 @@ def _per_cell_csv(series) -> str:
 
 
 def _per_row_angle_rows(rep):
-    """Oracle: the angle series rows built one included sample at a time."""
+    """Oracle: the angle series rows built one sample at a time."""
     return [[float(rep.s[i]), float(rep.t[i]), float(rep.phi[i]),
              rep.bound_cos, float(rep.slack[i])]
-            for i in np.nonzero(rep.included)[0]]
+            for i in range(len(rep.s))]
 
 
 # The CLI test configs: one base config per subcommand, the offset angle
 # witness at n=1024 on the flat plane and at the benchmark's n=4096 on S²,
-# and a flat lune, whose corner samples the angle series leaves out.
+# and a flat lune, whose corner samples the angle series keeps.
 CLI_OUTPUT_CONFIGS = [(command, config)
                       for command, (config, _) in sorted(FUZZ_BASE.items())]
 CLI_OUTPUT_CONFIGS += [
@@ -889,9 +889,11 @@ def test_cli_outputs_match_per_cell_formulas(tmp_path, monkeypatch, command,
     doc = json.loads(text)
     if command == "verify-angle":
         (rep,) = angle_reports
+        assert len(doc["series"]["angle"]["rows"]) == len(rep.s)
         doc["series"]["angle"]["rows"] = _per_row_angle_rows(rep)
         if config["generator"]["provenance"] == "lune":
-            assert not rep.included.all()
+            # both corners and their curvature windows have rows
+            assert rep.included.all() and len(rep.s) == 256
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
     layer = doc["metadata"].get("layer_report")
     assert (out / "layer_report.json").exists() == (layer is not None)

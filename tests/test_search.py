@@ -97,6 +97,23 @@ def test_flat_window_keeps_its_sample(mode):
     assert list(v_star) == [0.7, 0.7]
 
 
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["min", "max"]),
+       gaps=st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=12),
+       data=st.data())
+def test_refined_extremum_never_loses_to_its_centre(mode, gaps, data):
+    # exactly in floats, on any window, uniform or not: the callers take
+    # the refined value as it comes, with no min/max against the sample
+    n = len(gaps)
+    s = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    values = np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3) | st.floats(-1e-9, 1e-9), min_size=n,
+        max_size=n)))
+    index = data.draw(st.integers(0, n - 1))
+    _, v = refine_extremum(s, values, index, mode, float(np.sum(gaps)))
+    assert v <= values[index] if mode == "min" else v >= values[index]
+
+
 # -- Brent's root finder against scipy.optimize.brentq -----------------------
 
 def _solve(solver, f, a, b, **keywords):

@@ -11,6 +11,7 @@ from sphericity import (CurveGenerationError,
                         circle_normal_curvature,
                         verify_circle_curvature_comparison,
                         verify_radial_bounds)
+from sphericity.curves import DEFAULT_SAMPLES
 from sphericity.warped import comparison_space
 from tests.oracles import warped_curve_kappa_analytic
 
@@ -112,12 +113,30 @@ class TestWarpedCurves:
         assert abs(ver.min_angle_slack
                    - (1.0 - ver.bound_cos)) < 1e-12
 
-    def test_kappa_fd_matches_analytic(self):
-        m = make_warped("cubic", T=2.0, eps=0.05)
-        harmonics = {2: (0.05, 0.0), 3: (0.0, 0.02)}
-        curve = make_warped_curve(m, 0.8, harmonics)
-        oracle = warped_curve_kappa_analytic(m, 0.8, harmonics, curve.theta)
-        assert float(np.max(np.abs(curve.kappa - oracle))) < 2e-6
+    @pytest.mark.parametrize("family,params", [("flat", {}),
+                                               ("cubic", {"eps": 0.05})])
+    def test_kappa_matches_analytic_derivatives(self, family, params):
+        m = make_warped(family, T=2.0, **params)
+        n = DEFAULT_SAMPLES
+        for j in (1, 2, 4, 32, 256, n // 4):
+            amp = 0.3 * 0.8 / (j * j + 1)
+            harmonics = {j: (amp * math.cos(j), amp * math.sin(j))}
+            curve = make_warped_curve(m, 0.8, harmonics)
+            oracle = warped_curve_kappa_analytic(m, 0.8, harmonics,
+                                                 curve.theta)
+            assert np.allclose(curve.kappa, oracle, rtol=1e-12, atol=0.0)
+            assert curve.kmin <= float(np.min(curve.kappa))
+            rho_p = -j * amp * np.sin(j * (curve.theta - 1.0))
+            assert np.allclose(curve.rho_p, rho_p, rtol=0.0,
+                               atol=1e-11 * j * amp)
+
+    @pytest.mark.parametrize("j,named", [
+        (0, "start at j = 1"), (2.5, "order 2.5 is not an integer"),
+        (DEFAULT_SAMPLES // 2, "at or above the Nyquist")])
+    def test_refuses_orders_outside_one_to_nyquist(self, j, named):
+        m = make_warped("flat", T=2.0)
+        with pytest.raises(CurveGenerationError, match=named):
+            make_warped_curve(m, 0.8, {j: (1e-3, 0.0)})
 
     def test_circle_kappa_equals_mu(self):
         m = make_warped("perturbed_sin", T=1.5, delta=0.01)
