@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, NonClosureError
-from .reports import (ConfigError, _g, _text, emit_plot_data, json_text,
-                      result_json, run)
+from .reports import (ConfigError, emit_plot_data, json_text, result_json,
+                      run)
 
 _SUBCOMMANDS = {
     "verify-angle": "angle",
@@ -79,8 +79,6 @@ def main(argv=None) -> int:
         config["seed"] = args.seed
 
     try:
-        if args.out is None:
-            args.out = _g(config, "out", _text)
         result = run(config)
     except (ConfigError, GeometryError, NonClosureError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)

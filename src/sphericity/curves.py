@@ -595,13 +595,10 @@ def _compose(a, b):
 
 
 def _chain_product(incs):
-    """(I + D_0) ... (I + D_{N-1}) - I along axis 1, by pairwise halving."""
+    """(I + D_0) ... (I + D_{N-1}) - I along axis 1, N a power of two, by
+    pairwise halving."""
     while incs.shape[1] > 1:
-        if incs.shape[1] % 2:
-            incs = np.concatenate(
-                [incs[:, :-2], _compose(incs[:, -2:-1], incs[:, -1:])], axis=1)
-        else:
-            incs = _compose(incs[:, 0::2], incs[:, 1::2])
+        incs = _compose(incs[:, 0::2], incs[:, 1::2])
     return incs[:, 0]
 
 
@@ -627,22 +624,20 @@ def _prefix_products(incs):
     return out[:count]
 
 
-def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
-                     store_every=None):
+def _integrate_frame(space, p0, t0, table, lengths, store_every=None):
     """Fourth-order Magnus integration of the frame equations.
 
     The frame F = [P | T | J] (see ``_frame_matrix``) solves F' = F A with
     A = G0 + kappa G1 in so(3), so(2,1) or se(2).  In the normalized
     parameter u = s / L the generator is L A, so a whole batch of candidate
-    total lengths shares one :class:`_StepTable` of the profile at the two
-    Gauss points of every step; ``profile`` is the curvature profile or
-    that table for (u_end, steps), which the closure solve builds once for
-    all its lengths.  Each step multiplies F on the right by exp(Omega),
-    Omega = (h L / 2)(A1 + A2) + (sqrt 3 / 12) h^2 L^2 [A1, A2], taken in
-    closed form (``_expm1_traceless3``); the step factors are composed by
-    pairwise matrix products.  Every factor lies in the isometry group, so
-    no projection back onto the model is needed.  Raises
-    CurveGenerationError where Omega overflows.
+    total lengths shares ``table``, one :class:`_StepTable` of the profile
+    at the two Gauss points of every step.  Each step multiplies F on the
+    right by exp(Omega), Omega = (h L / 2)(A1 + A2) + (sqrt 3 / 12) h^2 L^2
+    [A1, A2], taken in closed form (``_expm1_traceless3``); the step factors
+    are composed by pairwise matrix products.  Every factor lies in the
+    isometry group, so no projection back onto the model is needed.  Raises
+    CurveGenerationError where Omega overflows.  ``store_every``, or the
+    step count without it, is a power of two.
 
     ``lengths`` is scalar or (B,); returns the body-frame period maps
     d = F0^-1 F_end - I of shape (B, 3, 3) (see ``_period_rotation``) and,
@@ -651,8 +646,6 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
     frames come from the blocked scan ``_prefix_products``.
     """
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
-    table = profile if isinstance(profile, _StepTable) \
-        else _step_table(space, profile, u_end, steps)
     hl = (table.h * lengths)[:, None, None, None]
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -667,7 +660,7 @@ def _integrate_frame(space, p0, t0, profile, lengths, u_end, steps,
     if store_every is None:
         return _chain_product(incs), None, None
 
-    n_store = steps // store_every
+    n_store = len(table.gen) // store_every
     blocks = _chain_product(incs.reshape(
         len(lengths) * n_store, store_every, 3, 3))
     prefix = _prefix_products(blocks.reshape(len(lengths), n_store, 3, 3)
@@ -843,8 +836,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
         length already integrated is read back, not integrated again."""
         fresh = [x for x in lengths if x not in defects]
         if fresh:
-            d, _, _ = _integrate_frame(space, p0, e1, table, fresh,
-                                       1.0 / m, _PERIOD_STEPS)
+            d, _, _ = _integrate_frame(space, p0, e1, table, fresh)
             sin, cos, _ = _period_rotation(space, d)
             defects.update(zip(fresh, zip(sin * ct - cos * st,
                                           cos * ct + sin * st)))
@@ -886,8 +878,9 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     n_eff = samples_per_period * m
     substeps = 2
     d, pts_period, tan_period = _integrate_frame(
-        space, p0, e1, kappa_profile, length, 1.0 / m,
-        samples_per_period * substeps, store_every=substeps)
+        space, p0, e1, _step_table(space, kappa_profile, 1.0 / m,
+                                   samples_per_period * substeps),
+        length, store_every=substeps)
     pts_period, tan_period = pts_period[:, 0, :], tan_period[:, 0, :]
     f0 = _frame_matrix(space, p0, e1)
     mat = f0 @ (np.eye(3) + d[0]) @ np.linalg.inv(f0)

@@ -49,6 +49,10 @@ def space_from_dict(d: dict) -> SpaceForm:
             and _is_finite_number(d.get("k1"))):
         raise GeometryError("must be an object with a kind and a finite "
                             "number k1")
+    unknown = sorted(d.keys() - {"kind", "k1"})
+    if unknown:
+        raise GeometryError(f"unknown key {unknown[0]!r}; a space has only "
+                            "a kind and k1")
     try:
         kind = Kind(d["kind"])
     except ValueError:

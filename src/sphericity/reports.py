@@ -21,14 +21,15 @@ import numpy as np
 
 from . import __version__
 from .bounds import slack_check, verify_angle_bound
-from .curves import (make_circle, make_disc_intersection, make_frame_ode_curve,
-                     make_lune, make_support_curve)
+from .curves import (DEFAULT_SAMPLES, make_circle, make_disc_intersection,
+                     make_frame_ode_curve, make_lune, make_support_curve)
 from .errors import GeometryError, HypothesisViolation
 from .io import _is_finite_number, load_curve, space_from_dict
 from .layers import layer_width
-from .spaceforms import SpaceForm
-from .spindles import (numeric_spindle_optimum, spindle_max_width_alt,
-                       spindle_optimum, spindle_table_rows)
+from .spaceforms import Kind, SpaceForm
+from .spindles import (SPINDLE_COLUMNS, numeric_spindle_optimum,
+                       spindle_max_width_alt, spindle_optimum,
+                       spindle_table_rows)
 from .warped import make_warped, make_warped_curve, \
     verify_circle_curvature_comparison, verify_radial_bounds
 
@@ -39,6 +40,14 @@ class ConfigError(ValueError):
     """Malformed run config; the message names the offending key."""
 
 
+class _Config(dict):
+    """A run's own copy of its config, with the key paths looked up in it."""
+
+    def __init__(self, config: dict):
+        super().__init__(config)
+        self.read = set()
+
+
 def _g(config: dict, path: str, kind=None, default=None,
        required: bool = False):
     """Checked lookup of a dotted key path such as ``generator.k0``.
@@ -46,8 +55,11 @@ def _g(config: dict, path: str, kind=None, default=None,
     Every container on the path must be a JSON object.  A present value is
     returned through the converter ``kind``; a missing or null one gives
     ``default``.  A value the converter rejects, a non-object container and
-    a missing required key raise ConfigError naming the path.
+    a missing required key raise ConfigError naming the path.  A run's
+    config records the path as read, with everything below it.
     """
+    if isinstance(config, _Config):
+        config.read.add(path)
     parts = path.split(".")
     node = config
     for depth, part in enumerate(parts):
@@ -186,7 +198,7 @@ def _space_from_config(config: dict) -> SpaceForm:
 def build_curve(space: SpaceForm, config: dict):
     """Construct the curve of a config's ``generator`` block."""
     prov = _g(config, "generator.provenance", _text, required=True)
-    n = _g(config, "generator.n", _count(1, MAX_SAMPLES), 4096)
+    n = _g(config, "generator.n", _count(1, MAX_SAMPLES), DEFAULT_SAMPLES)
     if prov in ("circle", "lune", "frame_ode", "disc_intersection"):
         k0 = _g(config, "generator.k0", _number, required=True)
     if prov == "circle":
@@ -225,6 +237,19 @@ def build_curve(space: SpaceForm, config: dict):
         centers = _g(config, "generator.centers", _array(2), required=True)
         return make_disc_intersection(space, centers, k0, n=n)
     raise ConfigError(f"unknown generator provenance {prov!r}")
+
+
+def _unread_keys(node: dict, read: set, prefix: str = ""):
+    """Dotted paths, in document order, of the keys below ``node`` that no
+    path in ``read`` reaches; a path reaches every key below it."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if path in read:
+            continue
+        if not any(p.startswith(path + ".") for p in read):
+            yield path
+        elif isinstance(value, dict):
+            yield from _unread_keys(value, read, path + ".")
 
 
 def _base_point(space: SpaceForm, curve, config: dict):
@@ -293,15 +318,10 @@ def _run_width(config, result, rng):
 def _run_spindle_table(config, result, rng):
     space = _space_from_config(config)
     k0_values = _g(config, "spindle.k0", _numbers, [1.0])
-    rows = spindle_table_rows(
-        space, k0_values,
-        r_count=_g(config, "spindle.r_count", _count(0, MAX_SAMPLES), 33))
+    r_count = _g(config, "spindle.r_count", _count(0, MAX_SAMPLES), 33)
     result.series["spindle"] = {
-        "columns": ["space", "k1", "k0", "r", "rho", "d", "r0", "d0"],
-        "rows": [[row[c] for c in
-                  ("space", "k1", "k0", "r", "rho", "d", "r0", "d0")]
-                 for row in rows],
-    }
+        "columns": list(SPINDLE_COLUMNS),
+        "rows": spindle_table_rows(space, k0_values, r_count)}
     for k0 in k0_values:
         opt = spindle_optimum(space, k0)
         r_num, d_num = numeric_spindle_optimum(space, k0)
@@ -373,7 +393,7 @@ def _run_sweep(config, result, rng):
     k0 = _g(config, "sweep.k0", _number, 1.0)
     k1_values = _g(config, "sweep.k1", _numbers,
                    [0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3])
-    tol = _g(config, "sweep.limit_tol", _number, 1e-5)
+    tol = 1e-5      # fixed: no config key sets a verdict threshold
     flat_d0 = spindle_optimum(SpaceForm.flat(), k0).d0
     rows = []
     for kind in ("sphere", "hyperbolic"):
@@ -385,9 +405,7 @@ def _run_sweep(config, result, rng):
                 f"k0 = {k0:.6g}")
             continue
         for k1 in usable:
-            space = SpaceForm.sphere(k1) if kind == "sphere" \
-                else SpaceForm.hyperbolic(k1)
-            d0 = spindle_optimum(space, k0).d0
+            d0 = spindle_optimum(SpaceForm(Kind(kind), k1), k0).d0
             rows.append([kind, k1, d0, d0 - flat_d0])
         d_last = rows[-1][2]
         result.add_check(f"euclidean_limit_{kind}", d_last, flat_d0,
@@ -411,16 +429,17 @@ _RUNNERS = {
 #: the top-level keys of a run config; any other key is refused
 _CONFIG_KEYS = frozenset({"suite", "seed", "space", "generator",
                           "base_point", "curve_file", "spindle", "warped",
-                          "sweep", "out"})
+                          "sweep"})
 
 
 def run(config: dict) -> SuiteResult:
-    """Execute the selected suite for a config document."""
+    """Run a config's suite, then refuse the first key it did not read."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(config.keys() - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
+    config = _Config(config)
     suite = _g(config, "suite", _text, required=True)
     if suite not in _RUNNERS:
         raise ConfigError(
@@ -435,6 +454,10 @@ def run(config: dict) -> SuiteResult:
         "timestamp": None,
     }
     _RUNNERS[suite](config, result, np.random.default_rng(seed))
+    unread = next(_unread_keys(config, config.read), None)
+    if unread is not None:
+        raise ConfigError(
+            f"config key {unread!r} is not read by the {suite} suite")
     result.metadata["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return result
 

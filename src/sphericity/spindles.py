@@ -156,30 +156,22 @@ def numeric_spindle_optimum(space: SpaceForm,
     primary answer.
     """
     radius = space.circle_radius_of_curvature(k0)
+    return golden_max(lambda r: float(spindle_width(space, k0, r)), 0.0,
+                      radius, tol=1e-12 * radius)
 
-    def width(r):
-        return float(spindle_width(space, k0, r))
 
-    r_star, d_star = golden_max(width, 0.0, radius, tol=1e-12 * radius)
-    return r_star, d_star
+#: the cells of a :func:`spindle_table_rows` row, in order
+SPINDLE_COLUMNS = ("space", "k1", "k0", "r", "rho", "d", "r0", "d0")
 
 
 def spindle_table_rows(space: SpaceForm, k0_values, r_count: int = 33):
-    """Rows (space, k1, k0, r, rho, d, r0, d0) over an r grid per k0."""
+    """Rows of ``SPINDLE_COLUMNS`` over an r grid per k0."""
     rows = []
     for k0 in k0_values:
         opt = spindle_optimum(space, k0)
         r_grid = np.linspace(0.0, opt.R, r_count)
         rho = spindle_rho(space, k0, r_grid)
-        for r, rh in zip(r_grid, rho):
-            rows.append({
-                "space": space.kind.value,
-                "k1": space.k1,
-                "k0": float(k0),
-                "r": float(r),
-                "rho": float(rh),
-                "d": float(rh - r),
-                "r0": opt.r0,
-                "d0": opt.d0,
-            })
+        rows += [[space.kind.value, space.k1, float(k0), float(r), float(rh),
+                  float(rh - r), opt.r0, opt.d0]
+                 for r, rh in zip(r_grid, rho)]
     return rows

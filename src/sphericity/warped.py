@@ -25,7 +25,7 @@ from .bounds import angle_slack, guarded_k0, slack_check, width_check
 from .curves import DEFAULT_SAMPLES, _harmonic_orders
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
-from .spaceforms import SpaceForm
+from .spaceforms import Kind, SpaceForm
 
 #: tolerance on the declared curvature band during certification
 BAND_GUARD = 1e-9
@@ -58,26 +58,16 @@ class WarpedMetric:
 
 
 def _family_functions(family: str, params: dict, T: float):
-    """(f, f', f'', declared curvature band) of a family on (0, T]."""
-    if family == "flat":
-        return (lambda t: t,
-                lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                (0.0, 0.0))
-    if family == "hyperbolic":
-        k1 = float(params["k1"])
-        return (lambda t: np.sinh(k1 * t) / k1,
-                lambda t: np.cosh(k1 * t),
-                lambda t: k1 * np.sinh(k1 * t),
-                (-k1 * k1, -k1 * k1))
-    if family == "spherical":
-        k1 = float(params["k1"])
-        return (lambda t: np.sin(k1 * t) / k1,
-                lambda t: np.cos(k1 * t),
-                lambda t: -k1 * np.sin(k1 * t),
-                (k1 * k1, k1 * k1))
+    """(f, f', f'', declared curvature band) of a family on (0, T]; pops
+    each parameter the family reads from ``params``."""
+    if family in ("flat", "hyperbolic", "spherical"):
+        space = SpaceForm.flat() if family == "flat" else SpaceForm(
+            Kind.HYPERBOLIC if family == "hyperbolic" else Kind.SPHERE,
+            float(params.pop("k1")))
+        K = space.sign * space.k1 ** 2
+        return space.sn, space.cs, lambda t: -K * space.sn(t), (K, K)
     if family == "cubic":
-        eps = float(params["eps"])
+        eps = float(params.pop("eps"))
         return (lambda t: t + eps * t ** 3,
                 lambda t: 1.0 + 3.0 * eps * np.asarray(t, dtype=float) ** 2,
                 lambda t: 6.0 * eps * np.asarray(t, dtype=float),
@@ -85,7 +75,7 @@ def _family_functions(family: str, params: dict, T: float):
     if family == "perturbed_sin":
         # f = sin(a t)(1 + delta sin^2(a t)) / a, with a chosen so the
         # curvature band starts exactly at 1
-        delta = float(params["delta"])
+        delta = float(params.pop("delta"))
         if not 0.0 < delta < 1.0 / 6.0:
             raise CurveGenerationError("perturbed_sin requires 0 < delta < 1/6")
         a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
@@ -111,10 +101,10 @@ def _family_functions(family: str, params: dict, T: float):
         # keeps the pole smooth (f(0)=0, f'(0)=1, f''(0)=0); K stays
         # nonpositive for small amplitudes (certified, not assumed), and the
         # declared band is a conservative one
-        k1 = float(params["k1"])
-        amp = float(params["amp"])
-        center = float(params["center"])
-        width = float(params["width"])
+        k1 = float(params.pop("k1"))
+        amp = float(params.pop("amp"))
+        center = float(params.pop("center"))
+        width = float(params.pop("width"))
 
         def _bump(t):
             t = np.asarray(t, dtype=float)
@@ -128,17 +118,14 @@ def _family_functions(family: str, params: dict, T: float):
             return g, gp, gpp
 
         def f(t):
-            t = np.asarray(t, dtype=float)
             g, _, _ = _bump(t)
             return np.sinh(k1 * t) / k1 * (1.0 + g)
 
         def fp(t):
-            t = np.asarray(t, dtype=float)
             g, gp, _ = _bump(t)
             return np.cosh(k1 * t) * (1.0 + g) + np.sinh(k1 * t) / k1 * gp
 
         def fpp(t):
-            t = np.asarray(t, dtype=float)
             g, gp, gpp = _bump(t)
             return (k1 * np.sinh(k1 * t) * (1.0 + g)
                     + 2.0 * np.cosh(k1 * t) * gp
@@ -154,11 +141,14 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
     The curvature band is measured on a dense radius grid and must stay
     inside the family's declared band (with a small guard); the warp must
     be positive on (0, T], and f, f', f'' and K finite there.  Violations
-    are rejected with the offending radius, never trusted.
+    are rejected with the offending radius, never trusted.  A missing
+    parameter raises KeyError and one the family does not read TypeError.
     """
     if T <= 0.0:
         raise CurveGenerationError("T must be positive")
     f, fp, fpp, (lo_decl, hi_decl) = _family_functions(family, params, T)
+    if params:
+        raise TypeError(f"unexpected parameter {sorted(params)[0]!r}")
     t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
     with np.errstate(all="ignore"):
         fv, fpv, fppv = f(t), fp(t), fpp(t)
@@ -219,10 +209,8 @@ def comparison_space(metric: WarpedMetric) -> SpaceForm:
     """
     if metric.k_hi <= BAND_GUARD:
         k1 = math.sqrt(max(-metric.k_lo, 0.0))
-        if k1 == 0.0:
-            return SpaceForm.flat()
-        return SpaceForm.hyperbolic(k1)
-    if metric.k_lo >= -BAND_GUARD and metric.k_lo > 0.0:
+        return SpaceForm.hyperbolic(k1) if k1 else SpaceForm.flat()
+    if metric.k_lo > 0.0:
         return SpaceForm.sphere(math.sqrt(metric.k_lo))
     raise HypothesisViolation(
         f"curvature band [{metric.k_lo:.6g}, {metric.k_hi:.6g}] is not "

@@ -19,8 +19,8 @@ from sphericity.curves import (_PERIOD_STEPS, _SCAN_BLOCK, _compose,
                                _frame_generators, _frame_matrix,
                                _graph_coefficients, _integrate_frame,
                                _period_rotation, _prefix_products,
-                               _support_rho_dense, _window_fit_kappa,
-                               corner_band)
+                               _step_table, _support_rho_dense,
+                               _window_fit_kappa, corner_band)
 from tests.conftest import frame_ode_curve_and_floor
 from tests.oracles import (_fixed_point, _rotation_defect,
                            detect_symmetry_order_loop,
@@ -279,8 +279,8 @@ class TestFrameOde:
         radius = space.circle_radius_of_curvature(k0)
         length = float(space.circumference(radius))
         lengths = length * np.asarray(lengths_factor, dtype=float)
-        d, _, _ = _integrate_frame(space, p0, e1, profile, lengths, 1.0,
-                                   steps)
+        d, _, _ = _integrate_frame(
+            space, p0, e1, _step_table(space, profile, 1.0, steps), lengths)
         frames = _frame_matrix(space, p0, e1) @ (np.eye(3) + d)
         scale = 1.0 if space is FLAT else space.k1
         return frames[:, :space.dim, 0] / scale, frames[:, :space.dim, 1]
@@ -344,9 +344,10 @@ class TestFrameOde:
         length = float(space.circumference(
             space.circle_radius_of_curvature(k0)))
         count = 3 * _SCAN_BLOCK + 7
-        _, points, tangents = _integrate_frame(
-            space, p0, e1, lambda u: k0 + 0.2 * np.cos(2 * np.pi * u),
-            length, 1.0, 2 * count, store_every=2)
+        table = _step_table(space, lambda u: k0 + 0.2 * np.cos(2 * np.pi * u),
+                            1.0, 2 * count)
+        _, points, tangents = _integrate_frame(space, p0, e1, table, length,
+                                               store_every=2)
         assert points.shape == (count, 1, space.dim)
         for p, t in zip(points[:, 0], tangents[:, 0]):
             assert self._isometry_defect(space, p, t) < 1e-12
@@ -391,9 +392,9 @@ class TestFrameOde:
         guess = float(space.circumference(space.circle_radius_of_curvature(k0)))
         p0 = space.origin()
         e1, _ = space.frame(p0)
-        d, _, _ = _integrate_frame(space, p0, e1, profile,
-                                   np.linspace(0.55, 1.8, 41) * guess,
-                                   1.0 / m, _PERIOD_STEPS)
+        d, _, _ = _integrate_frame(
+            space, p0, e1, _step_table(space, profile, 1.0 / m, _PERIOD_STEPS),
+            np.linspace(0.55, 1.8, 41) * guess)
         assert self._check_period_rotation(space, d) == 41
 
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
@@ -464,12 +465,10 @@ class TestFrameOde:
         """Batch sizes and lengths of the closure solve's integrations."""
         batches = []
 
-        def record(space, p0, t0, profile, lengths, u_end, steps,
-                   store_every=None):
+        def record(space, p0, t0, table, lengths, store_every=None):
             if store_every is None:
                 batches.append([float(x) for x in np.atleast_1d(lengths)])
-            return _integrate_frame(space, p0, t0, profile, lengths, u_end,
-                                    steps, store_every)
+            return _integrate_frame(space, p0, t0, table, lengths, store_every)
 
         monkeypatch.setattr(curves, "_integrate_frame", record)
         return batches

@@ -290,10 +290,11 @@ class TestSuiteRunner:
                        - (np.sqrt(2.0) - 1.0) / row[k0_col]) < 1e-14
 
     def test_failed_check_exit_code_2(self):
-        # at k1 = 0.5 both d0 rows are far from the flat d0: no tolerance
-        # this tight can call them the Euclidean limit
+        # at k1 = 0.5 both d0 rows are far from the flat d0 (the sphere's
+        # slack is -0.0178): the fixed 1e-5 cannot call them the Euclidean
+        # limit
         cfg = {"suite": "sweep", "seed": 0,
-               "sweep": {"k0": 1.0, "k1": [0.5], "limit_tol": 1e-12}}
+               "sweep": {"k0": 1.0, "k1": [0.5]}}
         res = run(cfg)
         assert res.exit_code == 2
         assert [c["verdict"] for c in res.checks] == ["fail", "fail"]
@@ -434,14 +435,17 @@ class TestCli:
     def test_unknown_subcommand_usage_error(self):
         assert main(["frobnicate"]) == 1
 
-    def test_config_level_output_path(self, tmp_path):
+    def test_config_level_output_path(self, tmp_path, capsys):
+        # --out is the one way to name the output directory: a config's
+        # "out" is refused, and nothing is written
         out_dir = tmp_path / "from_config"
         cfg = {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
                "generator": {"provenance": "circle", "k0": 1.0, "n": 512},
                "out": str(out_dir)}
         rc = main(["verify-angle", "--config", self._write(tmp_path, cfg)])
-        assert rc == 0
-        assert (out_dir / "report.json").exists()
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key 'out'\n"
+        assert not out_dir.exists()
 
 
 # Config inputs that once crashed the CLI with a traceback, with the key path
@@ -482,8 +486,7 @@ FUZZ_BASE = {
          "warped.params.delta", "warped.T", "warped.rho0", "warped.curves",
          "warped.violating"]),
     "sweep": (
-        {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5, 0.01],
-                              "limit_tol": 1e-5}},
+        {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5, 0.01]}},
         ["seed", "sweep", "sweep.k0", "sweep.k1", "sweep.limit_tol"]),
 }
 FUZZ_VALUES = ["abc", [1, 2], {"a": 1}, None, math.nan, 1e300, -1e300, 0,
@@ -524,6 +527,61 @@ def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
     assert code == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert key in err
+
+
+# Keys a suite does not read, misspelt or foreign to it, each of which once
+# ran as if absent (a misspelt "violating" turned exit 3 into 0, a misspelt
+# "terms" verified a plain circle, a "limit_tol" loosened the Euclidean
+# limit): (subcommand, config, the text that names the key).  The curve
+# file of "curve_file" is written by the test.
+UNREAD_KEYS = [
+    ("verify-warped", {"seed": 0, "warped": {
+        "family": "perturbed_sin", "params": {"delta": 0.05}, "T": 1.0,
+        "rho0": 0.6, "curves": 2, "violatng": True}},
+     "config key 'warped.violatng' is not read by the warped suite"),
+    ("verify-angle", {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
+                      "generator": {"provenance": "frame_ode", "k0": 1.2,
+                                    "term": [[3, 0.1, 0]]}},
+     "config key 'generator.term' is not read by the angle suite"),
+    ("verify-angle", {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
+                      "generator": {"provenance": "frame_ode", "k0": 1.2,
+                                    "terms": [[640, 0.05, 0]], "N": 512}},
+     "config key 'generator.N' is not read by the angle suite"),
+    ("verify-angle", dict(FUZZ_BASE["verify-angle"][0],
+                          warped=FUZZ_BASE["verify-warped"][0]["warped"]),
+     "config key 'warped' is not read by the angle suite"),
+    ("verify-width", {"seed": 0, "curve_file": "curve.json",
+                      "space": {"kind": "flat", "k1": 0.0}},
+     "config key 'space' is not read by the width suite"),
+    ("sweep", {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5],
+                                    "limit_tol": 1.0}},
+     "config key 'sweep.limit_tol' is not read by the sweep suite"),
+    ("verify-angle", dict(FUZZ_BASE["verify-angle"][0], out="elsewhere"),
+     "unknown config key 'out'"),
+    ("verify-angle", dict(FUZZ_BASE["verify-angle"][0], space={
+        "kind": "sphere", "k1": 1.0, "k2": 5}), "unknown key 'k2'"),
+    ("verify-warped", {"seed": 0, "warped": {
+        "family": "cubic", "params": {"eps": 0.05, "epz": 7}, "T": 2.0,
+        "curves": 1}}, "unexpected parameter 'epz'"),
+]
+
+
+@pytest.mark.parametrize("command,config,named", UNREAD_KEYS,
+                         ids=["warped.violatng", "generator.term",
+                              "generator.N", "warped-in-angle",
+                              "space-beside-curve_file", "sweep.limit_tol",
+                              "out", "space.k2", "warped.params.epz"])
+def test_unread_key_exits_1_naming_it(tmp_path, command, config, named):
+    save_curve(make_circle(FLAT, FLAT.origin(), 1.0, n=64),
+               tmp_path / "curve.json")
+    if "curve_file" in config:
+        config = dict(config, curve_file=str(tmp_path / "curve.json"))
+    code, err = _run_cli(tmp_path, command, config,
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 # Values that were read loosely (a boolean or a numeric string as a number,
@@ -652,9 +710,9 @@ def test_verify_width_judges_curve_file_by_its_samples(tmp_path, make, kmin):
     curve = make()
     path = tmp_path / "curve.json"
     save_curve(curve, path)
-    config = {"seed": 0, "curve_file": str(path),
-              "out": str(tmp_path / "out")}
-    assert _run_cli(tmp_path, "verify-width", config) == (0, "")
+    config = {"seed": 0, "curve_file": str(path)}
+    out = ("--out", str(tmp_path / "out"))
+    assert _run_cli(tmp_path, "verify-width", config, *out) == (0, "")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"][0]["bound"] == layer_width(curve).d0
     # a stored kmin once replaced the measured one and moved the bound, and
@@ -665,7 +723,7 @@ def test_verify_width_judges_curve_file_by_its_samples(tmp_path, make, kmin):
             (dict(doc, kmin=kmin), "kmin: "),
             (dict(doc, tangent=_b64(curve.tangents / kmin)), "tangent: ")):
         path.write_text(json.dumps(edited))
-        code, err = _run_cli(tmp_path, "verify-width", config)
+        code, err = _run_cli(tmp_path, "verify-width", config, *out)
         assert code == 1 and named in err and len(err.splitlines()) == 1
 
 
@@ -707,7 +765,8 @@ HEADER_REFUSALS = [("closure_gap", "abc"), ("closure_gap", math.nan),
                    ("space", {"kind": "sphere", "k1": True}),
                    ("space", {"kind": "sphere", "k1": -1.0}),
                    ("space", {"kind": "torus", "k1": 1.0}),
-                   ("space", {"kind": "flat", "k1": 5.0})]
+                   ("space", {"kind": "flat", "k1": 5.0}),
+                   ("space", {"kind": "flat", "k1": 0.0, "k2": 1.0})]
 
 
 @pytest.mark.parametrize("field,value", HEADER_REFUSALS,

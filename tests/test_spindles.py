@@ -8,6 +8,7 @@ import pytest
 from sphericity import (GeometryError, SpaceForm, numeric_spindle_optimum,
                         spindle_max_width_alt, spindle_optimum, spindle_rho,
                         spindle_table_rows, spindle_width)
+from sphericity.spindles import SPINDLE_COLUMNS
 
 FLAT = SpaceForm.flat()
 SPH = SpaceForm.sphere(1.0)
@@ -212,7 +213,10 @@ def test_width_dominated_by_optimum_property(kind, k1, ratio, frac):
 def test_table_rows_schema():
     rows = spindle_table_rows(FLAT, [0.5, 1.0, 2.0], r_count=7)
     assert len(rows) == 21
-    for row in rows:
-        assert set(row) == {"space", "k1", "k0", "r", "rho", "d", "r0", "d0"}
+    assert SPINDLE_COLUMNS == ("space", "k1", "k0", "r", "rho", "d", "r0",
+                               "d0")
+    assert {len(values) for values in rows} == {len(SPINDLE_COLUMNS)}
+    for row in (dict(zip(SPINDLE_COLUMNS, values)) for values in rows):
+        assert row["space"] == "flat" and row["k1"] == 0.0
         assert abs(row["d"] - (row["rho"] - row["r"])) < 1e-12
         assert abs(row["d0"] - (math.sqrt(2.0) - 1.0) / row["k0"]) < 1e-14

@@ -66,6 +66,17 @@ class TestMakeWarped:
             make_warped("spherical", T=3.5, k1=1.0)   # sin vanishes at pi
         assert err.value.where is not None
 
+    @pytest.mark.parametrize("family,params,unread", [
+        ("flat", {"k1": 1.0}, "k1"),
+        ("spherical", {"k1": 1.0, "k2": 2.0}, "k2"),
+        ("cubic", {"eps": 0.05, "epz": 7.0}, "epz"),
+        ("perturbed_sin", {"delta": 0.01, "eps": 0.05}, "eps")])
+    def test_parameter_the_family_does_not_read_refused(self, family, params,
+                                                        unread):
+        # an unread parameter once built the metric as if it were absent
+        with pytest.raises(TypeError, match=f"unexpected parameter '{unread}'"):
+            make_warped(family, T=1.4, **params)
+
     def test_bump_family_certified(self):
         m = make_warped("sinh_bump", T=2.0, k1=1.0, amp=0.02, center=1.0,
                         width=0.5)
