@@ -7,8 +7,7 @@ that plane.  Curves that break the curvature hypothesis are rejected, not
 judged.
 """
 
-from sphericity import (HypothesisViolation, circle_normal_curvature,
-                        make_warped, make_warped_curve,
+from sphericity import (HypothesisViolation, make_warped, make_warped_curve,
                         verify_circle_curvature_comparison,
                         verify_radial_bounds)
 
@@ -26,8 +25,7 @@ for family, params, T in (("cubic", {"eps": 0.05}, 2.0),
 
 print("\n=== bounds on a pole-centered curve (cubic metric) ===")
 metric = make_warped("cubic", T=2.0, eps=0.05)
-print(f"coordinate circle at t = 1: curvature "
-      f"{circle_normal_curvature(metric, 1.0):.6f}")
+print(f"coordinate circle at t = 1: curvature {metric.mu(1.0):.6f}")
 curve = make_warped_curve(metric, 0.8, {2: (0.04, 0.0), 3: (0.0, 0.015)})
 ver = verify_radial_bounds(metric, curve)
 print(f"curve kmin = {curve.kmin:.6f}, h = {ver.h:.6f}")

@@ -24,8 +24,8 @@ from .bounds import (AngleReport, circle_exact_angle, cos_phi_lower_bound,
                      verify_angle_bound)
 from .layers import LayerReport, incenter, layer_width
 from .warped import (MuComparisonReport, WarpedCurve, WarpedMetric,
-                     WarpedVerification, circle_normal_curvature, make_warped,
-                     make_warped_curve, verify_circle_curvature_comparison,
+                     WarpedVerification, make_warped, make_warped_curve,
+                     verify_circle_curvature_comparison,
                      verify_radial_bounds)
 from .io import load_curve, save_curve
 
@@ -38,8 +38,8 @@ __all__ = [
     "MuComparisonReport", "NonClosureError", "RadialMeasurement",
     "SpaceForm", "SpindleOptimum", "WarpedCurve",
     "WarpedMetric", "WarpedVerification", "circle_exact_angle",
-    "circle_normal_curvature", "cos_phi_lower_bound",
-    "cos_phi_weak_bound", "incenter", "karcher_mean", "layer_width",
+    "cos_phi_lower_bound", "cos_phi_weak_bound", "incenter",
+    "karcher_mean", "layer_width",
     "make_circle", "make_disc_intersection", "make_frame_ode_curve",
     "make_lune", "make_support_curve", "make_warped", "make_warped_curve",
     "load_curve", "save_curve",

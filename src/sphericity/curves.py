@@ -100,9 +100,8 @@ class ClosedCurve:
         win = windows(n, idx)[0]
         if np.all(finite[win]):
             if not _flat_window(np.ptp(kappa[win]), kmin):
-                _, kmin = refine_extremum(
-                    s, np.nan_to_num(kappa, nan=np.inf), idx, mode="min",
-                    period=total_length)
+                _, kmin = refine_extremum(s, kappa, idx, mode="min",
+                                          period=total_length)
         return cls(space=space, points=points, s=s, tangents=tangents,
                    normals_out=normals, kappa=kappa, corner=corner,
                    total_length=float(total_length), kmin=kmin,
@@ -865,12 +864,9 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
             "no closure length found near the mean-curvature circle length",
             residual=float(residuals.min()) if residuals.size else None)
     i = int(hit[0])
-    if sin[i] == 0.0:
-        length = float(scan[i])
-    else:
-        length = float(brentq(defect_sin, scan[i], scan[i + 1],
-                              xtol=1e-13 * length_guess, rtol=1e-15,
-                              maxiter=_ROOT_MAXITER))
+    length = float(brentq(defect_sin, scan[i], scan[i + 1],
+                          xtol=1e-13 * length_guess, rtol=1e-15,
+                          maxiter=_ROOT_MAXITER))
 
     # final pass: integrate one period finely and replicate it by the
     # period isometry F0 (I + d) F0^-1

@@ -39,39 +39,50 @@ _COMPARISON_RADII = 1000
 class WarpedMetric:
     """A certified warped metric dt^2 + f(t)^2 dtheta^2 on (0, T].
 
-    ``f``, ``fp``, ``fpp`` are the warping function and its first two
-    derivatives.  ``k_lo``/``k_hi`` hold the measured Gaussian curvature
-    band over the certification grid.
+    ``warp(t)`` returns (f, f', f''): the warping function and its first
+    two derivatives at t.  ``k_lo``/``k_hi`` hold the measured Gaussian
+    curvature band over the certification grid.
     """
 
     T: float
-    f: callable = field(repr=False)
-    fp: callable = field(repr=False)
-    fpp: callable = field(repr=False)
+    warp: callable = field(repr=False)
     k_lo: float
     k_hi: float
 
     def mu(self, t):
-        """Geodesic curvature f'/f of the coordinate circle of radius t."""
-        t = np.asarray(t, dtype=float)
-        return self.fp(t) / self.f(t)
+        """Geodesic curvature f'/f of the coordinate circle of radius t in
+        (0, T]; a float for a scalar t."""
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr <= 0.0) or np.any(t_arr > self.T * (1 + 1e-12)):
+            raise GeometryError(f"radius must lie in (0, T={self.T}]")
+        f, fp, _ = self.warp(t_arr)
+        out = fp / f
+        return float(out) if np.ndim(t) == 0 else out
 
 
 def _family_functions(family: str, params: dict, T: float):
-    """(f, f', f'', declared curvature band) of a family on (0, T]; pops
-    each parameter the family reads from ``params``."""
+    """(warp, declared curvature band) of a family on (0, T], where
+    warp(t) is (f, f', f''); pops each parameter the family reads from
+    ``params``."""
     if family in ("flat", "hyperbolic", "spherical"):
         space = SpaceForm.flat() if family == "flat" else SpaceForm(
             Kind.HYPERBOLIC if family == "hyperbolic" else Kind.SPHERE,
             float(params.pop("k1")))
         K = space.sign * space.k1 ** 2
-        return space.sn, space.cs, lambda t: -K * space.sn(t), (K, K)
+
+        def warp(t):
+            sn = space.sn(t)
+            return sn, space.cs(t), -K * sn
+
+        return warp, (K, K)
     if family == "cubic":
         eps = float(params.pop("eps"))
-        return (lambda t: t + eps * t ** 3,
-                lambda t: 1.0 + 3.0 * eps * np.asarray(t, dtype=float) ** 2,
-                lambda t: 6.0 * eps * np.asarray(t, dtype=float),
-                (-6.0 * eps, -6.0 * eps / (1.0 + eps * T * T)))
+
+        def warp(t):
+            t = np.asarray(t, dtype=float)
+            return t + eps * t ** 3, 1.0 + 3.0 * eps * t ** 2, 6.0 * eps * t
+
+        return warp, (-6.0 * eps, -6.0 * eps / (1.0 + eps * T * T))
     if family == "perturbed_sin":
         # f = sin(a t)(1 + delta sin^2(a t)) / a, with a chosen so the
         # curvature band starts exactly at 1
@@ -81,21 +92,14 @@ def _family_functions(family: str, params: dict, T: float):
         a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
         a = math.sqrt(a2)
 
-        def f(t):
-            x = a * np.asarray(t, dtype=float)
-            return np.sin(x) * (1.0 + delta * np.sin(x) ** 2) / a
-
-        def fp(t):
+        def warp(t):
             x = a * np.asarray(t, dtype=float)
             s, c = np.sin(x), np.cos(x)
-            return c + 3.0 * delta * s ** 2 * c
+            return (s * (1.0 + delta * s ** 2) / a,
+                    c + 3.0 * delta * s ** 2 * c,
+                    a * (-s + 3.0 * delta * s * (2.0 * c ** 2 - s ** 2)))
 
-        def fpp(t):
-            x = a * np.asarray(t, dtype=float)
-            s, c = np.sin(x), np.cos(x)
-            return a * (-s + 3.0 * delta * s * (2.0 * c ** 2 - s ** 2))
-
-        return f, fp, fpp, (1.0, a2 * (1.0 + 3.0 * delta))
+        return warp, (1.0, a2 * (1.0 + 3.0 * delta))
     if family == "sinh_bump":
         # hyperbolic warp times a t^3-damped Gaussian bump: the cubic factor
         # keeps the pole smooth (f(0)=0, f'(0)=1, f''(0)=0); K stays
@@ -106,7 +110,7 @@ def _family_functions(family: str, params: dict, T: float):
         center = float(params.pop("center"))
         width = float(params.pop("width"))
 
-        def _bump(t):
+        def warp(t):
             t = np.asarray(t, dtype=float)
             u = (t - center) / width
             e = np.exp(-u * u)
@@ -115,23 +119,12 @@ def _family_functions(family: str, params: dict, T: float):
             g = amp * t ** 3 * e
             gp = amp * (3.0 * t ** 2 * e + t ** 3 * ep)
             gpp = amp * (6.0 * t * e + 6.0 * t ** 2 * ep + t ** 3 * epp)
-            return g, gp, gpp
+            sh, ch = np.sinh(k1 * t), np.cosh(k1 * t)
+            return (sh / k1 * (1.0 + g),
+                    ch * (1.0 + g) + sh / k1 * gp,
+                    k1 * sh * (1.0 + g) + 2.0 * ch * gp + sh / k1 * gpp)
 
-        def f(t):
-            g, _, _ = _bump(t)
-            return np.sinh(k1 * t) / k1 * (1.0 + g)
-
-        def fp(t):
-            g, gp, _ = _bump(t)
-            return np.cosh(k1 * t) * (1.0 + g) + np.sinh(k1 * t) / k1 * gp
-
-        def fpp(t):
-            g, gp, gpp = _bump(t)
-            return (k1 * np.sinh(k1 * t) * (1.0 + g)
-                    + 2.0 * np.cosh(k1 * t) * gp
-                    + np.sinh(k1 * t) / k1 * gpp)
-
-        return f, fp, fpp, (-4.0 * k1 * k1, 0.0)
+        return warp, (-4.0 * k1 * k1, 0.0)
     raise CurveGenerationError(f"unknown warped family {family!r}")
 
 
@@ -146,12 +139,12 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
     """
     if T <= 0.0:
         raise CurveGenerationError("T must be positive")
-    f, fp, fpp, (lo_decl, hi_decl) = _family_functions(family, params, T)
+    warp, (lo_decl, hi_decl) = _family_functions(family, params, T)
     if params:
         raise TypeError(f"unexpected parameter {sorted(params)[0]!r}")
     t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
     with np.errstate(all="ignore"):
-        fv, fpv, fppv = f(t), fp(t), fpp(t)
+        fv, fpv, fppv = warp(t)
         K = -fppv / fv
     if np.any(fv <= 0.0):
         bad = float(t[np.argmax(fv <= 0.0)])
@@ -170,17 +163,7 @@ def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
         raise CurveGenerationError(
             f"curvature band [{k_lo:.6g}, {k_hi:.6g}] leaves the declared "
             f"band [{lo_decl:.6g}, {hi_decl:.6g}] at t = {bad:.6f}", where=bad)
-    return WarpedMetric(T=float(T), f=f, fp=fp, fpp=fpp, k_lo=k_lo,
-                        k_hi=k_hi)
-
-
-def circle_normal_curvature(metric: WarpedMetric, t):
-    """Geodesic curvature of the coordinate circle at radius t."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > metric.T * (1 + 1e-12)):
-        raise GeometryError(f"radius must lie in (0, T={metric.T}]")
-    out = metric.mu(t_arr)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return WarpedMetric(T=float(T), warp=warp, k_lo=k_lo, k_hi=k_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +252,7 @@ class WarpedCurve:
 
 
 def warped_graph_kappa(metric: WarpedMetric, rho, rho_p, rho_pp):
-    f = metric.f(rho)
-    fp = metric.fp(rho)
+    f, fp, _ = metric.warp(rho)
     num = 2.0 * fp * rho_p ** 2 - f * rho_pp + f ** 2 * fp
     return num / (rho_p ** 2 + f ** 2) ** 1.5
 
@@ -338,14 +320,17 @@ def verify_radial_bounds(metric: WarpedMetric,
     the band's upper end.
 
     cos(phi) per sample comes from the graph formula
-    cos(phi) = 1 / sqrt(1 + (rho'/f(rho))^2); the annulus about the pole
-    has r = min rho and rho1 = max rho (the pole stands in for the
-    incenter, which the generators place at the pole by construction).
+    cos(phi) = 1 / sqrt(1 + (rho'/f(rho))^2); the annulus is taken about
+    the pole, with r = min rho and rho1 = max rho.  The pole is the
+    incenter only for curves centred on it: a first harmonic moves the
+    incenter off the pole (the flat rho = 1 + 0.3 cos theta has its
+    incenter at (0.3, 0)), so d is then the width about the pole.
     """
     space = comparison_space(metric)
     k0_used = guarded_k0(space, curve.kmin)
     t_max, k_ball = float(np.max(curve.rho)), math.sqrt(max(metric.k_hi, 0.0))
-    cos_phi = 1.0 / np.sqrt(1.0 + (curve.rho_p / metric.f(curve.rho)) ** 2)
+    f, _, _ = metric.warp(curve.rho)
+    cos_phi = 1.0 / np.sqrt(1.0 + (curve.rho_p / f) ** 2)
     _, h = refine_extremum(curve.theta, curve.rho, int(np.argmin(curve.rho)),
                            mode="min", period=2.0 * np.pi)
     _, rho1 = refine_extremum(curve.theta, curve.rho,

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sphericity import (CurveGenerationError,
+from sphericity import (CurveGenerationError, GeometryError,
                         HypothesisViolation, make_warped, make_warped_curve,
-                        circle_normal_curvature,
                         verify_circle_curvature_comparison,
                         verify_radial_bounds)
 from sphericity.curves import DEFAULT_SAMPLES
@@ -20,13 +19,12 @@ class TestMakeWarped:
     def test_flat_family(self):
         m = make_warped("flat", T=2.0)
         assert m.k_lo == m.k_hi == 0.0
-        assert abs(circle_normal_curvature(m, 0.5) - 2.0) < 1e-14
+        assert abs(m.mu(0.5) - 2.0) < 1e-14
 
     def test_constant_curvature_families(self):
         m = make_warped("hyperbolic", T=2.0, k1=1.0)
         assert abs(m.k_lo + 1.0) < 1e-10 and abs(m.k_hi + 1.0) < 1e-10
-        assert abs(circle_normal_curvature(m, 1.3) - 1.0 / math.tanh(1.3)) \
-            < 1e-14
+        assert abs(m.mu(1.3) - 1.0 / math.tanh(1.3)) < 1e-14
         m2 = make_warped("spherical", T=1.4, k1=1.0)
         assert abs(m2.k_lo - 1.0) < 1e-10 and abs(m2.k_hi - 1.0) < 1e-10
 
@@ -39,18 +37,19 @@ class TestMakeWarped:
         analytic = -6 * eps / (1 + eps * t * t)
         # finite-difference curvature against the analytic value
         h = 1e-4
-        fd = -(m.f(t + h) - 2 * m.f(t) + m.f(t - h)) / (h * h * m.f(t))
+        f, _, fpp = m.warp(t)
+        fd = -(m.warp(t + h)[0] - 2 * f + m.warp(t - h)[0]) / (h * h * f)
         assert float(np.max(np.abs(fd - analytic))) < 1e-7
-        assert float(np.max(np.abs(-m.fpp(t) / m.f(t) - analytic))) < 1e-13
+        assert float(np.max(np.abs(-fpp / f - analytic))) < 1e-13
 
     def test_cubic_mu_value(self):
         m = make_warped("cubic", T=2.0, eps=0.05)
         t = 1.0
         expected = (1 + 0.15) / (1 + 0.05)
-        assert abs(circle_normal_curvature(m, t) - expected) < 1e-14
+        assert abs(m.mu(t) - expected) < 1e-14
         # dominated by the hyperbolic comparison circle curvature
         k1 = math.sqrt(0.3)
-        assert circle_normal_curvature(m, t) <= k1 / math.tanh(k1 * t)
+        assert m.mu(t) <= k1 / math.tanh(k1 * t)
 
     def test_perturbed_sin_band_starts_at_one(self):
         m = make_warped("perturbed_sin", T=1.5, delta=0.01)
@@ -82,6 +81,33 @@ class TestMakeWarped:
                         width=0.5)
         assert m.k_hi <= 1e-9
         assert m.k_lo >= -4.0
+
+    @pytest.mark.parametrize("family,params,T", [
+        ("flat", {}, 2.0), ("hyperbolic", {"k1": 1.0}, 2.0),
+        ("spherical", {"k1": 1.0}, 1.4), ("cubic", {"eps": 0.05}, 2.0),
+        ("perturbed_sin", {"delta": 0.01}, 1.5),
+        ("sinh_bump", {"k1": 1.0, "amp": 0.02, "center": 1.0, "width": 0.5},
+         2.0)])
+    def test_warp_derivatives_match_central_differences(self, family, params,
+                                                        T):
+        # mu, the graph curvature and cos(phi) read f'; K reads f''
+        m = make_warped(family, T=T, **params)
+        t, h = np.linspace(0.02 * T, 0.98 * T, 500), 1e-5 * T
+        _, fp, fpp = m.warp(t)
+        (f_lo, fp_lo, _), (f_hi, fp_hi, _) = m.warp(t - h), m.warp(t + h)
+        for value, fd in ((fp, (f_hi - f_lo) / (2 * h)),
+                          (fpp, (fp_hi - fp_lo) / (2 * h))):
+            assert float(np.max(np.abs(fd - value)
+                                / np.maximum(1.0, np.abs(value)))) < 1e-8
+
+    def test_mu_refuses_radii_outside_zero_to_T(self):
+        m = make_warped("cubic", T=2.0, eps=0.05)
+        assert type(m.mu(2.0)) is float
+        assert type(m.mu(np.float64(1.0))) is float
+        assert m.mu(np.array([0.5, 2.0])).shape == (2,)
+        for bad in (0.0, -0.5, 2.0 + 1e-9, [0.5, 2.5]):
+            with pytest.raises(GeometryError, match=r"radius must lie in"):
+                m.mu(bad)
 
 
 class TestMuComparison:
@@ -152,7 +178,7 @@ class TestWarpedCurves:
     def test_circle_kappa_equals_mu(self):
         m = make_warped("perturbed_sin", T=1.5, delta=0.01)
         curve = make_warped_curve(m, 0.7, {})
-        assert abs(curve.kmin - circle_normal_curvature(m, 0.7)) < 1e-9
+        assert abs(curve.kmin - m.mu(0.7)) < 1e-9
 
     def test_overflowing_curvature_refused(self):
         # f^2 overflows in the graph curvature formula
