@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, NonClosureError
-from .reports import (ConfigError, emit_plot_data, json_text, result_json,
-                      run)
+from .reports import emit_plot_data, json_text, result_json, run
 
 _SUBCOMMANDS = {
     "verify-angle": "angle",
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
 
     try:
         result = run(config)
-    except (ConfigError, GeometryError, NonClosureError) as exc:
+    except (GeometryError, NonClosureError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
 

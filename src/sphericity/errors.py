@@ -5,6 +5,11 @@ class GeometryError(ValueError):
     """Invalid geometric input (domain violations, bad parameters)."""
 
 
+class ConfigError(GeometryError):
+    """A malformed run config or curve file; the message names the key
+    path."""
+
+
 class ConstraintViolation(GeometryError):
     """A point or tangent vector does not satisfy its model constraint."""
 

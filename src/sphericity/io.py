@@ -1,4 +1,11 @@
-"""JSON serialization of curves.
+"""Checked reading of JSON documents, and JSON serialization of curves.
+
+Both documents the package reads, a run config and a ``closed_curve/4``
+curve file, are read through ``_g``: a lookup of one dotted key path whose
+value passes through one of the converters below.  A reader works on its
+own copy of the document (``_Document``), which records every path it looks
+up; once the reader is done, the first key no lookup reached is refused.
+A refusal is a ConfigError whose message reads ``<key path>: <reason>``.
 
 A curve file is its samples: the space-form header, coords, arc length,
 optionally the exact tangents, and the list of corner indices.  Each sample
@@ -6,9 +13,9 @@ array is written as the base64 text of its little-endian float64 bytes, so
 the round trip is bit-identical (NaNs, signed zeros and subnormals
 included).  The loader derives the outward normals, ``kappa`` and ``kmin``
 from the samples with :meth:`ClosedCurve.from_samples` (which refuses
-tangents the points contradict), as the generators do, and refuses any
-field the schema does not list.  A file still claims its arc lengths ``s``,
-its corners and where each tangent lies between its neighbouring chords.
+tangents the points contradict), as the generators do.  A file still claims
+its arc lengths ``s``, its corners and where each tangent lies between its
+neighbouring chords.
 """
 
 from __future__ import annotations
@@ -16,20 +23,84 @@ from __future__ import annotations
 import base64
 import json
 import math
+from functools import partial
 
 import numpy as np
 
 from .curves import ClosedCurve, winding_number
-from .errors import ConstraintViolation, GeometryError
+from .errors import ConfigError
 from .spaceforms import Kind, SpaceForm, karcher_mean
 
 CURVE_SCHEMA = "closed_curve/4"
-_FIELDS = frozenset({"schema", "space", "provenance", "total_length",
-                     "closure_gap", "hint_center", "n", "coords", "s",
-                     "corners", "tangent"})
-_REQUIRED = ("space", "n", "coords", "s", "total_length", "corners")
 _FLOAT64 = np.dtype("<f8")
 
+#: largest sample count a config or a curve file may hold
+MAX_SAMPLES = 1 << 16
+
+
+class _Document(dict):
+    """A reader's own copy of a JSON object, with the key paths looked up
+    in it."""
+
+    def __init__(self, data, name: str):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        super().__init__(data)
+        self.read = set()
+
+    def first_unread(self):
+        """The dotted path of the first key, in document order and at any
+        depth, that no looked-up path reaches, or None."""
+        return next(_unread_keys(self, self.read), None)
+
+
+def _unread_keys(node: dict, read: set, prefix: str = ""):
+    """Dotted paths, in document order, of the keys below ``node`` that no
+    path in ``read`` reaches; a path reaches every key below it."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if path in read:
+            continue
+        if not any(p.startswith(path + ".") for p in read):
+            yield path
+        elif isinstance(value, dict):
+            yield from _unread_keys(value, read, path + ".")
+
+
+def _g(doc: dict, path: str, kind=None, default=None,
+       required: bool = False):
+    """Checked lookup of a dotted key path such as ``generator.k0``.
+
+    Every container on the path must be a JSON object.  A present value is
+    returned through the converter ``kind``; a missing or null one gives
+    ``default``.  A value the converter rejects, a non-object container and
+    a missing required key raise ConfigError naming the path.  A
+    ``_Document`` records the path as read, with everything below it.
+    """
+    if isinstance(doc, _Document):
+        doc.read.add(path)
+    parts = path.split(".")
+    node = doc
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise ConfigError(
+                f"{'.'.join(parts[:depth])}: {node!r} is not a JSON object")
+        node = node.get(part)
+        if node is None:
+            if required:
+                raise ConfigError(
+                    f"{'.'.join(parts[:depth + 1])}: missing required key")
+            return default
+    if kind is None:
+        return node
+    try:
+        return kind(node)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+# Converters for _g: each returns the checked value or raises TypeError or
+# ValueError.
 
 def _is_finite_number(x) -> bool:
     """An int or float, not a bool, whose float value is finite."""
@@ -41,49 +112,107 @@ def _is_finite_number(x) -> bool:
         return False
 
 
-def space_from_dict(d: dict) -> SpaceForm:
-    """Space form of a ``{"kind": ..., "k1": ...}`` object (a config's
-    ``space`` block or a curve file's header); k1 must be 0 on the flat
-    plane."""
-    if not (isinstance(d, dict) and "kind" in d
-            and _is_finite_number(d.get("k1"))):
-        raise GeometryError("must be an object with a kind and a finite "
-                            "number k1")
-    unknown = sorted(d.keys() - {"kind", "k1"})
-    if unknown:
-        raise GeometryError(f"unknown key {unknown[0]!r}; a space has only "
-                            "a kind and k1")
-    try:
-        kind = Kind(d["kind"])
-    except ValueError:
-        raise GeometryError(f"unknown space kind {d['kind']!r}") from None
-    k1 = float(d["k1"])
+def _number(x) -> float:
+    if not _is_finite_number(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return float(x)
+
+
+def _integer(x) -> int:
+    if type(x) is not int and not _number(x).is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _count(lo: int, hi: int):
+    def convert(x) -> int:
+        value = _integer(x)
+        if not lo <= value <= hi:
+            raise ValueError(f"{x!r} is not an integer in [{lo}, {hi}]")
+        return value
+    return convert
+
+
+def _of_type(kind: type):
+    def convert(x):
+        if not isinstance(x, kind):
+            raise TypeError(f"{x!r} is not a {kind.__name__}")
+        return x
+    return convert
+
+
+_text, _object, _list = _of_type(str), _of_type(dict), _of_type(list)
+
+
+def _one_of(*values: str):
+    def convert(x) -> str:
+        if not (isinstance(x, str) and x in values):
+            raise ValueError(f"{x!r} is not {' or '.join(map(repr, values))}")
+        return x
+    return convert
+
+
+def _numbers(x, size: int | None = None) -> list:
+    values = [_number(v) for v in _list(x)]
+    if not values or len(values) != (size or len(values)):
+        raise ValueError(f"{x!r} is not a list of {size or 'some'} numbers")
+    return values
+
+
+def _array(ndim: int):
+    def convert(x) -> np.ndarray:
+        arr = np.asarray(x, dtype=object)
+        if arr.ndim != ndim or not all(map(_is_finite_number, arr.flat)):
+            raise ValueError(f"{x!r} is not a {ndim}-D array of finite numbers")
+        return arr.astype(float)
+    return convert
+
+
+def _on_model(space: SpaceForm, convert):
+    """``convert``, then refuse points off the model surface of ``space``
+    (check_point raises a ConstraintViolation, a ValueError)."""
+    return lambda x: space.check_point(convert(x))
+
+
+def _float64(shape: tuple):
+    """The C-contiguous float64 array of ``shape`` in a base64 text."""
+    def convert(text) -> np.ndarray:
+        try:
+            raw = base64.b64decode(_text(text), validate=True)
+        except ValueError as exc:
+            raise ValueError(f"not base64 float64 data ({exc})") from None
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise ValueError(
+                f"{len(raw)} bytes, expected {expected} for shape {shape}")
+        array = np.frombuffer(raw, dtype=_FLOAT64).astype(float, copy=False)
+        if not np.all(np.isfinite(array)):
+            raise ValueError("non-finite values")
+        return array.reshape(shape)
+    return convert
+
+
+def _plane(kind: Kind, k1) -> SpaceForm:
+    """The space form of a kind and k1 (SpaceForm raises a GeometryError,
+    a ValueError, for a pair that names no plane)."""
+    k1 = _number(k1)
     if kind is Kind.FLAT and k1 == 0.0:
         return SpaceForm.flat()         # a k1 of -0.0 too
     return SpaceForm(kind, k1)
+
+
+def read_space(doc: dict) -> SpaceForm:
+    """Space form of a document's ``space`` block (a config's or a curve
+    file's header), read as ``space.kind`` and ``space.k1``; k1 must be 0
+    on the flat plane."""
+    kind = _g(doc, "space.kind", Kind, required=True)
+    return _g(doc, "space.k1", partial(_plane, kind), required=True)
 
 
 def _encode(array) -> str:
     """Base64 of the row-major little-endian float64 bytes."""
     raw = np.ascontiguousarray(array, dtype=_FLOAT64).tobytes()
     return base64.b64encode(raw).decode("ascii")
-
-
-def _decode(data: dict, name: str, shape: tuple):
-    """C-contiguous float64 array of ``shape`` from the field ``name``."""
-    try:
-        raw = base64.b64decode(data[name], validate=True)
-    except (TypeError, ValueError) as exc:
-        raise GeometryError(f"{name}: not base64 float64 data ({exc})") \
-            from None
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise GeometryError(
-            f"{name}: {len(raw)} bytes, expected {expected} for shape {shape}")
-    array = np.frombuffer(raw, dtype=_FLOAT64).astype(float, copy=False)
-    if not np.all(np.isfinite(array)):
-        raise GeometryError(f"{name}: non-finite values")
-    return array.reshape(shape)
 
 
 def curve_to_dict(curve: ClosedCurve) -> dict:
@@ -111,25 +240,22 @@ def _tangents_from_differences(space, points):
     return tangents / space.norm(points, tangents)[:, None]
 
 
-def _corner_mask(data: dict, n: int):
-    indices = data["corners"]
-    if not (isinstance(indices, list)
-            and all(type(i) is int and 0 <= i < n for i in indices)):
-        raise GeometryError(
-            f"corners: must be a list of sample indices in [0, {n})")
-    corner = np.zeros(n, dtype=bool)
-    corner[indices] = True
-    return corner
+def _corner_mask(n: int):
+    """The corner mask of a list of sample indices in [0, n)."""
+    index = _count(0, n - 1)
+
+    def convert(x) -> np.ndarray:
+        corner = np.zeros(n, dtype=bool)
+        corner[[index(i) for i in _list(x)]] = True
+        return corner
+    return convert
 
 
-def _hint_center(data: dict, dim: int):
-    hint = data.get("hint_center")
-    if hint is None:
-        return None
-    if not (isinstance(hint, list) and len(hint) == dim
-            and all(map(_is_finite_number, hint))):
-        raise GeometryError(f"hint_center: must be {dim} finite numbers")
-    return np.array(hint, dtype=float)
+def _gap(x) -> float:
+    value = _number(x)
+    if value < 0.0:
+        raise ValueError(f"{x!r} is negative")
+    return value
 
 
 def curve_from_dict(data: dict) -> ClosedCurve:
@@ -140,52 +266,34 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     absent (curves from other tools); it is then recovered from the points,
     which must run counterclockwise.
     """
-    schema = data.get("schema") if isinstance(data, dict) else None
-    if schema != CURVE_SCHEMA:
-        raise GeometryError(f"unsupported curve schema {schema!r}; "
-                            f"expected {CURVE_SCHEMA!r}")
-    unknown = sorted(data.keys() - _FIELDS)
-    if unknown:
-        raise GeometryError(f"{unknown[0]}: not a {CURVE_SCHEMA} field")
-    for name in _REQUIRED:
-        if name not in data:
-            raise GeometryError(f"{name}: missing required field")
-    try:
-        space = space_from_dict(data["space"])
-    except GeometryError as exc:
-        raise GeometryError(f"space: {exc}") from None
-    n = data["n"]
-    if type(n) is not int or n < 1:
-        raise GeometryError(f"n: expected a positive integer, got {n!r}")
-    points = _decode(data, "coords", (n, space.dim))
-    try:
-        space.check_point(points)
-    except ConstraintViolation as exc:
-        raise GeometryError(f"coords: {exc}") from None
-    if "tangent" in data:
-        tangents = _decode(data, "tangent", (n, space.dim))
-    else:
+    doc = _Document(data, "a curve file")
+    _g(doc, "schema", _one_of(CURVE_SCHEMA), required=True)
+    space = read_space(doc)
+    n = _g(doc, "n", _count(1, MAX_SAMPLES), required=True)
+    shape = (n, space.dim)
+    points = _g(doc, "coords", _on_model(space, _float64(shape)),
+                required=True)
+    tangents = _g(doc, "tangent", _float64(shape))
+    total_length = _g(doc, "total_length", _number, required=True)
+    s = _g(doc, "s", _float64((n,)), required=True)
+    if not (np.all(np.diff(s) > 0.0) and s[-1] - s[0] < total_length):
+        raise ConfigError("s: arc lengths must increase within total_length")
+    corner = _g(doc, "corners", _corner_mask(n), required=True)
+    provenance = _g(doc, "provenance", _text, required=True)
+    closure_gap = _g(doc, "closure_gap", _gap, 0.0)
+    hint_center = _g(doc, "hint_center", _on_model(space, _array(1)))
+    unread = doc.first_unread()
+    if unread is not None:
+        raise ConfigError(f"{unread}: not a {CURVE_SCHEMA} field")
+    if tangents is None:
         tangents = _tangents_from_differences(space, points)
         seed = karcher_mean(space, points)
         if winding_number(space, points, seed) != 1:
-            raise GeometryError("stored curves must be positively oriented")
-    s = _decode(data, "s", (n,))
-    total_length = data["total_length"]
-    if not _is_finite_number(total_length):
-        raise GeometryError("total_length: must be a finite number")
-    if not (np.all(np.diff(s) > 0.0)
-            and np.all(s[-1:] - s[:1] < total_length)):
-        raise GeometryError("arc lengths must increase within total_length")
-    provenance = data.get("provenance")
-    if not isinstance(provenance, str):
-        raise GeometryError("provenance: must be a string")
-    closure_gap = data.get("closure_gap", 0.0)
-    if not (_is_finite_number(closure_gap) and closure_gap >= 0.0):
-        raise GeometryError("closure_gap: must be a finite number >= 0")
+            raise ConfigError("coords: samples must run counterclockwise "
+                              "when tangent is absent")
     return ClosedCurve.from_samples(
-        space, points, s, tangents, _corner_mask(data, n), total_length,
-        provenance, hint_center=_hint_center(data, space.dim),
-        closure_gap=float(closure_gap))
+        space, points, s, tangents, corner, total_length, provenance,
+        hint_center=hint_center, closure_gap=closure_gap)
 
 
 def save_curve(curve: ClosedCurve, path):

@@ -8,7 +8,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
                         make_lune, make_support_curve, spindle_optimum)
 from sphericity.cli import main
 from sphericity.curves import ClosedCurve
-from sphericity.io import (_decode, curve_from_dict, curve_to_dict,
+from sphericity.io import (_float64, _g, curve_from_dict, curve_to_dict,
                            load_curve, save_curve)
 from sphericity.reports import (ConfigError, SuiteResult, config_hash,
                                 emit_plot_data, json_text, result_json, run)
@@ -134,7 +136,7 @@ class TestCurveSerialization:
         for field, name, dims in (("points", "coords", shape),
                                   ("s", "s", (curve.n,)),
                                   ("tangents", "tangent", shape)):
-            a, b = _decode(doc, name, dims), getattr(curve, field)
+            a, b = _g(doc, name, _float64(dims)), getattr(curve, field)
             assert a.dtype == np.float64 and a.flags.c_contiguous, name
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
         assert doc["corners"] == np.flatnonzero(curve.corner).tolist()
@@ -232,6 +234,28 @@ class TestCurveFileRefusals:
         with pytest.raises(GeometryError, match=f"^{field}: "):
             curve_from_dict(_spoil(doc, field, how))
 
+    # A hint centre off the model was kept as it was: an S² file's incenter
+    # came out off the sphere (exit 0), and an H² file was refused as
+    # degenerate after a RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("space,k0,r,hint", [
+        (SpaceForm.sphere(1.0), 1.0, 0.3, [0.0, 0.0, 1.5]),
+        (SpaceForm.hyperbolic(1.0), 2.0, 0.1, [1.5, 0.0, 0.0])],
+        ids=["S2", "H2"])
+    def test_hint_center_off_the_model_refused(self, tmp_path, space, k0, r,
+                                               hint):
+        doc = curve_to_dict(make_lune(space, k0, r, n=64))
+        doc["hint_center"] = hint
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code, err = _run_cli(tmp_path, "verify-width",
+                             {"seed": 0, "curve_file": str(path)},
+                             "--out", str(tmp_path / "out"))
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: curve_file: hint_center: point "
+                              f"violates {space.kind.value} model constraint")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,how", [("coords", "truncated"),
                                            ("s", "short"),
                                            ("coords", "nan"),
@@ -298,6 +322,15 @@ class TestSuiteRunner:
         res = run(cfg)
         assert res.exit_code == 2
         assert [c["verdict"] for c in res.checks] == ["fail", "fail"]
+
+    def test_sweep_checks_do_not_depend_on_the_k1_order(self):
+        # the Euclidean limit was judged on the last row, so [0.001, 0.5]
+        # exited 2 where [0.5, 0.001] exited 0
+        checks = [run({"suite": "sweep", "seed": 0,
+                       "sweep": {"k0": 1.0, "k1": k1}}).checks
+                  for k1 in ([0.5, 0.001], [0.001, 0.5])]
+        assert checks[0] == checks[1]
+        assert [c["verdict"] for c in checks[0]] == ["pass", "pass"]
 
     def test_hypothesis_violation_exit_code_3(self):
         cfg = {"suite": "warped", "seed": 1,
@@ -437,14 +470,15 @@ class TestCli:
 
     def test_config_level_output_path(self, tmp_path, capsys):
         # --out is the one way to name the output directory: a config's
-        # "out" is refused, and nothing is written
+        # "out" is refused by the read rule, and nothing is written
         out_dir = tmp_path / "from_config"
         cfg = {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
                "generator": {"provenance": "circle", "k0": 1.0, "n": 512},
                "out": str(out_dir)}
         rc = main(["verify-angle", "--config", self._write(tmp_path, cfg)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: unknown config key 'out'\n"
+        assert capsys.readouterr().err \
+            == "error: config key 'out' is not read by the angle suite\n"
         assert not out_dir.exists()
 
 
@@ -557,9 +591,10 @@ UNREAD_KEYS = [
                                     "limit_tol": 1.0}},
      "config key 'sweep.limit_tol' is not read by the sweep suite"),
     ("verify-angle", dict(FUZZ_BASE["verify-angle"][0], out="elsewhere"),
-     "unknown config key 'out'"),
+     "config key 'out' is not read by the angle suite"),
     ("verify-angle", dict(FUZZ_BASE["verify-angle"][0], space={
-        "kind": "sphere", "k1": 1.0, "k2": 5}), "unknown key 'k2'"),
+        "kind": "sphere", "k1": 1.0, "k2": 5}),
+     "config key 'space.k2' is not read by the angle suite"),
     ("verify-warped", {"seed": 0, "warped": {
         "family": "cubic", "params": {"eps": 0.05, "epz": 7}, "T": 2.0,
         "curves": 1}}, "unexpected parameter 'epz'"),
@@ -586,7 +621,7 @@ def test_unread_key_exits_1_naming_it(tmp_path, command, config, named):
 
 # Values that were read loosely (a boolean or a numeric string as a number,
 # a fractional count or frame-ODE multiple truncated, a string as a flag):
-# (subcommand, overrides, the key path the error line must name).
+# (subcommand, overrides, the key path the error line must start with).
 LOOSE_CONFIG_VALUES = [
     ("verify-angle", {"base_point.distance": True}, "base_point.distance"),
     ("verify-angle", {"generator.k0": "1.0"}, "generator.k0"),
@@ -606,8 +641,7 @@ def test_loose_config_value_exits_1_naming_the_key(tmp_path, command,
                                                    overrides, key):
     code, err = _run_cli(tmp_path, command, _configured(command, overrides))
     assert code == 1
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert repr(key) in err
+    assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
 
 
 # Warped configs whose warp, its curvature or a generated curve's graph
@@ -677,8 +711,12 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
                          _configured(command, overrides))
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
-    if "tolerances" in overrides:   # not a run config key: refused
-        assert code == 1 and "'tolerances'" in err
+    if "tolerances" in overrides:
+        # no suite reads it: refused once the suite has run, unless another
+        # override is refused first
+        assert code == 1
+        if len(overrides) == 1:
+            assert "'tolerances'" in err
 
 
 # Offsets beyond the farthest sample: refused as outside the curve before
@@ -749,7 +787,8 @@ def test_off_model_coords_refused_naming_coords(tmp_path, space, k0,
 
 
 # Header fields of a curve file: neither enters a verdict, but a wrong type
-# or value is refused naming the field, not converted or stored as is.
+# or value is refused naming the field or a key below it (``space.k1``), not
+# converted or stored as is.
 HEADER_REFUSALS = [("closure_gap", "abc"), ("closure_gap", math.nan),
                    ("closure_gap", True), ("closure_gap", -1e-3),
                    ("closure_gap", math.inf), ("provenance", [1]),
@@ -782,7 +821,7 @@ def test_curve_file_header_refused_naming_the_field(tmp_path, field, value):
     code, err = _run_cli(tmp_path, "verify-width",
                          {"seed": 0, "curve_file": str(path)})
     assert code == 1 and len(err.splitlines()) == 1
-    assert f"{field}: " in err and "Traceback" not in err
+    assert re.match(rf"error: curve_file: {field}[.:]", err)
 
 
 @pytest.mark.parametrize("field", ["total_length", "space"])
@@ -797,12 +836,12 @@ def test_curve_file_integer_beyond_float_range_refused(tmp_path, field):
     code, err = _run_cli(tmp_path, "verify-width",
                          {"seed": 0, "curve_file": str(path)})
     assert code == 1 and len(err.splitlines()) == 1
-    assert f"{field}: " in err and "Traceback" not in err
+    assert re.match(rf"error: curve_file: {field}[.:]", err)
 
 
 # A config's space block passes the curve header's checks: a flat plane
 # with a nonzero or missing k1, and a boolean, string or out-of-range k1,
-# are refused naming ``space``, not ignored or converted.
+# are refused naming ``space.k1``, not ignored or converted.
 CONFIG_SPACE_REFUSALS = [{"kind": "flat", "k1": 5.0}, {"kind": "flat"},
                          {"kind": "sphere", "k1": True},
                          {"kind": "sphere", "k1": "2"},
@@ -816,8 +855,45 @@ def test_config_space_refused_naming_space(tmp_path, space):
     code, err = _run_cli(tmp_path, "verify-angle",
                          _configured("verify-angle", {"space": space}))
     assert code == 1
-    assert err.startswith("error: bad value for 'space': ")
+    assert err.startswith("error: space.k1: ")
     assert len(err.splitlines()) == 1
+
+
+# One rule for both documents: each value is accepted, or refused for the
+# same reason after its key path, as a config's generator.n and a curve
+# file's n, and as a config's generator.center and a curve file's
+# hint_center (a curve file once refused n = 64.0 and kept a hint centre
+# off the model).
+ONE_RULE_VALUES = [("n", v) for v in (64, 64.0, 64.9, "64", True, 0,
+                                      10 ** 400)]
+ONE_RULE_VALUES += [("center", v) for v in (
+    [0.0, 0.0, 1.0], [0, 0, 1], [0.0, 0.0, 1.5], [0.0, 1.0],
+    [True, 0.0, 1.0], "abc", [[0.0, 0.0, 1.0]])]
+
+
+@pytest.mark.parametrize("key,value", ONE_RULE_VALUES, ids=[
+    f"{k}={'10**400' if v == 10 ** 400 else repr(v)}" for k, v in ONE_RULE_VALUES])
+def test_config_and_curve_file_read_a_value_alike(key, value):
+    sphere = SpaceForm.sphere(1.0)
+    doc = curve_to_dict(make_circle(sphere, sphere.origin(), 1.0, n=64))
+    config = {"suite": "width", "seed": 0,
+              "space": {"kind": "sphere", "k1": 1.0},
+              "generator": {"provenance": "circle", "k0": 1.0, "n": 64}}
+    field = "n" if key == "n" else "hint_center"
+    doc[field] = value
+    config["generator"][key] = value
+
+    def reason(read, path):
+        """The refusal of ``read()`` after ``path: ``, or None."""
+        try:
+            read()
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return str(exc)[len(path) + 2:]
+        return None
+
+    assert reason(lambda: curve_from_dict(doc), field) \
+        == reason(lambda: run(config), f"generator.{key}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -836,7 +912,7 @@ def _claims(draw):
     """A config with a ``tolerances`` block, a saved curve with derived
     fields added, or a saved curve with its tangents rescaled or turned:
     (command, config, curve document or None, the field the refusal must
-    name)."""
+    name, the first added in document order)."""
     kind = draw(st.sampled_from(["tolerances", "derived", "tangent"]))
     if kind == "tolerances":
         command = draw(st.sampled_from(["verify-angle", "verify-width"]))
@@ -870,7 +946,7 @@ def _claims(draw):
             doc[field] = _b64(arrays[field] * draw(st.floats(-1e3, 1e3)))
         else:
             doc[field] = draw(_JSON_VALUES)
-    return "verify-width", {"seed": 0}, doc, f"{min(fields)}: "
+    return "verify-width", {"seed": 0}, doc, f"{fields[0]}: "
 
 
 @settings(max_examples=60, deadline=None)
@@ -1046,3 +1122,43 @@ def test_emit_plot_data_matches_per_cell_formulas(rows):
     text = emit_plot_data(SuiteResult("t", series={"t": series}), "t",
                           os.devnull)
     assert text == _per_cell_csv(series)
+
+
+# The CLI configs whose output bytes the pull-request check compares between
+# the base and the head, with the exit code of each one that does not pass.
+CLI_CONFIGS = sorted((Path(__file__).parent / "cli_configs").glob("*.json"))
+CLI_CONFIG_EXITS = {"verify-angle.salias": 1, "verify-warped.typo": 1,
+                    "verify-angle.hnear": 3, "verify-warped.equator": 3,
+                    "verify-warped.violating": 3, "verify-width.sgreat": 3}
+
+
+@pytest.fixture(scope="module")
+def cli_lune_dir(tmp_path_factory):
+    """A directory holding ``cli-lune.curve.json``, the curve file that
+    verify-width.file.json names."""
+    path = tmp_path_factory.mktemp("cli_lune")
+    h2 = SpaceForm.hyperbolic(1.0)
+    save_curve(make_lune(h2, 2.0, spindle_optimum(h2, 2.0).r0, n=4096),
+               path / "cli-lune.curve.json")
+    return path
+
+
+@pytest.mark.parametrize("config", CLI_CONFIGS,
+                         ids=[p.stem for p in CLI_CONFIGS])
+def test_cli_config_exit_code_and_repeatable_bytes(cli_lune_dir, tmp_path,
+                                                   monkeypatch, config):
+    monkeypatch.chdir(cli_lune_dir)
+    command = config.name.split(".")[0]
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        code, err = _run_cli(tmp_path, command, json.loads(config.read_text()),
+                             "--out", str(out), "--format", "both")
+        files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
+        if "report.json" in files:
+            files["report.json"] = re.sub(r'"timestamp": "[^"]*"',
+                                          '"timestamp": null',
+                                          files["report.json"])
+        runs.append((code, err, files))
+    assert runs[0][0] == CLI_CONFIG_EXITS.get(config.stem, 0)
+    assert runs[0] == runs[1]
