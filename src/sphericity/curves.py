@@ -441,17 +441,6 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
     if k0_target <= 0.0:
         raise CurveGenerationError("k0_target must be positive")
 
-    def h_hp_s(theta):
-        h = np.full_like(theta, float(a0))
-        hp = np.zeros_like(theta)
-        arc = float(a0) * theta
-        for m, (am, bm) in harmonics.items():
-            cm, sm = np.cos(m * theta), np.sin(m * theta)
-            h += am * cm + bm * sm
-            hp += m * (-am * sm + bm * cm)
-            arc += (1 - m * m) * (am * sm - bm * cm) / m
-        return h, hp, arc
-
     n_dense = 8 * max(n, 1024)
     rho_dense = _support_rho_dense(a0, harmonics, n_dense)
     bad = (rho_dense <= 0.0) | (rho_dense > 1.0 / k0_target + 1e-12)
@@ -462,13 +451,19 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
             f"(first violation at theta = {theta_bad:.6f})", where=theta_bad)
 
     theta = 2.0 * np.pi * np.arange(n) / n
-    h, hp, arc = h_hp_s(theta)
-    _, _, arc0 = h_hp_s(np.array([0.0]))
+    h = np.full_like(theta, float(a0))
+    hp = np.zeros_like(theta)
+    arc = float(a0) * theta
+    for m, (am, bm) in harmonics.items():
+        cm, sm = np.cos(m * theta), np.sin(m * theta)
+        h += am * cm + bm * sm
+        hp += m * (-am * sm + bm * cm)
+        arc += (1 - m * m) * (am * sm - bm * cm) / m
     points = np.stack([h * np.cos(theta) - hp * np.sin(theta),
                        h * np.sin(theta) + hp * np.cos(theta)], axis=-1)
     tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
     return ClosedCurve.from_samples(
-        space, points, arc - arc0[0], tangents, np.zeros(n, dtype=bool),
+        space, points, arc - arc[0], tangents, np.zeros(n, dtype=bool),
         2.0 * np.pi * float(a0), "support_function", hint_center=np.zeros(2))
 
 
@@ -479,8 +474,8 @@ def make_support_curve(a0: float, harmonics=None, *, k0_target: float,
 _PERIOD_STEPS = 512     # Magnus steps per period in the closure solve
 # closure-length scans (first, last, count), in units of the mean-curvature
 # circle length, tried in turn until one brackets the root: a pair 0.5%
-# either side of that guess, then two wide scans
-_BRACKET_STAGES = ((0.995, 1.005, 2), (0.55, 1.8, 13), (0.55, 1.8, 41))
+# either side of that guess, then one wide scan
+_BRACKET_STAGES = ((0.995, 1.005, 2), (0.55, 1.8, 13))
 _ROOT_MAXITER = 50
 _SCAN_BLOCK = 32        # increments per block of the final pass's prefix scan
 _SQRT3 = math.sqrt(3.0)
@@ -760,7 +755,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
 
     ``kappa_profile(u)`` gives the curvature at arc-length fraction
     u in [0, 1) for an array of u; it must repeat with period 1/m for some
-    integer m >= 2 (the two corner-free closed-curve generators on the
+    integer m in [2, 64] (the two corner-free closed-curve generators on the
     curved planes all have that form).  The symmetry order comes from a
     screen of all candidate orders on a 17-point subgrid, in the same
     profile call as the 257-point base grid, and a full test of the orders
@@ -772,7 +767,7 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     in the start frame's body coordinates (``_period_rotation``).  The
     bracket grows from the mean-curvature circle length outward
     (``_BRACKET_STAGES``): first the two lengths 0.5% either side of it,
-    then, only where they bracket no root, scans of 13 and 41 lengths over
+    then, only where they bracket no root, a scan of 13 lengths over
     [0.55, 1.8] times it.  Every length is integrated once, from one table
     of the profile, the step generators and their commutator
     (``_step_table``) built before the first: Brent's method reads the
@@ -788,15 +783,14 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     mismatch under a shift by 1/m).  Raises GeometryError when the
     profile's minimum (bracketed by ``bracket_min`` around the smallest of
     2048 profile values and finished by ``golden_min``) is the curvature of
-    no closed circle, and
-    CurveGenerationError when a profile value is not finite or exceeds
-    ``_PROFILE_MAX`` in magnitude, or when the step generators overflow.
+    no closed circle, and CurveGenerationError when a profile value is not
+    finite or exceeds ``_PROFILE_MAX`` in magnitude, or when the step
+    generators overflow.
     """
     m, mismatch = _detect_symmetry_order(kappa_profile)
     if m < 2:
-        raise NonClosureError(
-            "curvature profile must repeat with period 1/m for some m >= 2",
-            residual=mismatch)
+        raise NonClosureError("curvature profile must repeat with period "
+                              "1/m for some m in [2, 64]", residual=mismatch)
     if n < m:
         raise CurveGenerationError(
             f"{n} samples cannot carry the profile's {m}-fold symmetry",

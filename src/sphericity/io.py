@@ -71,11 +71,11 @@ def _g(doc: dict, path: str, kind=None, default=None,
        required: bool = False):
     """Checked lookup of a dotted key path such as ``generator.k0``.
 
-    Every container on the path must be a JSON object.  A present value is
-    returned through the converter ``kind``; a missing or null one gives
-    ``default``.  A value the converter rejects, a non-object container and
-    a missing required key raise ConfigError naming the path.  A
-    ``_Document`` records the path as read, with everything below it.
+    Every container on the path must be a JSON object.  A missing or null
+    value reads as ``default``; a value other than None is returned through
+    the converter ``kind``.  A value the converter rejects, a non-object
+    container and a missing required key raise ConfigError naming the path.
+    A ``_Document`` records the path as read, with everything below it.
     """
     if isinstance(doc, _Document):
         doc.read.add(path)
@@ -90,17 +90,18 @@ def _g(doc: dict, path: str, kind=None, default=None,
             if required:
                 raise ConfigError(
                     f"{'.'.join(parts[:depth + 1])}: missing required key")
-            return default
-    if kind is None:
+            node = default
+            break
+    if kind is None or node is None:
         return node
     try:
         return kind(node)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
 # Converters for _g: each returns the checked value or raises TypeError or
-# ValueError.
+# ValueError (a curve file's reader also OSError).
 
 def _is_finite_number(x) -> bool:
     """An int or float, not a bool, whose float value is finite."""

@@ -32,8 +32,9 @@ from .spaceforms import Kind, SpaceForm
 from .spindles import (SPINDLE_COLUMNS, numeric_spindle_optimum,
                        spindle_max_width_alt, spindle_optimum,
                        spindle_table_rows)
-from .warped import make_warped, make_warped_curve, \
-    verify_circle_curvature_comparison, verify_radial_bounds
+from .warped import FAMILIES, family_params, make_warped, \
+    make_warped_curve, verify_circle_curvature_comparison, \
+    verify_radial_bounds
 
 PLOT_DIGITS = 17
 
@@ -42,9 +43,19 @@ def _harmonics(x) -> dict:
     return {int(m): _numbers(ab, 2) for m, ab in _object(x).items()}
 
 
-def _terms(x) -> list:
-    return [(_integer(m), a, ph)
-            for m, a, ph in (_numbers(t, 3) for t in _list(x))]
+def _terms(n: int):
+    """``[multiple, amplitude, phase]`` rows, each integer multiple below the
+    Nyquist order n/2 of n samples, which would alias it."""
+    def convert(x) -> list:
+        terms = [(_integer(m), a, ph)
+                 for m, a, ph in (_numbers(t, 3) for t in _list(x))]
+        for m, _, _ in terms:
+            if 2 * abs(m) >= n:
+                raise ValueError(
+                    f"multiple {m} is at or above the Nyquist order n/2 = "
+                    f"{n / 2:g} of {n} samples (aliased)")
+        return terms
+    return convert
 
 
 @dataclass
@@ -120,13 +131,7 @@ def build_curve(space: SpaceForm, config: dict):
             k0_target=_g(config, "generator.k0_target", _number,
                          required=True), n=n)
     if prov == "frame_ode":
-        terms = _g(config, "generator.terms", _terms, [])
-        for mm, _, _ in terms:
-            if 2 * abs(mm) >= n:
-                raise ConfigError(
-                    f"bad value for 'generator.terms': multiple {mm} is at "
-                    f"or above the Nyquist order n/2 = {n / 2:g} of {n} "
-                    "samples (aliased)")
+        terms = _g(config, "generator.terms", _terms(n), [])
 
         def profile(u):
             u = np.asarray(u, dtype=float)
@@ -182,13 +187,8 @@ def _run_angle(config, result, rng):
 
 
 def _run_width(config, result, rng):
-    curve_file = _g(config, "curve_file", _text)
-    if curve_file is not None:
-        try:
-            curve = load_curve(curve_file)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"curve_file: {exc}") from None
-    else:
+    curve = _g(config, "curve_file", lambda x: load_curve(_text(x)))
+    if curve is None:
         curve = build_curve(read_space(config), config)
     try:
         rep = layer_width(curve)
@@ -226,15 +226,11 @@ def _run_spindle_table(config, result, rng):
 
 
 def _run_warped(config, result, rng):
-    family = _g(config, "warped.family", _text, required=True)
-    params = _g(config, "warped.params",
-                lambda x: {k: _number(v) for k, v in _object(x).items()}, {})
+    family = _g(config, "warped.family", _one_of(*FAMILIES), required=True)
+    params = _g(config, "warped.params", lambda x: family_params(
+        family, {k: _number(v) for k, v in _object(x).items()}), {})
     T = _g(config, "warped.T", _number, required=True)
-    try:
-        metric = make_warped(family, T=T, **params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"warped.params: not the parameters of family "
-                          f"{family!r}: {exc}") from None
+    metric = make_warped(family, T=T, **params)
     comp = verify_circle_curvature_comparison(metric)
     result.add_check("mu_comparison_min_slack", comp.min_slack,
                      *slack_check(comp.min_slack))

@@ -289,20 +289,11 @@ class SpaceForm:
         p = np.asarray(p, dtype=float)
         if self.kind is Kind.FLAT:
             return np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        if self.kind is Kind.SPHERE:
-            trial = np.array([1.0, 0.0, 0.0])
-            if abs(p[0]) * self.k1 > 0.9:
-                trial = np.array([0.0, 1.0, 0.0])
-        else:
-            # spacelike trials are never parallel to a hyperboloid point
-            trial = np.array([0.0, 1.0, 0.0])
+        # the trial's tangent part has norm >= 0.43 (sphere) or >= 1 (H^2)
+        y_axis = self.kind is not Kind.SPHERE or abs(p[0]) * self.k1 > 0.9
+        trial = np.array([0.0, 1.0, 0.0] if y_axis else [1.0, 0.0, 0.0])
         e1 = self.project_tangent(p, trial)
-        n1 = self.norm(p, e1)
-        if n1 < 0.1:
-            trial = np.array([0.0, 0.0, 1.0])
-            e1 = self.project_tangent(p, trial)
-            n1 = self.norm(p, e1)
-        e1 = e1 / n1
+        e1 = e1 / self.norm(p, e1)
         e2 = self.rotate90(p, e1)
         e2 = e2 / self.norm(p, e2)
         return e1, e2

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from inspect import signature
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .bounds import angle_slack, guarded_k0, slack_check, width_check
 from .curves import DEFAULT_SAMPLES, _harmonic_orders
 from .errors import CurveGenerationError, GeometryError, HypothesisViolation
 from .search import refine_extremum
-from .spaceforms import Kind, SpaceForm
+from .spaceforms import SpaceForm
 
 #: tolerance on the declared curvature band during certification
 BAND_GUARD = 1e-9
@@ -60,88 +61,104 @@ class WarpedMetric:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def _family_functions(family: str, params: dict, T: float):
-    """(warp, declared curvature band) of a family on (0, T], where
-    warp(t) is (f, f', f''); pops each parameter the family reads from
-    ``params``."""
-    if family in ("flat", "hyperbolic", "spherical"):
-        space = SpaceForm.flat() if family == "flat" else SpaceForm(
-            Kind.HYPERBOLIC if family == "hyperbolic" else Kind.SPHERE,
-            float(params.pop("k1")))
-        K = space.sign * space.k1 ** 2
+def _constant(space: SpaceForm):
+    """(warp, band) of the constant-curvature plane ``space``."""
+    K = space.sign * space.k1 ** 2
 
-        def warp(t):
-            sn = space.sn(t)
-            return sn, space.cs(t), -K * sn
+    def warp(t):
+        sn = space.sn(t)
+        return sn, space.cs(t), -K * sn
 
-        return warp, (K, K)
-    if family == "cubic":
-        eps = float(params.pop("eps"))
+    return warp, (K, K)
 
-        def warp(t):
-            t = np.asarray(t, dtype=float)
-            return t + eps * t ** 3, 1.0 + 3.0 * eps * t ** 2, 6.0 * eps * t
 
-        return warp, (-6.0 * eps, -6.0 * eps / (1.0 + eps * T * T))
-    if family == "perturbed_sin":
-        # f = sin(a t)(1 + delta sin^2(a t)) / a, with a chosen so the
-        # curvature band starts exactly at 1
-        delta = float(params.pop("delta"))
-        if not 0.0 < delta < 1.0 / 6.0:
-            raise CurveGenerationError("perturbed_sin requires 0 < delta < 1/6")
-        a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
-        a = math.sqrt(a2)
+def _cubic(T, *, eps):
+    def warp(t):
+        t = np.asarray(t, dtype=float)
+        return t + eps * t ** 3, 1.0 + 3.0 * eps * t ** 2, 6.0 * eps * t
 
-        def warp(t):
-            x = a * np.asarray(t, dtype=float)
-            s, c = np.sin(x), np.cos(x)
-            return (s * (1.0 + delta * s ** 2) / a,
-                    c + 3.0 * delta * s ** 2 * c,
-                    a * (-s + 3.0 * delta * s * (2.0 * c ** 2 - s ** 2)))
+    return warp, (-6.0 * eps, -6.0 * eps / (1.0 + eps * T * T))
 
-        return warp, (1.0, a2 * (1.0 + 3.0 * delta))
-    if family == "sinh_bump":
-        # hyperbolic warp times a t^3-damped Gaussian bump: the cubic factor
-        # keeps the pole smooth (f(0)=0, f'(0)=1, f''(0)=0); K stays
-        # nonpositive for small amplitudes (certified, not assumed), and the
-        # declared band is a conservative one
-        k1 = float(params.pop("k1"))
-        amp = float(params.pop("amp"))
-        center = float(params.pop("center"))
-        width = float(params.pop("width"))
 
-        def warp(t):
-            t = np.asarray(t, dtype=float)
-            u = (t - center) / width
-            e = np.exp(-u * u)
-            ep = -2.0 * u / width * e
-            epp = (4.0 * u * u - 2.0) / width ** 2 * e
-            g = amp * t ** 3 * e
-            gp = amp * (3.0 * t ** 2 * e + t ** 3 * ep)
-            gpp = amp * (6.0 * t * e + 6.0 * t ** 2 * ep + t ** 3 * epp)
-            sh, ch = np.sinh(k1 * t), np.cosh(k1 * t)
-            return (sh / k1 * (1.0 + g),
-                    ch * (1.0 + g) + sh / k1 * gp,
-                    k1 * sh * (1.0 + g) + 2.0 * ch * gp + sh / k1 * gpp)
+def _perturbed_sin(T, *, delta):
+    # f = sin(a t)(1 + delta sin^2(a t)) / a, with a chosen so the
+    # curvature band starts exactly at 1
+    if not 0.0 < delta < 1.0 / 6.0:
+        raise CurveGenerationError("perturbed_sin requires 0 < delta < 1/6")
+    a2 = (1.0 + delta) / (1.0 - 6.0 * delta)
+    a = math.sqrt(a2)
 
-        return warp, (-4.0 * k1 * k1, 0.0)
-    raise CurveGenerationError(f"unknown warped family {family!r}")
+    def warp(t):
+        x = a * np.asarray(t, dtype=float)
+        s, c = np.sin(x), np.cos(x)
+        return (s * (1.0 + delta * s ** 2) / a,
+                c + 3.0 * delta * s ** 2 * c,
+                a * (-s + 3.0 * delta * s * (2.0 * c ** 2 - s ** 2)))
+
+    return warp, (1.0, a2 * (1.0 + 3.0 * delta))
+
+
+def _sinh_bump(T, *, k1, amp, center, width):
+    # hyperbolic warp times a t^3-damped Gaussian bump: the cubic factor
+    # keeps the pole smooth (f(0)=0, f'(0)=1, f''(0)=0); K stays
+    # nonpositive for small amplitudes (certified, not assumed), and the
+    # declared band is a conservative one
+    def warp(t):
+        t = np.asarray(t, dtype=float)
+        u = (t - center) / width
+        e = np.exp(-u * u)
+        ep = -2.0 * u / width * e
+        epp = (4.0 * u * u - 2.0) / width ** 2 * e
+        g = amp * t ** 3 * e
+        gp = amp * (3.0 * t ** 2 * e + t ** 3 * ep)
+        gpp = amp * (6.0 * t * e + 6.0 * t ** 2 * ep + t ** 3 * epp)
+        sh, ch = np.sinh(k1 * t), np.cosh(k1 * t)
+        return (sh / k1 * (1.0 + g),
+                ch * (1.0 + g) + sh / k1 * gp,
+                k1 * sh * (1.0 + g) + 2.0 * ch * gp + sh / k1 * gpp)
+
+    return warp, (-4.0 * k1 * k1, 0.0)
+
+
+#: ``FAMILIES[family](T, **params)`` is (warp, declared curvature band) on
+#: (0, T]; the builder's keyword-only parameters are the family's
+FAMILIES = {"flat": lambda T: _constant(SpaceForm.flat()),
+            "hyperbolic": lambda T, *, k1: _constant(SpaceForm.hyperbolic(k1)),
+            "spherical": lambda T, *, k1: _constant(SpaceForm.sphere(k1)),
+            "cubic": _cubic, "perturbed_sin": _perturbed_sin,
+            "sinh_bump": _sinh_bump}
+
+
+def family_params(family: str, params: dict) -> dict:
+    """``params``, refused with a CurveGenerationError unless its names are
+    those of ``family``'s parameters."""
+    names = [p.name for p in signature(FAMILIES[family]).parameters.values()
+             if p.kind is p.KEYWORD_ONLY]
+    for name in params:
+        if name not in names:
+            raise CurveGenerationError(
+                f"{name!r} is not a parameter of family {family!r}, which "
+                f"takes {', '.join(map(repr, names)) or 'none'}")
+    for name in names:
+        if name not in params:
+            raise CurveGenerationError(
+                f"missing parameter {name!r} of family {family!r}")
+    return params
 
 
 def make_warped(family: str, *, T: float, **params) -> WarpedMetric:
-    """Build and certify a warped metric.
+    """Build and certify a warped metric of one of the ``FAMILIES``.
 
-    The curvature band is measured on a dense radius grid and must stay
-    inside the family's declared band (with a small guard); the warp must
-    be positive on (0, T], and f, f', f'' and K finite there.  Violations
-    are rejected with the offending radius, never trusted.  A missing
-    parameter raises KeyError and one the family does not read TypeError.
+    ``params`` must be the family's parameters (``family_params``).  The
+    curvature band is measured on a dense radius grid and must stay inside
+    the family's declared band (with a small guard); the warp must be
+    positive on (0, T], and f, f', f'' and K finite there.  Violations are
+    rejected with the offending radius, never trusted.
     """
     if T <= 0.0:
         raise CurveGenerationError("T must be positive")
-    warp, (lo_decl, hi_decl) = _family_functions(family, params, T)
-    if params:
-        raise TypeError(f"unexpected parameter {sorted(params)[0]!r}")
+    warp, (lo_decl, hi_decl) = FAMILIES[family](
+        T, **family_params(family, params))
     t = np.linspace(T / _CHECK_POINTS, T, _CHECK_POINTS)
     with np.errstate(all="ignore"):
         fv, fpv, fppv = warp(t)

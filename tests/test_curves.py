@@ -158,6 +158,12 @@ class TestSupportCurve:
         with pytest.raises(CurveGenerationError):
             make_support_curve(1.0, {5: (0.05, 0.0)}, k0_target=0.5)
 
+    @pytest.mark.parametrize("k0_target", [0.0, -1.0])
+    def test_rejects_nonpositive_k0_target(self, k0_target):
+        with pytest.raises(CurveGenerationError,
+                           match="^k0_target must be positive$"):
+            make_support_curve(1.0, {2: (0.01, 0.0)}, k0_target=k0_target)
+
     def test_rejects_low_harmonics(self):
         with pytest.raises(CurveGenerationError):
             make_support_curve(1.0, {1: (0.1, 0.0)}, k0_target=0.5)
@@ -260,6 +266,15 @@ class TestFrameOde:
         with pytest.raises(GeometryError, match="circle"):
             make_frame_ode_curve(
                 space, lambda u: k + 0.05 * (1 + np.cos(4 * np.pi * u)))
+
+    def test_fewer_samples_than_symmetry_order_rejected(self):
+        with pytest.raises(CurveGenerationError,
+                           match="^4 samples cannot carry the profile's "
+                           "6-fold symmetry$") as err:
+            make_frame_ode_curve(
+                SPH, lambda u: 1.2 + 0.1 * np.cos(12 * np.pi * np.asarray(u)),
+                n=4)
+        assert err.value.where == 4
 
     def test_asymmetric_profile_rejected(self):
         with pytest.raises(NonClosureError):
@@ -384,8 +399,9 @@ class TestFrameOde:
         (SpaceForm.sphere(2.5), 1.5), (HYP, 2.0)],
         ids=["flat", "sphere0.4", "sphere1", "sphere2.5", "hyperbolic"])
     def test_period_rotation_matches_reference(self, space, k0, m):
-        # the closure scan's 41 candidate lengths around the mean-curvature
-        # circle length, read in closed form and by the eigenvector reference
+        # 41 lengths over the wide closure scan's range around the
+        # mean-curvature circle length, read in closed form and by the
+        # eigenvector reference
         def profile(u):
             return k0 + 0.15 * k0 * np.cos(2 * np.pi * m * np.asarray(u))
 
@@ -513,10 +529,9 @@ class TestFrameOde:
         cfg = self._frame_config(tmp_path, "sphere", 1.2,
                                  [[multiple, 0.05, 0]], n)
         assert main(["verify-angle", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "'generator.terms'" in err
-        assert f"multiple {multiple} is at or above the Nyquist" in err
+        assert capsys.readouterr().err == (
+            f"error: generator.terms: multiple {multiple} is at or above the "
+            f"Nyquist order n/2 = {n // 2} of {n} samples (aliased)\n")
 
     def test_term_below_nyquist_accepted_by_cli(self, tmp_path):
         cfg = self._frame_config(tmp_path, "sphere", 1.2, [[255, 0.05, 0]],
@@ -727,6 +742,17 @@ class TestMeasurement:
         curve = make_circle(FLAT, FLAT.origin(), 1.0, n=512)
         with pytest.raises(Exception):
             measure_radial(curve, np.array([1.5, 0.0]))
+
+    @pytest.mark.parametrize("base,cause", [
+        (lambda points: points[5], "base point lies on the curve"),
+        # antipodal to a sample: refused before the (failing) inside test
+        (lambda points: -points[0],
+         "curve leaves the injectivity radius of the base point")],
+        ids=["on-curve", "antipode"])
+    def test_radial_refuses_base_point(self, base, cause):
+        curve = make_circle(SPH, SPH.origin(), 1.0, n=512)
+        with pytest.raises(GeometryError, match=f"^{cause}$"):
+            measure_radial(curve, base(curve.points))
 
     def test_generated_suite_structure(self, support_suite, frame_ode_suite):
         # every generated smooth curve: closed, simple-convex, positively

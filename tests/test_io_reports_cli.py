@@ -194,6 +194,10 @@ def _spoil(doc, field, how):
         values = _unb64(text)
         values[n // 2] = math.nan if how == "nan" else -math.inf
         doc[field] = _b64(values)
+    elif how == "clockwise":
+        # reversed, without the tangents that would orient it
+        doc[field] = _b64(_unb64(text).reshape(n, -1)[::-1])
+        del doc["tangent"]
     elif how == "index":
         doc[field] = [0, n]
     elif how == "negative_index":
@@ -215,6 +219,7 @@ CURVE_FILE_REFUSALS = [
     ("coords", "nan"), ("coords", "inf"), ("s", "nan"),
     ("tangent", "inf"), ("normal_out", "nan"),
     ("corners", "index"), ("corners", "negative_index"),
+    ("coords", "clockwise"),
     ("corners", [1.5]), ("coords", [[0.0, 1.0]]), ("n", 0), ("n", "64"),
     ("hint_center", [math.nan, 0.0, 0.0]), ("hint_center", [0.0, 0.0]),
     ("kmin", math.nan), ("kmin", "1.0"), ("total_length", math.inf),
@@ -566,7 +571,7 @@ def test_config_error_exits_1_naming_the_key(tmp_path, overrides, key):
 # Keys a suite does not read, misspelt or foreign to it, each of which once
 # ran as if absent (a misspelt "violating" turned exit 3 into 0, a misspelt
 # "terms" verified a plain circle, a "limit_tol" loosened the Euclidean
-# limit): (subcommand, config, the text that names the key).  The curve
+# limit): (subcommand, config, the error line after "error: ").  The curve
 # file of "curve_file" is written by the test.
 UNREAD_KEYS = [
     ("verify-warped", {"seed": 0, "warped": {
@@ -597,7 +602,9 @@ UNREAD_KEYS = [
      "config key 'space.k2' is not read by the angle suite"),
     ("verify-warped", {"seed": 0, "warped": {
         "family": "cubic", "params": {"eps": 0.05, "epz": 7}, "T": 2.0,
-        "curves": 1}}, "unexpected parameter 'epz'"),
+        "curves": 1}},
+     "warped.params: 'epz' is not a parameter of family 'cubic', which "
+     "takes 'eps'"),
 ]
 
 
@@ -614,14 +621,15 @@ def test_unread_key_exits_1_naming_it(tmp_path, command, config, named):
     code, err = _run_cli(tmp_path, command, config,
                          "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert named in err
+    assert err == f"error: {named}\n"
     assert not (tmp_path / "out").exists()
 
 
 # Values that were read loosely (a boolean or a numeric string as a number,
-# a fractional count or frame-ODE multiple truncated, a string as a flag):
-# (subcommand, overrides, the key path the error line must start with).
+# a fractional count or frame-ODE multiple truncated, a string as a flag),
+# and a misspelt warped family and an absent family parameter, which were
+# refused without their key path: (subcommand, overrides, the key path the
+# error line must start with).
 LOOSE_CONFIG_VALUES = [
     ("verify-angle", {"base_point.distance": True}, "base_point.distance"),
     ("verify-angle", {"generator.k0": "1.0"}, "generator.k0"),
@@ -632,6 +640,8 @@ LOOSE_CONFIG_VALUES = [
                                     "n": 1024, "terms": [[3.9, 0.1, 0]]},
                       "base_point": {"mode": "hint"}}, "generator.terms"),
     ("verify-warped", {"warped.violating": "false"}, "warped.violating"),
+    ("verify-warped", {"warped.family": "cubicc"}, "warped.family"),
+    ("verify-warped", {"warped.params": None}, "warped.params"),
 ]
 
 
@@ -1128,6 +1138,8 @@ def test_emit_plot_data_matches_per_cell_formulas(rows):
 # the base and the head, with the exit code of each one that does not pass.
 CLI_CONFIGS = sorted((Path(__file__).parent / "cli_configs").glob("*.json"))
 CLI_CONFIG_EXITS = {"verify-angle.salias": 1, "verify-warped.typo": 1,
+                    "verify-warped.family": 1, "verify-warped.params": 1,
+                    "verify-angle.s67": 1,
                     "verify-angle.hnear": 3, "verify-warped.equator": 3,
                     "verify-warped.violating": 3, "verify-width.sgreat": 3}
 

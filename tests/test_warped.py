@@ -60,6 +60,19 @@ class TestMakeWarped:
         with pytest.raises(CurveGenerationError):
             make_warped("perturbed_sin", T=1.5, delta=0.2)
 
+    @pytest.mark.parametrize("amp,band,bad", [
+        (0.1, "[-2.34315, 0.394714]", 1.3598),
+        (0.3, "[-4.74944, 2.32015]", 0.7712)], ids=["above", "below"])
+    def test_curvature_leaving_declared_band_refused(self, amp, band, bad):
+        # a large bump turns K positive (above the declared [-4, 0]) and,
+        # larger still, pushes it below -4 first
+        with pytest.raises(CurveGenerationError) as err:
+            make_warped("sinh_bump", T=2.0, k1=1.0, amp=amp, center=1.0,
+                        width=0.5)
+        assert str(err.value) == (f"curvature band {band} leaves the "
+                                  f"declared band [-4, 0] at t = {bad:.6f}")
+        assert err.value.where == pytest.approx(bad, abs=1e-12)
+
     def test_warp_positivity_enforced(self):
         with pytest.raises(CurveGenerationError) as err:
             make_warped("spherical", T=3.5, k1=1.0)   # sin vanishes at pi
@@ -73,8 +86,11 @@ class TestMakeWarped:
     def test_parameter_the_family_does_not_read_refused(self, family, params,
                                                         unread):
         # an unread parameter once built the metric as if it were absent
-        with pytest.raises(TypeError, match=f"unexpected parameter '{unread}'"):
+        with pytest.raises(CurveGenerationError) as err:
             make_warped(family, T=1.4, **params)
+        takes = ", ".join(repr(k) for k in params if k != unread) or "none"
+        assert str(err.value) == (f"{unread!r} is not a parameter of family "
+                                  f"{family!r}, which takes {takes}")
 
     def test_bump_family_certified(self):
         m = make_warped("sinh_bump", T=2.0, k1=1.0, amp=0.02, center=1.0,
