@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, groupby, islice
 
 import numpy as np
@@ -35,8 +34,6 @@ from .spindles import (SPINDLE_COLUMNS, numeric_spindle_optimum,
 from .warped import FAMILIES, family_params, make_warped, \
     make_warped_curve, verify_circle_curvature_comparison, \
     verify_radial_bounds
-
-PLOT_DIGITS = 17
 
 
 def _harmonics(x) -> dict:
@@ -68,6 +65,10 @@ class SuiteResult:
     hypothesis_violations: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # series kind -> (its rows, their _float_text), filled on first use
+        self._texts = {}
+
     @property
     def overall_passed(self) -> bool:
         return all(c["verdict"] == "pass" for c in self.checks)
@@ -87,6 +88,18 @@ class SuiteResult:
             raise GeometryError(f"check {name!r} is not finite: {values}")
         self.checks.append({"name": name, **values,
                             "verdict": "pass" if passed else "fail"})
+
+    def _cell_text(self, rows, flat):
+        """``_float_text(flat)`` of the table ``rows``, made once per series
+        table: report.json and the CSV take the same strings.  A written
+        result's series are final."""
+        kind = next((k for k, s in self.series.items()
+                     if s.get("rows") is rows), None)
+        if kind is None:
+            return _float_text(flat)
+        if self._texts.get(kind, (None,))[0] is not rows:
+            self._texts[kind] = rows, _float_text(flat)
+        return self._texts[kind][1]
 
     def to_dict(self) -> dict:
         return {
@@ -343,7 +356,16 @@ def json_text(doc) -> str:
     and a newline.  Each table, a list of equal-length rows of scalars, is
     one %-template filled in by a single call, its cells ``float.__repr__``
     when all are finite floats and ``json.dumps`` otherwise."""
-    return _json_text(doc, "\n") + "\n"
+    return _json_text(doc, "\n", lambda rows, flat: _float_text(flat)) + "\n"
+
+
+def _float_text(flat):
+    """Each cell's ``float.__repr__`` when all are finite floats, else
+    None."""
+    if all(issubclass(t, float) for t in set(map(type, flat))) \
+            and math.isfinite(sum(flat)):
+        return tuple(map(float.__repr__, flat))
+    return None
 
 
 def _block(items, indent: str, brackets: str = "[]") -> str:
@@ -357,39 +379,44 @@ def _key(key) -> str:
     return json.dumps(key if isinstance(key, str) else json.dumps(key))
 
 
-def _json_text(node, indent: str) -> str:
-    """The text of ``node``, whose line starts with ``indent``."""
+def _json_text(node, indent: str, cell_text) -> str:
+    """The text of ``node``, whose line starts with ``indent``; a table's
+    float cells come from ``cell_text(rows, flat)``."""
     inner = indent + "  "
     if isinstance(node, dict) and node:
-        return _block([f"{_key(k)}: {_json_text(v, inner)}"
+        return _block([f"{_key(k)}: {_json_text(v, inner, cell_text)}"
                        for k, v in sorted(node.items())], indent, "{}")
     if not isinstance(node, (list, tuple)) or not node:
         return json.dumps(node)
     rows = set(map(type, node)) <= {list, tuple}
     widths = set(map(len, node)) if rows else set()
     flat = list(chain.from_iterable(node)) if len(widths) == 1 else []
-    types = set(map(type, flat))
-    if not flat or any(issubclass(t, (list, tuple, dict)) for t in types):
-        return _block([_json_text(v, inner) for v in node], indent)
-    finite = all(issubclass(t, float) for t in types) \
-        and math.isfinite(sum(flat))
+    cells = cell_text(node, flat) if flat else None
+    if cells is None:
+        if not flat or any(issubclass(t, (list, tuple, dict))
+                           for t in set(map(type, flat))):
+            return _block([_json_text(v, inner, cell_text) for v in node],
+                          indent)
+        cells = tuple(map(json.dumps, flat))
     row = _block(["%s"] * widths.pop(), inner)
-    cells = map(float.__repr__ if finite else json.dumps, flat)
-    return _block([row] * len(node), indent) % tuple(cells)
+    return _block([row] * len(node), indent) % cells
 
 
 def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
     doc = result.to_dict()
     if drop_timestamp:
         doc["metadata"] = dict(doc["metadata"], timestamp=None)
-    return json_text(doc)
+    return _json_text(doc, "\n", result._cell_text) + "\n"
 
 
 def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
     """Write one series as CSV (header line, stable column order).
 
-    Floats are written as %.17g and every other value as str(); each run of
-    rows with the same cell types is filled into one %-template.
+    A float cell is written as ``float.__repr__``, the shortest text that
+    reads back as the same double and the text report.json gives it, and
+    every other cell as str(); a table of finite floats takes the strings
+    report.json is filled from.  Each run of rows of one width is filled
+    into one %-template.
     """
     if kind not in result.series:
         raise GeometryError(
@@ -397,14 +424,15 @@ def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
             f"{sorted(result.series)}")
     series = result.series[kind]
     rows = series["rows"]
+    flat = list(chain.from_iterable(rows))
+    cells = iter(result._cell_text(rows, flat) or [
+        float.__repr__(v) if isinstance(v, float) else v for v in flat])
     lines = [",".join(series["columns"])]
-    cells = chain.from_iterable(rows)
-    for types, group in groupby(map(tuple, map(partial(map, type), rows))):
+    for width, group in groupby(map(len, rows)):
         count = len(list(group))
-        row = ",".join(f"%.{PLOT_DIGITS}g" if issubclass(t, float) else "%s"
-                       for t in types)
+        row = ",".join(["%s"] * width)
         lines.append("\n".join([row] * count)
-                     % tuple(islice(cells, count * len(types))))
+                     % tuple(islice(cells, count * width)))
     text = "\n".join(lines) + "\n"
     with open(out_path, "w") as fh:
         fh.write(text)

@@ -377,6 +377,49 @@ class TestSuiteRunner:
             emit_plot_data(res, "nope", tmp_path / "x.csv")
         assert "width_sweep" in str(err.value)
 
+    @pytest.mark.parametrize("rows", [
+        [[0.1, 1.0], [-0.0, 5e-324], [np.float64(0.7), 1e300]],
+        [[0.1, math.nan], [-math.inf, 2.0]],
+        [["a", 1, 0.5], [True, None, np.float64(-0.0)], [], [2.5]],
+    ], ids=["finite", "non-finite", "mixed"])
+    def test_writing_one_result_twice_gives_identical_bytes(self, rows):
+        def result():
+            return SuiteResult("t", series={"t": {
+                "columns": ["a", "b"], "rows": copy.deepcopy(rows)}})
+
+        def written(res):
+            return result_json(res), emit_plot_data(res, "t", os.devnull)
+
+        res = result()
+        first = written(res)
+        assert written(res) == first
+        # the CSV written first gives the same bytes as well
+        res = result()
+        csv = emit_plot_data(res, "t", os.devnull)
+        assert written(res) == (first[0], csv) == first
+
+    def test_replaced_rows_are_formatted_again(self):
+        res = SuiteResult("t", series={"t": {"columns": ["a"],
+                                             "rows": [[0.1]]}})
+        assert emit_plot_data(res, "t", os.devnull) == "a\n0.1\n"
+        res.series["t"]["rows"] = [[0.2]]
+        assert emit_plot_data(res, "t", os.devnull) == "a\n0.2\n"
+        assert json.loads(result_json(res))["series"]["t"]["rows"] == [[0.2]]
+
+    def test_written_result_keeps_its_fields(self):
+        cfg = {"suite": "angle", "seed": 0,
+               "space": {"kind": "sphere", "k1": 1.0},
+               "generator": {"provenance": "circle", "k0": 1.5, "n": 256},
+               "base_point": {"mode": "offset", "distance": 0.3}}
+        res, fresh = run(cfg), run(cfg)
+        result_json(res)
+        emit_plot_data(res, "angle", os.devnull)
+        assert list(res.to_dict()) == [
+            "schema", "suite", "overall", "exit_code", "checks",
+            "hypothesis_violations", "series", "metadata"]
+        fresh.metadata["timestamp"] = res.metadata["timestamp"]
+        assert res == fresh and repr(res) == repr(fresh)
+
 
 class TestCli:
     def _write(self, tmp_path, cfg):
@@ -974,9 +1017,9 @@ def test_stored_claims_are_refused_never_judged(tmp_path_factory, case):
 
 
 def _per_cell_csv(series) -> str:
-    """Oracle: the CSV text as one format() / str() call per cell."""
+    """Oracle: the CSV text as one float.__repr__() / str() call per cell."""
     def cell(v):
-        return format(v, ".17g") if isinstance(v, float) else str(v)
+        return float.__repr__(v) if isinstance(v, float) else str(v)
     lines = [",".join(series["columns"])]
     lines += [",".join(cell(v) for v in row) for row in series["rows"]]
     return "\n".join(lines) + "\n"
@@ -1050,6 +1093,16 @@ def test_cli_outputs_match_per_cell_formulas(tmp_path, monkeypatch, command,
     assert written == set(doc["series"])
     for kind, series in doc["series"].items():
         assert (out / f"{kind}.csv").read_text() == _per_cell_csv(series)
+    # each finite float cell has the same text in the CSV as in report.json
+    as_written = json.loads(text, parse_float=lambda t: (t,))
+    for kind, series in as_written["series"].items():
+        csv_rows = [line.split(",") for line
+                    in (out / f"{kind}.csv").read_text().splitlines()[1:]]
+        assert len(csv_rows) == len(series["rows"])
+        for row, csv_row in zip(series["rows"], csv_rows):
+            floats = [v for v in row if isinstance(v, tuple)]
+            assert floats == [(c,) for v, c in zip(row, csv_row)
+                              if isinstance(v, tuple)]
 
 
 # Spindle tables at the extremes of k0, where R = 1/k0 (or its curved
@@ -1068,7 +1121,7 @@ def test_spindle_table_extreme_k0_passes(tmp_path, kind, k1, k0):
     assert (code, err) == (0, "")
 
 
-# Floats json and %.17g write specially, and tables of floats whose row
+# Floats json and repr write specially, and tables of floats whose row
 # template precondition breaks only in the last row.
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
                    1.7976931348623157e308]

@@ -56,8 +56,9 @@ class TestMakeWarped:
         assert m.k_lo >= 1.0 - 1e-9
         assert m.k_hi <= (1 + 0.01) / (1 - 0.06) * (1 + 0.03) + 1e-9
 
-    def test_band_violation_rejected(self):
-        with pytest.raises(CurveGenerationError):
+    def test_perturbed_sin_delta_out_of_range_refused(self):
+        with pytest.raises(CurveGenerationError,
+                           match=r"^perturbed_sin requires 0 < delta < 1/6$"):
             make_warped("perturbed_sin", T=1.5, delta=0.2)
 
     @pytest.mark.parametrize("amp,band,bad", [
