@@ -10,6 +10,7 @@ failed, 3 a hypothesis violation occurred, 1 usage, config or output error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="sphericity",
         description="Verify sharp roundness bounds for convex curves.")

@@ -295,8 +295,9 @@ class RadialMeasurement:
 def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     """Per-sample distance and angle between radial direction and normal.
 
-    The base point must lie strictly inside the curve.  On the sphere the
-    curve must stay inside the injectivity radius around the base point.
+    The base point must lie strictly inside the curve.  On the sphere no
+    sample may be antipodal to it (one refused that way lies outside: a
+    convex curve's interior holds no point antipodal to a sample).
     """
     space = curve.space
     base = space.check_point(np.asarray(base, dtype=float))
@@ -304,9 +305,10 @@ def measure_radial(curve: ClosedCurve, base) -> RadialMeasurement:
     if float(np.min(t)) <= 1e-12:
         raise GeometryError("base point lies on the curve")
     if space.kind is Kind.SPHERE:
-        if float(np.max(t)) >= np.pi / space.k1 * (1 - 1e-9):
+        far = int(np.argmax(t))
+        if t[far] >= np.pi / space.k1 * (1 - 1e-9):
             raise GeometryError(
-                "curve leaves the injectivity radius of the base point")
+                f"base point is antipodal to sample {far}")
     if winding_number(space, curve.points, base) != 1:
         raise GeometryError("base point is not strictly inside the curve")
 

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from itertools import chain
 
 import numpy as np
 
@@ -90,15 +90,16 @@ class SuiteResult:
                             "verdict": "pass" if passed else "fail"})
 
     def _cell_text(self, rows, flat):
-        """``_float_text(flat)`` of the table ``rows``, made once per series
-        table: report.json and the CSV take the same strings.  A written
-        result's series are final."""
+        """``_float_text(flat, width)`` of the table ``rows`` (equal-length
+        rows, ``flat`` their cells row by row), made once per series table:
+        report.json and the CSV take the same strings.  A written result's
+        series are final."""
         kind = next((k for k, s in self.series.items()
                      if s.get("rows") is rows), None)
         if kind is None:
-            return _float_text(flat)
+            return _float_text(flat, len(rows[0]))
         if self._texts.get(kind, (None,))[0] is not rows:
-            self._texts[kind] = rows, _float_text(flat)
+            self._texts[kind] = rows, _float_text(flat, len(rows[0]))
         return self._texts[kind][1]
 
     def to_dict(self) -> dict:
@@ -354,18 +355,46 @@ def run(config: dict) -> SuiteResult:
 def json_text(doc) -> str:
     """A report file's text: ``json.dumps(doc, sort_keys=True, indent=2)``
     and a newline.  Each table, a list of equal-length rows of scalars, is
-    one %-template filled in by a single call, its cells ``float.__repr__``
-    when all are finite floats and ``json.dumps`` otherwise."""
-    return _json_text(doc, "\n", lambda rows, flat: _float_text(flat)) + "\n"
+    written by one join of its cells and their separators, the cells
+    ``float.__repr__`` (made column by column) when all are finite floats
+    and ``json.dumps`` otherwise."""
+    return _json_text(doc, "\n",
+                      lambda rows, flat: _float_text(flat, len(rows[0]))) \
+        + "\n"
 
 
-def _float_text(flat):
-    """Each cell's ``float.__repr__`` when all are finite floats, else
-    None."""
-    if all(issubclass(t, float) for t in set(map(type, flat))) \
-            and math.isfinite(sum(flat)):
-        return tuple(map(float.__repr__, flat))
-    return None
+def _float_text(flat, width: int):
+    """The ``float.__repr__`` of each cell of a table of ``width`` columns,
+    ``flat`` its cells row by row, when all are finite floats, else None.
+    The text is made column by column: a column whose cells all hold one
+    nonzero double takes one repr (0.0 == -0.0, so a column of zeros is
+    written cell by cell, keeping each sign)."""
+    if not (all(issubclass(t, float) for t in set(map(type, flat)))
+            and math.isfinite(sum(flat))):
+        return None
+    cells = [None] * len(flat)
+    for c in range(width):
+        column = flat[c::width]
+        first = column[0]
+        cells[c::width] = ([float.__repr__(first)] * len(column)
+                           if first and column.count(first) == len(column)
+                           else map(float.__repr__, column))
+    return cells
+
+
+def _joined(cells, width: int, first: str, between: str, row_break: str,
+            last: str) -> str:
+    """``first``, the cells of a table of ``width`` columns (row by row)
+    with ``between`` two cells of a row and ``row_break`` between rows,
+    then ``last``: one join over the cells interleaved with the
+    separators."""
+    seps = [between] * (len(cells) + 1)
+    seps[::width] = [row_break] * (len(cells) // width + 1)
+    seps[0], seps[-1] = first, last
+    parts = [None] * (2 * len(cells) + 1)
+    parts[::2] = seps
+    parts[1::2] = cells
+    return "".join(parts)
 
 
 def _block(items, indent: str, brackets: str = "[]") -> str:
@@ -381,7 +410,8 @@ def _key(key) -> str:
 
 def _json_text(node, indent: str, cell_text) -> str:
     """The text of ``node``, whose line starts with ``indent``; a table's
-    float cells come from ``cell_text(rows, flat)``."""
+    float cells come from ``cell_text(rows, flat)`` (None when they are not
+    all finite floats), and the table is one ``_joined`` of its cells."""
     inner = indent + "  "
     if isinstance(node, dict) and node:
         return _block([f"{_key(k)}: {_json_text(v, inner, cell_text)}"
@@ -397,9 +427,11 @@ def _json_text(node, indent: str, cell_text) -> str:
                            for t in set(map(type, flat))):
             return _block([_json_text(v, inner, cell_text) for v in node],
                           indent)
-        cells = tuple(map(json.dumps, flat))
-    row = _block(["%s"] * widths.pop(), inner)
-    return _block([row] * len(node), indent) % cells
+        cells = list(map(json.dumps, flat))
+    cell = inner + "  "
+    return _joined(cells, widths.pop(), "[" + inner + "[" + cell,
+                   "," + cell, inner + "]," + inner + "[" + cell,
+                   inner + "]" + indent + "]")
 
 
 def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
@@ -414,9 +446,9 @@ def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
 
     A float cell is written as ``float.__repr__``, the shortest text that
     reads back as the same double and the text report.json gives it, and
-    every other cell as str(); a table of finite floats takes the strings
-    report.json is filled from.  Each run of rows of one width is filled
-    into one %-template.
+    every other cell as str().  A table of equal-length rows of finite
+    floats takes the strings report.json is made from and is written by
+    one join of its cells and separators; any other table row by row.
     """
     if kind not in result.series:
         raise GeometryError(
@@ -424,16 +456,16 @@ def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
             f"{sorted(result.series)}")
     series = result.series[kind]
     rows = series["rows"]
+    header = ",".join(series["columns"]) + "\n"
     flat = list(chain.from_iterable(rows))
-    cells = iter(result._cell_text(rows, flat) or [
-        float.__repr__(v) if isinstance(v, float) else v for v in flat])
-    lines = [",".join(series["columns"])]
-    for width, group in groupby(map(len, rows)):
-        count = len(list(group))
-        row = ",".join(["%s"] * width)
-        lines.append("\n".join([row] * count)
-                     % tuple(islice(cells, count * width)))
-    text = "\n".join(lines) + "\n"
+    cells = result._cell_text(rows, flat) \
+        if flat and len(set(map(len, rows))) == 1 else None
+    if cells is not None:
+        text = _joined(cells, len(rows[0]), header, ",", "\n", "\n")
+    else:
+        text = header + "".join(
+            ",".join([float.__repr__(v) if isinstance(v, float) else str(v)
+                      for v in row]) + "\n" for row in rows)
     with open(out_path, "w") as fh:
         fh.write(text)
     return text

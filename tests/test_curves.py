@@ -746,8 +746,7 @@ class TestMeasurement:
     @pytest.mark.parametrize("base,cause", [
         (lambda points: points[5], "base point lies on the curve"),
         # antipodal to a sample: refused before the (failing) inside test
-        (lambda points: -points[0],
-         "curve leaves the injectivity radius of the base point")],
+        (lambda points: -points[0], "base point is antipodal to sample 0")],
         ids=["on-curve", "antipode"])
     def test_radial_refuses_base_point(self, base, cause):
         curve = make_circle(SPH, SPH.origin(), 1.0, n=512)

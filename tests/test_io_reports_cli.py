@@ -1161,6 +1161,16 @@ _json_docs = st.recursive(
 @given(doc=_json_docs)
 @example(doc={"rows": [[1.0, math.nan], [-0.0, -math.inf]], "e": [{}, []]})
 @example(doc=[[np.float64(0.1), 2.0], (3.0, 4.0)])
+# a column is written with one repr only when all its cells hold one
+# nonzero double: 0.0 == -0.0, and their reprs differ
+@example(doc={"zeros": [[0.0, 1.0], [0.0, 2.0]],
+              "negative zeros": [[-0.0, 1.0], [-0.0, 2.0]],
+              "mixed zeros": [[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]})
+@example(doc=[[-0.0, 1.5], [0.0, 1.5], [0.0, 1.5]])
+@example(doc=[[2.5, 1.0], [2.5, -1.0], [2.5, 0.0]])
+@example(doc=[[np.float64(2.5), 1.0], [np.float64(2.5), -1.0]])
+@example(doc={"one row": [[0.5, -0.0, 0.5]],
+              "one column": [[0.5], [0.5], [-0.0], [0.0]]})
 def test_json_text_matches_json_dumps(doc):
     assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -1180,6 +1190,15 @@ _csv_runs = st.lists(st.sampled_from(sorted(_CSV_CELLS)), max_size=4).flatmap(
 @example(rows=[])
 @example(rows=[[1.0, math.nan, -math.inf], [2, "a", True], [], [],
                [np.float64(-0.0), 5e-324, None]])
+# the zero-sign guard of the one-repr columns, as in the json_text test
+@example(rows=[[0.0, 1.0], [0.0, 2.0]])
+@example(rows=[[-0.0, 1.0], [-0.0, 2.0]])
+@example(rows=[[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]])
+@example(rows=[[-0.0, 1.5], [0.0, 1.5], [0.0, 1.5]])
+@example(rows=[[2.5, 1.0], [2.5, -1.0], [2.5, 0.0]])
+@example(rows=[[np.float64(2.5), 1.0], [np.float64(2.5), -1.0]])
+@example(rows=[[0.5, -0.0, 0.5]])
+@example(rows=[[0.5], [0.5], [-0.0], [0.0]])
 def test_emit_plot_data_matches_per_cell_formulas(rows):
     series = {"columns": ["a", "b"], "rows": rows}
     text = emit_plot_data(SuiteResult("t", series={"t": series}), "t",
