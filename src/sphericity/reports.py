@@ -90,16 +90,15 @@ class SuiteResult:
                             "verdict": "pass" if passed else "fail"})
 
     def _cell_text(self, rows, flat):
-        """``_float_text(flat, width)`` of the table ``rows`` (equal-length
-        rows, ``flat`` their cells row by row), made once per series table:
+        """``_float_text(rows, flat)``, made once per series table:
         report.json and the CSV take the same strings.  A written result's
         series are final."""
         kind = next((k for k, s in self.series.items()
                      if s.get("rows") is rows), None)
         if kind is None:
-            return _float_text(flat, len(rows[0]))
+            return _float_text(rows, flat)
         if self._texts.get(kind, (None,))[0] is not rows:
-            self._texts[kind] = rows, _float_text(flat, len(rows[0]))
+            self._texts[kind] = rows, _float_text(rows, flat)
         return self._texts[kind][1]
 
     def to_dict(self) -> dict:
@@ -358,20 +357,19 @@ def json_text(doc) -> str:
     written by one join of its cells and their separators, the cells
     ``float.__repr__`` (made column by column) when all are finite floats
     and ``json.dumps`` otherwise."""
-    return _json_text(doc, "\n",
-                      lambda rows, flat: _float_text(flat, len(rows[0]))) \
-        + "\n"
+    return _json_text(doc, "\n", _float_text) + "\n"
 
 
-def _float_text(flat, width: int):
-    """The ``float.__repr__`` of each cell of a table of ``width`` columns,
-    ``flat`` its cells row by row, when all are finite floats, else None.
-    The text is made column by column: a column whose cells all hold one
-    nonzero double takes one repr (0.0 == -0.0, so a column of zeros is
-    written cell by cell, keeping each sign)."""
+def _float_text(rows, flat):
+    """The ``float.__repr__`` of each cell of the table ``rows`` (rows of
+    one length, ``flat`` their cells row by row) when all are finite
+    floats, else None.  The text is made column by column: a column whose
+    cells all hold one nonzero double takes one repr (0.0 == -0.0, so a
+    column of zeros is written cell by cell, keeping each sign)."""
     if not (all(issubclass(t, float) for t in set(map(type, flat)))
             and math.isfinite(sum(flat))):
         return None
+    width = len(rows[0])
     cells = [None] * len(flat)
     for c in range(width):
         column = flat[c::width]
