@@ -8,7 +8,7 @@ up; once the reader is done, the first key no lookup reached is refused.
 A refusal is a ConfigError whose message reads ``<key path>: <reason>``.
 
 A curve file is its samples: the space-form header, coords, arc length,
-optionally the exact tangents, and the list of corner indices.  Each sample
+the exact tangents, and the list of corner indices.  Each sample
 array is written as the base64 text of its little-endian float64 bytes, so
 the round trip is bit-identical (NaNs, signed zeros and subnormals
 included).  The loader derives the outward normals, ``kappa`` and ``kmin``
@@ -27,9 +27,9 @@ from functools import partial
 
 import numpy as np
 
-from .curves import ClosedCurve, winding_number
+from .curves import ClosedCurve
 from .errors import ConfigError
-from .spaceforms import Kind, SpaceForm, karcher_mean
+from .spaceforms import Kind, SpaceForm
 
 CURVE_SCHEMA = "closed_curve/4"
 _FLOAT64 = np.dtype("<f8")
@@ -233,14 +233,6 @@ def curve_to_dict(curve: ClosedCurve) -> dict:
     }
 
 
-def _tangents_from_differences(space, points):
-    """Unit tangents recovered from the sampled points alone."""
-    chord = (space.log_map(points, np.roll(points, -1, axis=0))
-             - space.log_map(points, np.roll(points, 1, axis=0)))
-    tangents = space.project_tangent(points, chord)
-    return tangents / space.norm(points, tangents)[:, None]
-
-
 def _corner_mask(n: int):
     """The corner mask of a list of sample indices in [0, n)."""
     index = _count(0, n - 1)
@@ -262,10 +254,9 @@ def _gap(x) -> float:
 def curve_from_dict(data: dict) -> ClosedCurve:
     """Curve from a ``closed_curve/4`` document.
 
-    The normals, ``kappa`` and ``kmin`` are measured from the samples,
-    whose coords must lie on the model surface.  The tangent array may be
-    absent (curves from other tools); it is then recovered from the points,
-    which must run counterclockwise.
+    The normals, ``kappa`` and ``kmin`` are measured from the stored
+    samples, whose coords must lie on the model surface, and their stored
+    tangents, which every file must hold.
     """
     doc = _Document(data, "a curve file")
     _g(doc, "schema", _one_of(CURVE_SCHEMA), required=True)
@@ -274,7 +265,7 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     shape = (n, space.dim)
     points = _g(doc, "coords", _on_model(space, _float64(shape)),
                 required=True)
-    tangents = _g(doc, "tangent", _float64(shape))
+    tangents = _g(doc, "tangent", _float64(shape), required=True)
     total_length = _g(doc, "total_length", _number, required=True)
     s = _g(doc, "s", _float64((n,)), required=True)
     if not (np.all(np.diff(s) > 0.0) and s[-1] - s[0] < total_length):
@@ -286,12 +277,6 @@ def curve_from_dict(data: dict) -> ClosedCurve:
     unread = doc.first_unread()
     if unread is not None:
         raise ConfigError(f"{unread}: not a {CURVE_SCHEMA} field")
-    if tangents is None:
-        tangents = _tangents_from_differences(space, points)
-        seed = karcher_mean(space, points)
-        if winding_number(space, points, seed) != 1:
-            raise ConfigError("coords: samples must run counterclockwise "
-                              "when tangent is absent")
     return ClosedCurve.from_samples(
         space, points, s, tangents, corner, total_length, provenance,
         hint_center=hint_center, closure_gap=closure_gap)

@@ -353,21 +353,26 @@ def run(config: dict) -> SuiteResult:
 
 def json_text(doc) -> str:
     """A report file's text: ``json.dumps(doc, sort_keys=True, indent=2)``
-    and a newline.  Each table, a list of equal-length rows of scalars, is
-    written by one join of its cells and their separators, the cells
-    ``float.__repr__`` (made column by column) when all are finite floats
-    and ``json.dumps`` otherwise."""
+    and a newline.  Each table of finite floats, a list of equal-length
+    rows, is written by one join of its cells (``float.__repr__``, made
+    column by column) and their separators; everything else item by
+    item."""
     return _json_text(doc, "\n", _float_text) + "\n"
 
 
 def _float_text(rows, flat):
     """The ``float.__repr__`` of each cell of the table ``rows`` (rows of
     one length, ``flat`` their cells row by row) when all are finite
-    floats, else None.  The text is made column by column: a column whose
-    cells all hold one nonzero double takes one repr (0.0 == -0.0, so a
-    column of zeros is written cell by cell, keeping each sign)."""
-    if not (all(issubclass(t, float) for t in set(map(type, flat)))
-            and math.isfinite(sum(flat))):
+    floats, else None.  Finiteness is one sum of the cells, tested cell by
+    cell only when the sum is not finite (it may overflow).  The text is
+    made column by column: a column whose cells all hold one nonzero double
+    takes one repr (0.0 == -0.0, so a column of zeros is written cell by
+    cell, keeping each sign)."""
+    if not all(issubclass(t, float) for t in set(map(type, flat))):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):     # np.float64 cells
+        total = sum(flat)
+    if not (math.isfinite(total) or all(map(math.isfinite, flat))):
         return None
     width = len(rows[0])
     cells = [None] * len(flat)
@@ -407,9 +412,10 @@ def _key(key) -> str:
 
 
 def _json_text(node, indent: str, cell_text) -> str:
-    """The text of ``node``, whose line starts with ``indent``; a table's
-    float cells come from ``cell_text(rows, flat)`` (None when they are not
-    all finite floats), and the table is one ``_joined`` of its cells."""
+    """The text of ``node``, whose line starts with ``indent``.  A table's
+    cells come from ``cell_text(rows, flat)``, and the table is one
+    ``_joined`` of them; a list whose cells it refuses (None: they are not
+    all finite floats) is written item by item, as any other list."""
     inner = indent + "  "
     if isinstance(node, dict) and node:
         return _block([f"{_key(k)}: {_json_text(v, inner, cell_text)}"
@@ -421,11 +427,7 @@ def _json_text(node, indent: str, cell_text) -> str:
     flat = list(chain.from_iterable(node)) if len(widths) == 1 else []
     cells = cell_text(node, flat) if flat else None
     if cells is None:
-        if not flat or any(issubclass(t, (list, tuple, dict))
-                           for t in set(map(type, flat))):
-            return _block([_json_text(v, inner, cell_text) for v in node],
-                          indent)
-        cells = list(map(json.dumps, flat))
+        return _block([_json_text(v, inner, cell_text) for v in node], indent)
     cell = inner + "  "
     return _joined(cells, widths.pop(), "[" + inner + "[" + cell,
                    "," + cell, inner + "]," + inner + "[" + cell,

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,15 @@ from hypothesis import example, given, settings, strategies as st
 import sphericity.reports
 from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
                         make_disc_intersection, make_frame_ode_curve,
-                        make_lune, make_support_curve, spindle_optimum)
+                        make_lune, make_support_curve, spindle_optimum,
+                        verify_angle_bound)
 from sphericity.cli import main
 from sphericity.curves import ClosedCurve
 from sphericity.io import (_float64, _g, curve_from_dict, curve_to_dict,
                            load_curve, save_curve)
-from sphericity.reports import (ConfigError, SuiteResult, config_hash,
-                                emit_plot_data, json_text, result_json, run)
+from sphericity.reports import (ConfigError, SuiteResult, _float_text,
+                                config_hash, emit_plot_data, json_text,
+                                result_json, run)
 
 FLAT = SpaceForm.flat()
 
@@ -154,16 +157,21 @@ class TestCurveSerialization:
         with pytest.raises(GeometryError, match="arc lengths"):
             curve_from_dict(doc)
 
-    def test_frames_recovered_when_absent(self):
-        curve = make_circle(FLAT, FLAT.origin(), 1.0, n=2048)
-        doc = curve_to_dict(curve)
-        del doc["tangent"]
-        loaded = curve_from_dict(doc)
-        dots = np.sum(loaded.tangents * curve.tangents, axis=-1)
-        assert float(np.min(dots)) > 1.0 - 1e-9
-        # widths survive a frame-less round trip (they use points only)
-        rep = layer_width(loaded)
-        assert rep.passed and abs(rep.d) < 1e-9
+    # The normals of a loaded curve are turned from its stored tangents: a
+    # loader that rebuilt them from chord differences moved the least angle
+    # slack of a flat support curve by 4.4e-5 at n = 256.
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_CURVES))
+    def test_loaded_curve_verifies_to_the_same_angle_report(self, tmp_path,
+                                                            name):
+        curve = ROUND_TRIP_CURVES[name]()
+        save_curve(curve, tmp_path / "curve.json")
+        loaded = load_curve(tmp_path / "curve.json")
+        base = curve.hint_center
+        expected, got = (verify_angle_bound(c, base) for c in (curve, loaded))
+        for field in ("min_slack", "slack", "phi", "t", "bound_cos"):
+            assert np.array_equal(_bits(getattr(got, field)),
+                                  _bits(getattr(expected, field))), field
+        assert got.passed == expected.passed
 
     def test_bad_schema_rejected(self):
         with pytest.raises(GeometryError):
@@ -194,10 +202,6 @@ def _spoil(doc, field, how):
         values = _unb64(text)
         values[n // 2] = math.nan if how == "nan" else -math.inf
         doc[field] = _b64(values)
-    elif how == "clockwise":
-        # reversed, without the tangents that would orient it
-        doc[field] = _b64(_unb64(text).reshape(n, -1)[::-1])
-        del doc["tangent"]
     elif how == "index":
         doc[field] = [0, n]
     elif how == "negative_index":
@@ -219,7 +223,6 @@ CURVE_FILE_REFUSALS = [
     ("coords", "nan"), ("coords", "inf"), ("s", "nan"),
     ("tangent", "inf"), ("normal_out", "nan"),
     ("corners", "index"), ("corners", "negative_index"),
-    ("coords", "clockwise"),
     ("corners", [1.5]), ("coords", [[0.0, 1.0]]), ("n", 0), ("n", "64"),
     ("hint_center", [math.nan, 0.0, 0.0]), ("hint_center", [0.0, 0.0]),
     ("kmin", math.nan), ("kmin", "1.0"), ("total_length", math.inf),
@@ -839,6 +842,25 @@ def test_off_model_coords_refused_naming_coords(tmp_path, space, k0,
     assert "coords: " in err and "model constraint" in err
 
 
+# A file without tangents once loaded with tangents rebuilt from chord
+# differences of its points, which moved the least angle slack by up to
+# 44,000 times its 1e-9 tolerance.
+@pytest.mark.parametrize("absent", [True, False], ids=["missing", "null"])
+def test_curve_file_without_tangent_refused(tmp_path, absent):
+    doc = curve_to_dict(make_circle(FLAT, FLAT.origin(), 1.0, n=64))
+    if absent:
+        del doc["tangent"]
+    else:
+        doc["tangent"] = None
+    with pytest.raises(ConfigError, match="^tangent: missing required key$"):
+        curve_from_dict(doc)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert _run_cli(tmp_path, "verify-width",
+                    {"seed": 0, "curve_file": str(path)}) \
+        == (1, "error: curve_file: tangent: missing required key\n")
+
+
 # Header fields of a curve file: neither enters a verdict, but a wrong type
 # or value is refused naming the field or a key below it (``space.k1``), not
 # converted or stored as is.
@@ -1204,6 +1226,28 @@ def test_emit_plot_data_matches_per_cell_formulas(rows):
     text = emit_plot_data(SuiteResult("t", series={"t": series}), "t",
                           os.devnull)
     assert text == _per_cell_csv(series)
+
+
+# The finiteness test of a float table summed every cell: np.float64 cells
+# whose sum overflows printed numpy's RuntimeWarning, and finite Python
+# floats whose sum overflows were refused the column-wise text.
+@pytest.mark.parametrize("rows,column_wise", [
+    ([[np.float64(1e308), np.float64(1e308)]], True),
+    ([[1e308, 1e308]], True),
+    ([[np.float64(1e308), 1e308], [-1e308, np.float64(-1e308)]], True),
+    ([[np.float64(math.inf), np.float64(-math.inf)]], False),
+    ([[1e308, math.inf]], False)], ids=["float64", "float", "mixed",
+                                        "float64-infinities", "float-inf"])
+def test_float_table_whose_sum_overflows(rows, column_wise):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = {"columns": ["a", "b"], "rows": rows}
+        assert json_text(series) \
+            == json.dumps(series, sort_keys=True, indent=2) + "\n"
+        assert emit_plot_data(SuiteResult("t", series={"t": series}), "t",
+                              os.devnull) == _per_cell_csv(series)
+        flat = [v for row in rows for v in row]
+        assert (_float_text(rows, flat) is not None) == column_wise
 
 
 # The CLI configs whose output bytes the pull-request check compares between
