@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, NonClosureError
-from .reports import emit_plot_data, json_text, result_json, run
+from .reports import emit_plot_data, result_json, run
 
 _SUBCOMMANDS = {
     "verify-angle": "angle",
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
                 layer = result.metadata.get("layer_report")
                 if layer is not None:
                     (out_dir / "layer_report.json").write_text(
-                        json_text(layer))
+                        json.dumps(layer, sort_keys=True, indent=2) + "\n")
             if args.format in ("csv", "both"):
                 for kind in result.series:
                     emit_plot_data(result, kind, out_dir / f"{kind}.csv")

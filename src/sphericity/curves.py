@@ -82,7 +82,8 @@ class ClosedCurve:
         -rotate90(tangents), its window-fit ``kappa`` (NaN within a window
         of a corner) and ``kmin``, the refined minimum of that ``kappa``;
         refuses tangents that are not unit vectors between the chords from
-        the previous sample and to the next."""
+        the previous sample and to the next, and samples that run
+        clockwise."""
         n = len(points)
         if n < 2 * WINDOW_HALF + 1:
             raise CurveGenerationError(
@@ -162,6 +163,11 @@ def _window_fit_kappa(space, points, tangents, normals_out):
         side = np.sign(y[1:3]) * (np.abs(y[1:3]) > MODEL_TOL * np.abs(x[1:3]))
         astray = ((x[1] >= 0.0) | (x[2] <= 0.0) | (side[0] * side[1] < 0.0)
                   | ~unit.all(axis=0))
+        # samples of a convex curve run counterclockwise: a reversed file
+        # has no neighbour inward of a tangent; a great circle (every
+        # neighbour on its tangent) has none outward either
+        clockwise = not np.any(side > 0.0) and np.any(np.all(side < 0.0,
+                                                             axis=0))
         c1, c2 = _graph_coefficients(x, y)
         t = 1.0 + c1 * c1
         x4 = np.max(x * x * x * x, axis=0) / 24.0
@@ -177,6 +183,10 @@ def _window_fit_kappa(space, points, tangents, normals_out):
         raise CurveGenerationError(
             "tangent: not a unit vector between the chords to the "
             f"neighbouring samples at sample {i}", where=i)
+    if clockwise:
+        raise CurveGenerationError(
+            "coords: samples run clockwise, not counterclockwise (no "
+            "neighbouring sample lies inward of a tangent)")
     if np.any(singular):
         raise CurveGenerationError(
             "curvature window fit is singular (samples too close together "

@@ -13,9 +13,9 @@ array is written as the base64 text of its little-endian float64 bytes, so
 the round trip is bit-identical (NaNs, signed zeros and subnormals
 included).  The loader derives the outward normals, ``kappa`` and ``kmin``
 from the samples with :meth:`ClosedCurve.from_samples` (which refuses
-tangents the points contradict), as the generators do.  A file still claims
-its arc lengths ``s``, its corners and where each tangent lies between its
-neighbouring chords.
+tangents the points contradict and samples that run clockwise), as the
+generators do.  A file still claims its arc lengths ``s``, its corners and
+where each tangent lies between its neighbouring chords.
 """
 
 from __future__ import annotations

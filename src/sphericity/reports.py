@@ -4,7 +4,9 @@ A run is fully determined by the config document and its seed; the random
 generator is numpy's default PCG64 (``numpy.random.default_rng(seed)``),
 which is stable across platforms, so reports are byte-identical across
 repeated runs (the timestamp lives in an isolated metadata field and is
-excluded from the config hash).
+excluded from the config hash).  report.json is the ``json.dumps(...,
+sort_keys=True, indent=2)`` text of a result; the cells of its finite float
+tables are formatted once, for report.json and the CSV alike.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -89,16 +92,13 @@ class SuiteResult:
         self.checks.append({"name": name, **values,
                             "verdict": "pass" if passed else "fail"})
 
-    def _cell_text(self, rows, flat):
-        """``_float_text(rows, flat)``, made once per series table:
+    def _cell_text(self, kind):
+        """``_float_text`` of the rows of series ``kind``, made once:
         report.json and the CSV take the same strings.  A written result's
         series are final."""
-        kind = next((k for k, s in self.series.items()
-                     if s.get("rows") is rows), None)
-        if kind is None:
-            return _float_text(rows, flat)
-        if self._texts.get(kind, (None,))[0] is not rows:
-            self._texts[kind] = rows, _float_text(rows, flat)
+        rows = self.series[kind].get("rows")
+        if kind not in self._texts or self._texts[kind][0] is not rows:
+            self._texts[kind] = rows, _float_text(rows)
         return self._texts[kind][1]
 
     def to_dict(self) -> dict:
@@ -351,24 +351,20 @@ def run(config: dict) -> SuiteResult:
 # Output
 # ---------------------------------------------------------------------------
 
-def json_text(doc) -> str:
-    """A report file's text: ``json.dumps(doc, sort_keys=True, indent=2)``
-    and a newline.  Each table of finite floats, a list of equal-length
-    rows, is written by one join of its cells (``float.__repr__``, made
-    column by column) and their separators; everything else item by
-    item."""
-    return _json_text(doc, "\n", _float_text) + "\n"
-
-
-def _float_text(rows, flat):
-    """The ``float.__repr__`` of each cell of the table ``rows`` (rows of
-    one length, ``flat`` their cells row by row) when all are finite
-    floats, else None.  Finiteness is one sum of the cells, tested cell by
-    cell only when the sum is not finite (it may overflow).  The text is
-    made column by column: a column whose cells all hold one nonzero double
+def _float_text(rows):
+    """The ``float.__repr__`` of each cell, row by row, of a table ``rows``
+    (a list of lists of one length) whose cells are all finite floats,
+    else None.  Finiteness is one sum of the cells, tested cell by cell
+    only when the sum is not finite (it may overflow).  The text is made
+    column by column: a column whose cells all hold one nonzero double
     takes one repr (0.0 == -0.0, so a column of zeros is written cell by
     cell, keeping each sign)."""
-    if not all(issubclass(t, float) for t in set(map(type, flat))):
+    if not (isinstance(rows, (list, tuple))
+            and set(map(type, rows)) <= {list, tuple}
+            and len(set(map(len, rows))) == 1):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not (flat and all(issubclass(t, float) for t in set(map(type, flat)))):
         return None
     with np.errstate(over="ignore", invalid="ignore"):     # np.float64 cells
         total = sum(flat)
@@ -400,45 +396,30 @@ def _joined(cells, width: int, first: str, between: str, row_break: str,
     return "".join(parts)
 
 
-def _block(items, indent: str, brackets: str = "[]") -> str:
-    inner = indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + indent \
-        + brackets[1]
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: a non-string key is quoted."""
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
-
-
-def _json_text(node, indent: str, cell_text) -> str:
-    """The text of ``node``, whose line starts with ``indent``.  A table's
-    cells come from ``cell_text(rows, flat)``, and the table is one
-    ``_joined`` of them; a list whose cells it refuses (None: they are not
-    all finite floats) is written item by item, as any other list."""
-    inner = indent + "  "
-    if isinstance(node, dict) and node:
-        return _block([f"{_key(k)}: {_json_text(v, inner, cell_text)}"
-                       for k, v in sorted(node.items())], indent, "{}")
-    if not isinstance(node, (list, tuple)) or not node:
-        return json.dumps(node)
-    rows = set(map(type, node)) <= {list, tuple}
-    widths = set(map(len, node)) if rows else set()
-    flat = list(chain.from_iterable(node)) if len(widths) == 1 else []
-    cells = cell_text(node, flat) if flat else None
-    if cells is None:
-        return _block([_json_text(v, inner, cell_text) for v in node], indent)
-    cell = inner + "  "
-    return _joined(cells, widths.pop(), "[" + inner + "[" + cell,
-                   "," + cell, inner + "]," + inner + "[" + cell,
-                   inner + "]" + indent + "]")
-
-
 def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
+    """report.json's text: ``json.dumps(result.to_dict(), sort_keys=True,
+    indent=2)`` and a newline.  Each series table of finite floats is
+    dumped as a fresh random placeholder, which the table's text, one join
+    of its memoized cells and the separators json.dumps writes at the
+    indent of ``series.<kind>.rows``, then replaces."""
     doc = result.to_dict()
     if drop_timestamp:
         doc["metadata"] = dict(doc["metadata"], timestamp=None)
-    return _json_text(doc, "\n", result._cell_text) + "\n"
+    doc["series"] = dict(doc["series"])
+    row, cell = "\n" + " " * 8, "\n" + " " * 10
+    tables = {}
+    for kind, series in result.series.items():
+        cells = result._cell_text(kind)
+        if cells is not None:
+            placeholder = os.urandom(16).hex()
+            doc["series"][kind] = dict(series, rows=placeholder)
+            tables[json.dumps(placeholder)] = _joined(
+                cells, len(series["rows"][0]), "[" + row + "[" + cell,
+                "," + cell, row + "]," + row + "[" + cell, row + "]\n      ]")
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    for placeholder, table in tables.items():
+        text = text.replace(placeholder, table, 1)
+    return text + "\n"
 
 
 def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
@@ -457,9 +438,7 @@ def emit_plot_data(result: SuiteResult, kind: str, out_path) -> str:
     series = result.series[kind]
     rows = series["rows"]
     header = ",".join(series["columns"]) + "\n"
-    flat = list(chain.from_iterable(rows))
-    cells = result._cell_text(rows, flat) \
-        if flat and len(set(map(len, rows))) == 1 else None
+    cells = result._cell_text(kind)
     if cells is not None:
         text = _joined(cells, len(rows[0]), header, ",", "\n", "\n")
     else:

@@ -27,8 +27,8 @@ from sphericity.curves import ClosedCurve
 from sphericity.io import (_float64, _g, curve_from_dict, curve_to_dict,
                            load_curve, save_curve)
 from sphericity.reports import (ConfigError, SuiteResult, _float_text,
-                                config_hash, emit_plot_data, json_text,
-                                result_json, run)
+                                config_hash, emit_plot_data, result_json,
+                                run)
 
 FLAT = SpaceForm.flat()
 
@@ -861,6 +861,45 @@ def test_curve_file_without_tangent_refused(tmp_path, absent):
         == (1, "error: curve_file: tangent: missing required key\n")
 
 
+def _reversed(curve) -> dict:
+    """The curve file of ``curve`` with its samples in reverse order: coords,
+    arc lengths from 0, corners, and tangents negated, so that each still
+    lies between the chords to its neighbours."""
+    return dict(curve_to_dict(curve), coords=_b64(curve.points[::-1]),
+                s=_b64(curve.s[-1] - curve.s[::-1]),
+                tangent=_b64(-curve.tangents[::-1]),
+                corners=sorted((curve.n - 1
+                                - np.flatnonzero(curve.corner)).tolist()))
+
+
+# A file whose samples run clockwise loaded: the flat support curve read
+# kmin -1.19 instead of 0.86, and verify-width exited 3 (the hypothesis
+# fails) for a convex curve that meets it.
+@pytest.mark.parametrize("make", [
+    lambda: make_support_curve(1.0, {2: (0.05, 0.02)}, k0_target=0.5, n=256),
+    lambda: make_lune(SpaceForm.sphere(1.0), 1.0, 0.3, n=256),
+    lambda: make_circle(SpaceForm.hyperbolic(1.0),
+                        SpaceForm.hyperbolic(1.0).origin(), 2.0, n=256)],
+    ids=["flat-support", "S2-lune", "H2-circle"])
+def test_clockwise_curve_file_refused(tmp_path, make):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_reversed(make())))
+    reason = ("coords: samples run clockwise, not counterclockwise (no "
+              "neighbouring sample lies inward of a tangent)")
+    with pytest.raises(GeometryError, match=f"^{re.escape(reason)}$"):
+        load_curve(path)
+    assert _run_cli(tmp_path, "verify-width",
+                    {"seed": 0, "curve_file": str(path)}) \
+        == (1, f"error: curve_file: {reason}\n")
+
+
+def test_reversed_great_circle_loads():
+    # every neighbour lies on the tangent geodesic: no orientation to read
+    s2 = SpaceForm.sphere(1.0)
+    great = make_circle(s2, s2.origin(), 0.0, n=256)
+    assert curve_from_dict(_reversed(great)).n == 256
+
+
 # Header fields of a curve file: neither enters a verdict, but a wrong type
 # or value is refused naming the field or a key below it (``space.k1``), not
 # converted or stored as is.
@@ -1143,14 +1182,18 @@ def test_spindle_table_extreme_k0_passes(tmp_path, kind, k1, k0):
     assert (code, err) == (0, "")
 
 
-# Floats json and repr write specially, and tables of floats whose row
-# template precondition breaks only in the last row.
+# Floats json and repr write specially, text json escapes or that looks
+# like the placeholder a float table is dumped as (32 hex digits, quoted or
+# not), and tables of floats whose row template precondition breaks only in
+# the last row.
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
                    1.7976931348623157e308]
 _floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_texts = (st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028😀')
+          | st.text("0123456789abcdef", min_size=32, max_size=32).flatmap(
+              lambda h: st.sampled_from([h, f'"{h}"', f'"rows": "{h}"'])))
 _json_scalars = (st.none() | st.booleans() | st.integers() | _floats
-                 | _floats.map(np.float64) | st.text()
-                 | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028😀'))
+                 | _floats.map(np.float64) | _texts)
 
 
 def _break_last_row(rows, how):
@@ -1174,27 +1217,62 @@ _json_docs = st.recursive(
     _json_scalars | _float_tables,
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=3).map(tuple)
-                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.dictionaries(_texts, children, max_size=4)
                       | st.dictionaries(st.integers(), children, max_size=3)),
     max_leaves=20)
+_results = st.builds(
+    SuiteResult, suite=_texts,
+    checks=st.lists(st.fixed_dictionaries({
+        "name": _texts, "measured": _floats, "bound": _floats,
+        "slack": _floats, "verdict": st.sampled_from(["pass", "fail"])}),
+        max_size=3),
+    series=st.dictionaries(_texts, st.fixed_dictionaries(
+        {"columns": st.lists(_texts, max_size=3),
+         "rows": _float_tables | _json_docs}), max_size=2),
+    hypothesis_violations=st.lists(_texts, max_size=2),
+    metadata=st.dictionaries(_texts, _json_scalars | _float_tables,
+                             max_size=2))
+
+
+def _tables(**tables):
+    """A result whose series ``kind`` holds the rows ``tables[kind]``."""
+    return SuiteResult("t", series={kind: {"columns": ["a", "b"],
+                                           "rows": rows}
+                                    for kind, rows in tables.items()})
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_json_docs)
-@example(doc={"rows": [[1.0, math.nan], [-0.0, -math.inf]], "e": [{}, []]})
-@example(doc=[[np.float64(0.1), 2.0], (3.0, 4.0)])
+@given(result=_results)
+@example(result=_tables(non_finite=[[1.0, math.nan], [-0.0, -math.inf]],
+                        ragged=[[1.0, 2.0], [3.0]],
+                        int_cell=[[1.0, 2.0], [3.0, 4]],
+                        bool_cell=[[1.0, True]], empty=[], empty_row=[[]]))
+@example(result=_tables(float64=[[np.float64(0.1), 2.0], (3.0, 4.0)]))
 # a column is written with one repr only when all its cells hold one
 # nonzero double: 0.0 == -0.0, and their reprs differ
-@example(doc={"zeros": [[0.0, 1.0], [0.0, 2.0]],
-              "negative zeros": [[-0.0, 1.0], [-0.0, 2.0]],
-              "mixed zeros": [[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]})
-@example(doc=[[-0.0, 1.5], [0.0, 1.5], [0.0, 1.5]])
-@example(doc=[[2.5, 1.0], [2.5, -1.0], [2.5, 0.0]])
-@example(doc=[[np.float64(2.5), 1.0], [np.float64(2.5), -1.0]])
-@example(doc={"one row": [[0.5, -0.0, 0.5]],
-              "one column": [[0.5], [0.5], [-0.0], [0.0]]})
-def test_json_text_matches_json_dumps(doc):
-    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+@example(result=_tables(zeros=[[0.0, 1.0], [0.0, 2.0]],
+                        negative_zeros=[[-0.0, 1.0], [-0.0, 2.0]],
+                        mixed_zeros=[[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]))
+@example(result=_tables(t=[[-0.0, 1.5], [0.0, 1.5], [0.0, 1.5]]))
+@example(result=_tables(t=[[2.5, 1.0], [2.5, -1.0], [2.5, 0.0]]))
+@example(result=_tables(t=[[np.float64(2.5), 1.0],
+                           [np.float64(2.5), -1.0]]))
+@example(result=_tables(one_row=[[0.5, -0.0, 0.5]],
+                        one_column=[[0.5], [0.5], [-0.0], [0.0]]))
+@example(result=SuiteResult(
+    'a "suite"\x00', checks=[{"name": '"rows": "0123456789abcdef' * 2,
+                              "measured": 1.0, "bound": 0.5, "slack": 0.5,
+                              "verdict": "pass"}],
+    series={'"rows"\x00': {"columns": ['"a"'], "rows": [[1.0], [2.0]]}},
+    hypothesis_violations=['bound "fails"\x00'],
+    metadata={"\x00": "0123456789abcdef" * 2, "e": [{}, []]}))
+def test_result_json_matches_json_dumps(result):
+    text = json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert result_json(result) == text
+    assert result_json(result) == text          # the cells from the memo
+    # the placeholders go into a copy: the result is left as it was
+    assert json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n" \
+        == text
 
 
 _CSV_CELLS = {"float": _floats, "float64": _floats.map(np.float64),
@@ -1212,7 +1290,7 @@ _csv_runs = st.lists(st.sampled_from(sorted(_CSV_CELLS)), max_size=4).flatmap(
 @example(rows=[])
 @example(rows=[[1.0, math.nan, -math.inf], [2, "a", True], [], [],
                [np.float64(-0.0), 5e-324, None]])
-# the zero-sign guard of the one-repr columns, as in the json_text test
+# the zero-sign guard of the one-repr columns, as in the result_json test
 @example(rows=[[0.0, 1.0], [0.0, 2.0]])
 @example(rows=[[-0.0, 1.0], [-0.0, 2.0]])
 @example(rows=[[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]])
@@ -1241,13 +1319,12 @@ def test_emit_plot_data_matches_per_cell_formulas(rows):
 def test_float_table_whose_sum_overflows(rows, column_wise):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        series = {"columns": ["a", "b"], "rows": rows}
-        assert json_text(series) \
-            == json.dumps(series, sort_keys=True, indent=2) + "\n"
-        assert emit_plot_data(SuiteResult("t", series={"t": series}), "t",
-                              os.devnull) == _per_cell_csv(series)
-        flat = [v for row in rows for v in row]
-        assert (_float_text(rows, flat) is not None) == column_wise
+        result = _tables(t=rows)
+        assert result_json(result) == json.dumps(
+            result.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert emit_plot_data(result, "t", os.devnull) \
+            == _per_cell_csv(result.series["t"])
+        assert (_float_text(rows) is not None) == column_wise
 
 
 # The CLI configs whose output bytes the pull-request check compares between
@@ -1255,19 +1332,23 @@ def test_float_table_whose_sum_overflows(rows, column_wise):
 CLI_CONFIGS = sorted((Path(__file__).parent / "cli_configs").glob("*.json"))
 CLI_CONFIG_EXITS = {"verify-angle.salias": 1, "verify-warped.typo": 1,
                     "verify-warped.family": 1, "verify-warped.params": 1,
-                    "verify-angle.s67": 1,
+                    "verify-angle.s67": 1, "verify-width.clockwise": 1,
                     "verify-angle.hnear": 3, "verify-warped.equator": 3,
                     "verify-warped.violating": 3, "verify-width.sgreat": 3}
 
 
 @pytest.fixture(scope="module")
 def cli_lune_dir(tmp_path_factory):
-    """A directory holding ``cli-lune.curve.json``, the curve file that
-    verify-width.file.json names."""
+    """A directory holding the curve files the verify-width configs name:
+    ``cli-lune.curve.json`` (verify-width.file.json) and
+    ``cli-clockwise.curve.json`` (verify-width.clockwise.json), a flat
+    support curve with its samples reversed."""
     path = tmp_path_factory.mktemp("cli_lune")
     h2 = SpaceForm.hyperbolic(1.0)
     save_curve(make_lune(h2, 2.0, spindle_optimum(h2, 2.0).r0, n=4096),
                path / "cli-lune.curve.json")
+    (path / "cli-clockwise.curve.json").write_text(json.dumps(_reversed(
+        make_support_curve(1.0, {2: (0.05, 0.02)}, k0_target=0.5, n=256))))
     return path
 
 
