@@ -184,11 +184,7 @@ def _run_angle(config, result, rng):
     space = read_space(config)
     curve = build_curve(space, config)
     base = _base_point(space, curve, config)
-    try:
-        rep = verify_angle_bound(curve, base)
-    except HypothesisViolation as exc:
-        result.hypothesis_violations.append(str(exc))
-        return
+    rep = verify_angle_bound(curve, base)
     result.add_check("angle_min_slack", rep.min_slack,
                      *slack_check(rep.min_slack))
     table = np.column_stack((rep.s, rep.t, rep.phi,
@@ -203,11 +199,7 @@ def _run_width(config, result, rng):
     curve = _g(config, "curve_file", lambda x: load_curve(_text(x)))
     if curve is None:
         curve = build_curve(read_space(config), config)
-    try:
-        rep = layer_width(curve)
-    except HypothesisViolation as exc:
-        result.hypothesis_violations.append(str(exc))
-        return
+    rep = layer_width(curve)
     result.add_check("width_margin", rep.d, rep.d0, rep.margin, rep.passed)
     result.series["width"] = {
         "columns": ["r", "rho1", "d", "d0", "margin"],
@@ -326,7 +318,8 @@ _RUNNERS = {
 
 
 def run(config: dict) -> SuiteResult:
-    """Run a config's suite, then refuse the first key it did not read."""
+    """Run a config's suite, then refuse the first key it did not read.  A
+    HypothesisViolation that ends the suite is recorded, not raised."""
     config = _Document(config, "config")
     suite = _g(config, "suite", _one_of(*_RUNNERS), required=True)
     seed = _g(config, "seed", _count(0, 2 ** 63 - 1), 0)
@@ -338,7 +331,10 @@ def run(config: dict) -> SuiteResult:
         "rng": "numpy.random.default_rng (PCG64)",
         "timestamp": None,
     }
-    _RUNNERS[suite](config, result, np.random.default_rng(seed))
+    try:
+        _RUNNERS[suite](config, result, np.random.default_rng(seed))
+    except HypothesisViolation as exc:
+        result.hypothesis_violations.append(str(exc))
     unread = config.first_unread()
     if unread is not None:
         raise ConfigError(
@@ -396,15 +392,13 @@ def _joined(cells, width: int, first: str, between: str, row_break: str,
     return "".join(parts)
 
 
-def result_json(result: SuiteResult, drop_timestamp: bool = False) -> str:
+def result_json(result: SuiteResult) -> str:
     """report.json's text: ``json.dumps(result.to_dict(), sort_keys=True,
     indent=2)`` and a newline.  Each series table of finite floats is
     dumped as a fresh random placeholder, which the table's text, one join
     of its memoized cells and the separators json.dumps writes at the
     indent of ``series.<kind>.rows``, then replaces."""
     doc = result.to_dict()
-    if drop_timestamp:
-        doc["metadata"] = dict(doc["metadata"], timestamp=None)
     doc["series"] = dict(doc["series"])
     row, cell = "\n" + " " * 8, "\n" + " " * 10
     tables = {}

@@ -2,6 +2,7 @@
 package and its command line run with numpy alone."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -44,10 +45,12 @@ def test_demo_runs(path):
 
 def test_package_and_cli_run_without_scipy(tmp_path):
     # importing the package loads no scipy module, and the README's example
-    # config runs through the CLI with scipy blocked
+    # config, committed as verify-angle.readme.json, runs through the CLI
+    # with scipy blocked
     readme = (ROOT / "README.md").read_text()
-    config = tmp_path / "cfg.json"
-    config.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    config = ROOT / "tests" / "cli_configs" / "verify-angle.readme.json"
+    assert json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1)) \
+        == json.loads(config.read_text())
     script = ("import sys\n"
               "import sphericity, sphericity.cli\n"
               "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"

@@ -11,12 +11,12 @@ import os
 import re
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cli_runs
 import sphericity.reports
 from sphericity import (GeometryError, SpaceForm, layer_width, make_circle,
                         make_disc_intersection, make_frame_ode_curve,
@@ -352,9 +352,9 @@ class TestSuiteRunner:
         cfg = {"suite": "warped", "seed": 7,
                "warped": {"family": "perturbed_sin",
                           "params": {"delta": 0.01}, "T": 1.5, "curves": 3}}
-        first = result_json(run(cfg), drop_timestamp=True)
-        second = result_json(run(cfg), drop_timestamp=True)
-        assert first == second
+        first, second = run(cfg), run(cfg)
+        first.metadata["timestamp"] = second.metadata["timestamp"] = None
+        assert result_json(first) == result_json(second)
 
     def test_config_hash_is_canonical(self):
         a = {"suite": "sweep", "seed": 0}
@@ -545,35 +545,23 @@ CONFIG_CRASHERS = [
     ({"out": 5}, "out"),
 ]
 
-# One base config per fuzzed subcommand and the key paths the fuzz replaces.
-FUZZ_BASE = {
-    "verify-angle": (
-        {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
-         "generator": {"provenance": "circle", "k0": 1.0, "n": 64},
-         "base_point": {"mode": "offset", "distance": 0.3}},
-        ["seed", "space", "space.k1", "generator.k0", "generator.n",
-         "generator.phase", "generator.center", "base_point",
-         "base_point.distance", "tolerances"]),
-    "verify-width": (
-        {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
-         "generator": {"provenance": "lune", "k0": 1.0, "r": 0.3, "n": 64}},
-        ["space.kind", "generator.provenance", "generator.k0", "generator.r",
-         "generator.n", "generator.terms", "generator.harmonics",
-         "generator.centers", "curve_file", "tolerances"]),
-    "spindle-table": (
-        {"seed": 0, "space": {"kind": "hyperbolic", "k1": 1.0},
-         "spindle": {"k0": [1.5, 2.0], "r_count": 9}},
-        ["space", "space.k1", "spindle", "spindle.k0", "spindle.r_count"]),
-    "verify-warped": (
-        {"seed": 0, "warped": {"family": "cubic", "params": {"eps": 0.05},
-                               "T": 2.0, "rho0": 0.8, "curves": 1}},
-        ["warped.family", "warped.params", "warped.params.eps",
-         "warped.params.delta", "warped.T", "warped.rho0", "warped.curves",
-         "warped.violating"]),
-    "sweep": (
-        {"seed": 0, "sweep": {"k0": 1.0, "k1": [0.5, 0.01]}},
-        ["seed", "sweep", "sweep.k0", "sweep.k1", "sweep.limit_tol"]),
-}
+# One base config per fuzzed subcommand, its committed
+# tests/cli_configs/<subcommand>.json, and the key paths the fuzz replaces.
+FUZZ_BASE = {command: (cli_runs.load(command), keys) for command, keys in {
+    "verify-angle": ["seed", "space", "space.k1", "generator.k0",
+                     "generator.n", "generator.phase", "generator.center",
+                     "base_point", "base_point.distance", "tolerances"],
+    "verify-width": ["space.kind", "generator.provenance", "generator.k0",
+                     "generator.r", "generator.n", "generator.terms",
+                     "generator.harmonics", "generator.centers",
+                     "curve_file", "tolerances"],
+    "spindle-table": ["space", "space.k1", "spindle", "spindle.k0",
+                      "spindle.r_count"],
+    "verify-warped": ["warped.family", "warped.params", "warped.params.eps",
+                      "warped.params.delta", "warped.T", "warped.rho0",
+                      "warped.curves", "warped.violating"],
+    "sweep": ["seed", "sweep", "sweep.k0", "sweep.k1", "sweep.limit_tol"],
+}.items()}
 FUZZ_VALUES = ["abc", [1, 2], {"a": 1}, None, math.nan, 1e300, -1e300, 0,
                -1]
 
@@ -861,17 +849,6 @@ def test_curve_file_without_tangent_refused(tmp_path, absent):
         == (1, "error: curve_file: tangent: missing required key\n")
 
 
-def _reversed(curve) -> dict:
-    """The curve file of ``curve`` with its samples in reverse order: coords,
-    arc lengths from 0, corners, and tangents negated, so that each still
-    lies between the chords to its neighbours."""
-    return dict(curve_to_dict(curve), coords=_b64(curve.points[::-1]),
-                s=_b64(curve.s[-1] - curve.s[::-1]),
-                tangent=_b64(-curve.tangents[::-1]),
-                corners=sorted((curve.n - 1
-                                - np.flatnonzero(curve.corner)).tolist()))
-
-
 # A file whose samples run clockwise loaded: the flat support curve read
 # kmin -1.19 instead of 0.86, and verify-width exited 3 (the hypothesis
 # fails) for a convex curve that meets it.
@@ -883,7 +860,7 @@ def _reversed(curve) -> dict:
     ids=["flat-support", "S2-lune", "H2-circle"])
 def test_clockwise_curve_file_refused(tmp_path, make):
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps(_reversed(make())))
+    path.write_text(json.dumps(cli_runs.reversed_curve(make())))
     reason = ("coords: samples run clockwise, not counterclockwise (no "
               "neighbouring sample lies inward of a tangent)")
     with pytest.raises(GeometryError, match=f"^{re.escape(reason)}$"):
@@ -897,7 +874,7 @@ def test_reversed_great_circle_loads():
     # every neighbour lies on the tangent geodesic: no orientation to read
     s2 = SpaceForm.sphere(1.0)
     great = make_circle(s2, s2.origin(), 0.0, n=256)
-    assert curve_from_dict(_reversed(great)).n == 256
+    assert curve_from_dict(cli_runs.reversed_curve(great)).n == 256
 
 
 # Header fields of a curve file: neither enters a verdict, but a wrong type
@@ -1093,79 +1070,6 @@ def _per_row_angle_rows(rep):
             for i in range(len(rep.s))]
 
 
-# The CLI test configs: one base config per subcommand, the offset angle
-# witness at n=1024 on the flat plane and at the benchmark's n=4096 on S²,
-# and a flat lune, whose corner samples the angle series keeps.
-CLI_OUTPUT_CONFIGS = [(command, config)
-                      for command, (config, _) in sorted(FUZZ_BASE.items())]
-CLI_OUTPUT_CONFIGS += [
-    ("verify-angle", {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
-                      "generator": {"provenance": "circle", "k0": 1.0,
-                                    "n": 1024},
-                      "base_point": {"mode": "offset", "distance": 0.7}}),
-    ("verify-angle", {"seed": 0, "space": {"kind": "sphere", "k1": 1.0},
-                      "generator": {"provenance": "circle", "k0": 1.5,
-                                    "n": 4096},
-                      "base_point": {"mode": "offset", "distance": 0.3}}),
-    ("verify-angle", {"seed": 0, "space": {"kind": "flat", "k1": 0.0},
-                      "generator": {"provenance": "lune", "k0": 1.0,
-                                    "r": 0.3, "n": 256}}),
-]
-
-
-@pytest.mark.parametrize("command,config", CLI_OUTPUT_CONFIGS,
-                         ids=[f"{c}-{i}" for i, (c, _)
-                              in enumerate(CLI_OUTPUT_CONFIGS)])
-def test_cli_outputs_match_per_cell_formulas(tmp_path, monkeypatch, command,
-                                             config):
-    angle_reports = []
-    verify = sphericity.reports.verify_angle_bound
-
-    def recording_verify(*args, **kwargs):
-        angle_reports.append(verify(*args, **kwargs))
-        return angle_reports[-1]
-
-    monkeypatch.setattr(sphericity.reports, "verify_angle_bound",
-                        recording_verify)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--config", str(path), "--out", str(out),
-                     "--format", "both"])
-    assert code == 0
-    text = (out / "report.json").read_text()
-    doc = json.loads(text)
-    if command == "verify-angle":
-        (rep,) = angle_reports
-        assert len(doc["series"]["angle"]["rows"]) == len(rep.s)
-        doc["series"]["angle"]["rows"] = _per_row_angle_rows(rep)
-        if config["generator"]["provenance"] == "lune":
-            # both corners and their curvature windows have rows
-            assert rep.included.all() and len(rep.s) == 256
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
-    layer = doc["metadata"].get("layer_report")
-    assert (out / "layer_report.json").exists() == (layer is not None)
-    if layer is not None:
-        assert (out / "layer_report.json").read_text() \
-            == json.dumps(layer, sort_keys=True, indent=2) + "\n"
-    assert doc["series"]
-    written = {p.stem for p in out.glob("*.csv")}
-    assert written == set(doc["series"])
-    for kind, series in doc["series"].items():
-        assert (out / f"{kind}.csv").read_text() == _per_cell_csv(series)
-    # each finite float cell has the same text in the CSV as in report.json
-    as_written = json.loads(text, parse_float=lambda t: (t,))
-    for kind, series in as_written["series"].items():
-        csv_rows = [line.split(",") for line
-                    in (out / f"{kind}.csv").read_text().splitlines()[1:]]
-        assert len(csv_rows) == len(series["rows"])
-        for row, csv_row in zip(series["rows"], csv_rows):
-            floats = [v for v in row if isinstance(v, tuple)]
-            assert floats == [(c,) for v, c in zip(row, csv_row)
-                              if isinstance(v, tuple)]
-
-
 # Spindle tables at the extremes of k0, where R = 1/k0 (or its curved
 # analog) leaves the range in which r (2R - r) is representable.
 EXTREME_SPINDLE_CONFIGS = [("flat", 0.0, 1e160), ("flat", 0.0, 1e300),
@@ -1327,47 +1231,83 @@ def test_float_table_whose_sum_overflows(rows, column_wise):
         assert (_float_text(rows) is not None) == column_wise
 
 
-# The CLI configs whose output bytes the pull-request check compares between
-# the base and the head, with the exit code of each one that does not pass.
-CLI_CONFIGS = sorted((Path(__file__).parent / "cli_configs").glob("*.json"))
+# The CLI configs whose outputs the pull-request check compares between the
+# base and the head, with the exit code of each one that does not pass.
+CLI_CONFIGS = cli_runs.configs()
 CLI_CONFIG_EXITS = {"verify-angle.salias": 1, "verify-warped.typo": 1,
                     "verify-warped.family": 1, "verify-warped.params": 1,
                     "verify-angle.s67": 1, "verify-width.clockwise": 1,
                     "verify-angle.hnear": 3, "verify-warped.equator": 3,
                     "verify-warped.violating": 3, "verify-width.sgreat": 3}
+# Those that write report.json: every one not refused.
+REPORT_CONFIGS = [p for p in CLI_CONFIGS
+                  if CLI_CONFIG_EXITS.get(p.stem, 0) != 1]
 
 
 @pytest.fixture(scope="module")
-def cli_lune_dir(tmp_path_factory):
-    """A directory holding the curve files the verify-width configs name:
-    ``cli-lune.curve.json`` (verify-width.file.json) and
-    ``cli-clockwise.curve.json`` (verify-width.clockwise.json), a flat
-    support curve with its samples reversed."""
-    path = tmp_path_factory.mktemp("cli_lune")
-    h2 = SpaceForm.hyperbolic(1.0)
-    save_curve(make_lune(h2, 2.0, spindle_optimum(h2, 2.0).r0, n=4096),
-               path / "cli-lune.curve.json")
-    (path / "cli-clockwise.curve.json").write_text(json.dumps(_reversed(
-        make_support_curve(1.0, {2: (0.05, 0.02)}, k0_target=0.5, n=256))))
+def curve_file_dir(tmp_path_factory):
+    """A directory holding the curve files the verify-width configs name."""
+    path = tmp_path_factory.mktemp("curve_files")
+    cli_runs.write_curve_files(path)
     return path
 
 
 @pytest.mark.parametrize("config", CLI_CONFIGS,
                          ids=[p.stem for p in CLI_CONFIGS])
-def test_cli_config_exit_code_and_repeatable_bytes(cli_lune_dir, tmp_path,
+def test_cli_config_exit_code_and_repeatable_bytes(curve_file_dir, tmp_path,
                                                    monkeypatch, config):
-    monkeypatch.chdir(cli_lune_dir)
-    command = config.name.split(".")[0]
-    runs = []
-    for name in ("first", "second"):
-        out = tmp_path / name
-        code, err = _run_cli(tmp_path, command, json.loads(config.read_text()),
-                             "--out", str(out), "--format", "both")
-        files = {p.name: p.read_text() for p in sorted(out.glob("*"))}
-        if "report.json" in files:
-            files["report.json"] = re.sub(r'"timestamp": "[^"]*"',
-                                          '"timestamp": null',
-                                          files["report.json"])
-        runs.append((code, err, files))
-    assert runs[0][0] == CLI_CONFIG_EXITS.get(config.stem, 0)
-    assert runs[0] == runs[1]
+    monkeypatch.chdir(curve_file_dir)
+    first, second = (cli_runs.run_config(config, tmp_path / name)
+                     for name in ("first", "second"))
+    assert first.exit_code == CLI_CONFIG_EXITS.get(config.stem, 0)
+    assert first == second
+
+
+@pytest.mark.parametrize("config", REPORT_CONFIGS,
+                         ids=[p.stem for p in REPORT_CONFIGS])
+def test_cli_outputs_match_per_cell_formulas(curve_file_dir, tmp_path,
+                                             monkeypatch, config):
+    monkeypatch.chdir(curve_file_dir)
+    angle_reports = []
+    verify = sphericity.reports.verify_angle_bound
+
+    def recording_verify(*args, **kwargs):
+        angle_reports.append(verify(*args, **kwargs))
+        return angle_reports[-1]
+
+    monkeypatch.setattr(sphericity.reports, "verify_angle_bound",
+                        recording_verify)
+    result = cli_runs.run_config(config, tmp_path / "out")
+    assert result.exit_code == CLI_CONFIG_EXITS.get(config.stem, 0)
+    files = result.files
+    text = files["report.json"]
+    doc = json.loads(text)
+    if "angle" in doc["series"]:
+        (rep,) = angle_reports
+        assert len(doc["series"]["angle"]["rows"]) == len(rep.s)
+        doc["series"]["angle"]["rows"] = _per_row_angle_rows(rep)
+        if cli_runs.load(config.stem)["generator"]["provenance"] == "lune":
+            # both corners and their curvature windows have rows
+            assert rep.included.all() and len(rep.s) == 256
+    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+    layer = doc["metadata"].get("layer_report")
+    assert ("layer_report.json" in files) == (layer is not None)
+    if layer is not None:
+        assert files["layer_report.json"] \
+            == json.dumps(layer, sort_keys=True, indent=2) + "\n"
+    # a report without series holds the violation that stopped its suite
+    assert doc["series"] or doc["hypothesis_violations"]
+    assert {name for name in files if name.endswith(".csv")} \
+        == {f"{kind}.csv" for kind in doc["series"]}
+    for kind, series in doc["series"].items():
+        assert files[f"{kind}.csv"] == _per_cell_csv(series)
+    # each finite float cell has the same text in the CSV as in report.json
+    as_written = json.loads(text, parse_float=lambda t: (t,))
+    for kind, series in as_written["series"].items():
+        csv_rows = [line.split(",")
+                    for line in files[f"{kind}.csv"].splitlines()[1:]]
+        assert len(csv_rows) == len(series["rows"])
+        for row, csv_row in zip(series["rows"], csv_rows):
+            floats = [v for v in row if isinstance(v, tuple)]
+            assert floats == [(c,) for v, c in zip(row, csv_row)
+                              if isinstance(v, tuple)]
