@@ -489,7 +489,9 @@ _PERIOD_STEPS = 512     # Magnus steps per period in the closure solve
 # either side of that guess, then one wide scan
 _BRACKET_STAGES = ((0.995, 1.005, 2), (0.55, 1.8, 13))
 _ROOT_MAXITER = 50
-_SCAN_BLOCK = 32        # increments per block of the final pass's prefix scan
+_SCAN_BLOCK = 8         # increments per block of the final pass's prefix scan
+# (on a 2-core x86-64 host, 4 and 8 time alike on final passes of 1024-2048
+# samples; 16 is 7% and 32 is 19% slower)
 _SQRT3 = math.sqrt(3.0)
 # largest profile magnitude: the profile's mean over 2048 points and the
 # differences of its values stay finite below it
@@ -611,10 +613,11 @@ def _chain_product(incs):
 def _prefix_products(incs):
     """Inclusive prefix products of a (S, ...) stack of increments.
 
-    A two-level blocked scan in about 2 S compositions: the running product
+    A recursive blocked scan in about 2 S compositions: the running product
     inside every block of ``_SCAN_BLOCK`` increments (zero increments pad
     the last), one position at a time for all blocks at once, then the
-    running product of the block totals, carried into every later block.
+    prefix products of the block totals, by the same scan, carried into
+    every later block in one batched composition.
     """
     count = len(incs)
     n_blocks = -(-count // _SCAN_BLOCK)
@@ -623,10 +626,9 @@ def _prefix_products(incs):
     blocks = out.reshape((n_blocks, _SCAN_BLOCK) + incs.shape[1:])
     for j in range(1, _SCAN_BLOCK):
         blocks[:, j] = _compose(blocks[:, j - 1], blocks[:, j])
-    carry = blocks[:, -1].copy()
-    for i in range(1, n_blocks):
-        carry[i] = _compose(carry[i - 1], carry[i])
-    blocks[1:] = _compose(carry[:-1, None], blocks[1:])
+    if n_blocks > 1:
+        carry = _prefix_products(blocks[:-1, -1])
+        blocks[1:] = _compose(carry[:, None], blocks[1:])
     return out[:count]
 
 
@@ -648,8 +650,10 @@ def _integrate_frame(space, p0, t0, table, lengths, store_every=None):
     ``lengths`` is scalar or (B,); returns the body-frame period maps
     d = F0^-1 F_end - I of shape (B, 3, 3) (see ``_period_rotation``) and,
     when ``store_every`` is given, the (steps // store_every, B, dim) points
-    and tangents taken every that many steps, starting with (p0, T0); their
-    frames come from the blocked scan ``_prefix_products``.
+    and tangents taken every that many steps, starting with (p0, T0): the
+    steps between two stored samples are composed by pairwise products (none
+    at ``store_every`` 1), and the stored frames by the recursive blocked
+    scan ``_prefix_products``.
     """
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
     hl = (table.h * lengths)[:, None, None, None]
@@ -784,9 +788,13 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
     of the profile, the step generators and their commutator
     (``_step_table``) built before the first: Brent's method reads the
     bracket ends' defects off the scan.  The solved curve is built by
-    integrating one period finely, from a second table, composing its
-    sample frames by a blocked scan (``_prefix_products``), and replicating
-    it with powers of the period isometry, so the m-fold symmetry is exact.
+    integrating one period from a second table, at no coarser a resolution
+    than the closure solve: the fewest power-of-two steps per sample that
+    give at least ``_PERIOD_STEPS`` steps per period (one wherever a period
+    holds that many samples; the Magnus error then lies far below the
+    window fit's roundoff).  Its sample frames are composed by a recursive
+    blocked scan (``_prefix_products``), and the period is replicated with
+    powers of the period isometry, so the m-fold symmetry is exact.
 
     Raises NonClosureError when the profile lacks the required symmetry,
     the root search does not converge, or the replicated curve misses its
@@ -874,11 +882,13 @@ def make_frame_ode_curve(space: SpaceForm, kappa_profile,
                           xtol=1e-13 * length_guess, rtol=1e-15,
                           maxiter=_ROOT_MAXITER))
 
-    # final pass: integrate one period finely and replicate it by the
-    # period isometry F0 (I + d) F0^-1
+    # final pass: integrate one period and replicate it by the period
+    # isometry F0 (I + d) F0^-1
     samples_per_period = n // m
     n_eff = samples_per_period * m
-    substeps = 2
+    # at least the closure solve's resolution: a power of two of steps per
+    # sample, one wherever a period holds _PERIOD_STEPS samples or more
+    substeps = 1 << (-(-_PERIOD_STEPS // samples_per_period) - 1).bit_length()
     d, pts_period, tan_period = _integrate_frame(
         space, p0, e1, _step_table(space, kappa_profile, 1.0 / m,
                                    samples_per_period * substeps),

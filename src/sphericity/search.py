@@ -190,7 +190,10 @@ def refine_windows(s, win, values, mode: str, period: float):
     h = 0.5 * (x[:, WINDOW_HALF + 1] - x[:, WINDOW_HALF - 1])
     z = x / h[:, None]
     y0 = cols[:, WINDOW_HALF]
-    coef = np.linalg.solve(z[..., None] ** np.arange(5), cols - y0[:, None])
+    # np.vander builds the powers by repeated multiplication, not by the
+    # SIMD pow, whose last bit can depend on the CPU's dispatch level
+    vander = np.vander(z.ravel(), 5, increasing=True).reshape(z.shape + (5,))
+    coef = np.linalg.solve(vander, cols - y0[:, None])
     coef = np.moveaxis(coef, 1, -1)                   # (k, m, 5)
     q = (1.0 if mode == "min" else -1.0) * coef[:, 0]
     dq = q[:, 1:] * np.arange(1, 5)

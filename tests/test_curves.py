@@ -332,14 +332,17 @@ class TestFrameOde:
         for p, t in zip(p_end, t_end):
             assert self._isometry_defect(space, p, t) < 1e-12
 
-    @pytest.mark.parametrize("count", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK + 1,
-                                       3 * _SCAN_BLOCK + 7, 683])
+    @pytest.mark.parametrize("count", sorted({
+        1, _SCAN_BLOCK - 1, _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 7, 31, 33,
+        103, 683, _SCAN_BLOCK ** 3 + 5, 2048}))
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
                              ids=lambda s: s.kind.value)
     def test_blocked_scan_matches_sequential_product(self, space, count):
         # step factors of a curve of length 2 with curvature in [0.5, 2.5]:
         # the blocked scan against the running product, one step at a time,
-        # for counts the block size does not divide
+        # for counts the block size does not divide (31, 33 and 103 are
+        # those of a 32-increment block), and for counts whose block totals
+        # are scanned over three levels of recursion or more
         rng = np.random.default_rng(count)
         g0, g1 = _frame_generators(space)
         kappa = rng.uniform(0.5, 2.5, size=(count, 1, 1, 1))
@@ -351,8 +354,8 @@ class TestFrameOde:
 
     @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
                              ids=lambda s: s.kind.value)
-    def test_stored_frames_are_isometries(self, space):
-        # a period of 3 * _SCAN_BLOCK + 7 samples, two steps each
+    def test_stored_frames_are_isometries(self, space, store_every=2):
+        # a period of 3 * _SCAN_BLOCK + 7 samples, store_every steps each
         k0 = 2.0 if space is HYP else 1.0
         p0 = space.origin()
         e1, _ = space.frame(p0)
@@ -360,12 +363,18 @@ class TestFrameOde:
             space.circle_radius_of_curvature(k0)))
         count = 3 * _SCAN_BLOCK + 7
         table = _step_table(space, lambda u: k0 + 0.2 * np.cos(2 * np.pi * u),
-                            1.0, 2 * count)
+                            1.0, store_every * count)
         _, points, tangents = _integrate_frame(space, p0, e1, table, length,
-                                               store_every=2)
+                                               store_every=store_every)
         assert points.shape == (count, 1, space.dim)
         for p, t in zip(points[:, 0], tangents[:, 0]):
             assert self._isometry_defect(space, p, t) < 1e-12
+
+    @pytest.mark.parametrize("space", [FLAT, SPH, HYP],
+                             ids=lambda s: s.kind.value)
+    def test_stored_frames_are_isometries_at_one_step_per_sample(self, space):
+        # that test with no pairwise products between the stored samples
+        self.test_stored_frames_are_isometries(space, store_every=1)
 
 
     @staticmethod
@@ -489,6 +498,75 @@ class TestFrameOde:
         monkeypatch.setattr(curves, "_integrate_frame", record)
         return batches
 
+    @staticmethod
+    def _record_final_pass(monkeypatch):
+        """(steps, store_every) of each final-pass integration."""
+        passes = []
+
+        def record(space, p0, t0, table, lengths, store_every=None):
+            if store_every is not None:
+                passes.append((len(table.gen), store_every))
+            return _integrate_frame(space, p0, t0, table, lengths, store_every)
+
+        monkeypatch.setattr(curves, "_integrate_frame", record)
+        return passes
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=st.sampled_from([FLAT, SPH, HYP]), m=st.integers(2, 8),
+           n=st.integers(64, 8192), data=st.data())
+    def test_final_pass_keeps_closure_resolution(self, space, m, n, data):
+        # the final pass takes the fewest power-of-two steps per sample
+        # that give at least the closure solve's _PERIOD_STEPS per period;
+        # with one step per sample at every n, the 64-sample sphere curve
+        # of TestWindowFit was refused with a closure residual of 1.2e-8
+        if space is HYP:
+            k0 = data.draw(st.floats(1.7, 2.6))
+            amp = data.draw(st.floats(0.05, min(0.25, k0 - 1.3)))
+        else:
+            k0 = data.draw(st.floats(0.8, 1.4))
+            amp = data.draw(st.floats(0.02, 0.1)) * k0
+        split = data.draw(st.floats(0.55, 0.9))
+        profile = _cos_profile(k0, [
+            (m, amp * split, data.draw(st.floats(0.0, 2.0 * math.pi))),
+            (2 * m, amp * (1.0 - split),
+             data.draw(st.floats(0.0, 2.0 * math.pi)))])
+        with pytest.MonkeyPatch.context() as patch:
+            passes = self._record_final_pass(patch)
+            curve = make_frame_ode_curve(space, profile, n=n)
+        [(steps, every)] = passes
+        assert steps == (n // m) * every
+        assert steps >= _PERIOD_STEPS
+        assert every == 1 or steps < 2 * _PERIOD_STEPS
+        assert curve.closure_gap <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 1.1),
+                                          (HYP, 2.0)],
+                             ids=["flat", "sphere", "hyperbolic"])
+    def test_one_step_per_sample_matches_fine_reference(self, monkeypatch,
+                                                        space, k0, m):
+        # at n = 4096 the final pass takes one step per sample; the
+        # reference repeats it at eight steps per sample from the same
+        # closure length (one step per sample read 3.7e-15 to 4.4e-14 R
+        # off it, two steps 6.8e-16 to 3.5e-15 R)
+        profile = _cos_profile(k0, [(m, 0.08, 0.3), (2 * m, 0.03, 1.1)])
+        curve = make_frame_ode_curve(space, profile, n=4096)
+
+        def fine(space, p0, t0, table, lengths, store_every=None):
+            if store_every is not None:
+                count = len(table.gen) // store_every
+                table = _step_table(space, profile, 1.0 / m, 8 * count)
+                store_every = 8
+            return _integrate_frame(space, p0, t0, table, lengths, store_every)
+
+        monkeypatch.setattr(curves, "_integrate_frame", fine)
+        ref = make_frame_ode_curve(space, profile, n=4096)
+        assert ref.total_length == curve.total_length
+        radius = space.circle_radius_of_curvature(k0)
+        assert float(np.max(np.abs(curve.points - ref.points))) \
+            <= 1e-13 * radius
+        assert curve.closure_gap <= 1e-12
+
     @pytest.mark.parametrize("space,k0", [(FLAT, 1.0), (SPH, 1.2),
                                           (HYP, 2.0)],
                              ids=["flat", "sphere", "hyperbolic"])
@@ -496,10 +574,11 @@ class TestFrameOde:
         # the symmetry screen (two calls, 1,585 points), the 2048-point
         # mean, the minimum search (three calls of 257 points, then at most
         # 20 golden-section steps), one table for the closure solve (1,024
-        # points) and one for the final pass (5,460): about 55 calls and
-        # 28k points when every order was tested on every point, the
-        # golden section ran from the 2048-point grid and every closure
-        # length evaluated the profile again
+        # points) and one for the final pass (2,730, one step per sample):
+        # about 55 calls and 28k points when every order was tested on
+        # every point, the golden section ran from the 2048-point grid,
+        # every closure length evaluated the profile again and the final
+        # pass took two steps per sample
         sizes = []
 
         def profile(u):
@@ -508,7 +587,7 @@ class TestFrameOde:
 
         make_frame_ode_curve(space, profile, n=4096)
         assert len(sizes) <= 26
-        assert sum(sizes) <= 11_000
+        assert sum(sizes) <= 8_500
 
     @staticmethod
     def _frame_config(tmp_path, kind, k0, terms, n):
